@@ -275,9 +275,8 @@ def cmd_sweep(doc, out, config):
         parameter=_require(block, "parameter", "sweep block"),
         start=_as_float(_require(block, "start", "sweep block"), "start"),
         stop=_as_float(_require(block, "stop", "sweep block"), "stop"),
-        steps=int(_require(block, "steps", "sweep block")),
-        adaptive=bool(block.get("adaptive", True)))
-    result = sweep.sweep(spec, workers=config.get("workers", 1))
+        steps=int(_require(block, "steps", "sweep block")))
+    result = sweep.sweep(spec)
 
     n = len(result.rows[0].values)
     emit = config.get("emit", ("csv", "json"))
@@ -358,8 +357,8 @@ def cmd_trap(doc, out, config):
     v = np.asarray(_require(p, "v", "parameters"), float)
     alphas = _linspace_block(_require(doc, "alphas", "model file"),
                              "alphas block")
-    rep = opensys.toy_trapping(h0, v, alphas,
-                               trapped_fraction=p.get("trapped_fraction", 0.1))
+    fraction = p.get("trapped_fraction", 0.1)
+    rep = opensys.toy_trapping(h0, v, alphas, trapped_fraction=fraction)
     n = rep.widths.shape[1]
     own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
     header = ["alpha", "k", "re_z", "im_z", "gamma", "trapped_flag"]
@@ -368,7 +367,7 @@ def cmd_trap(doc, out, config):
         for k in range(n):
             rows.append([rep.alphas[t], k, rep.values[t, k].real,
                          rep.values[t, k].imag, rep.widths[t, k],
-                         bool(rep.widths[t, k] < 0.1 * own_max[k])])
+                         bool(rep.widths[t, k] < fraction * own_max[k])])
     write_csv(out / "trapping.csv", header, rows)
     write_json(out / "summary.json", {
         "alpha_cr": rep.alpha_cr, "slope": rep.slope,
@@ -443,6 +442,8 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--emit", default="csv,json",
                        help="comma-separated subset of csv,json,svg")
+        # accepted and validated for compatibility; nothing uses it since
+        # sweeps diagonalize stacked grids instead of a thread pool
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--tol-ep", type=float, default=1e-10)
         p.add_argument("--pv-grid", type=int, default=None)
@@ -467,7 +468,7 @@ def main(argv=None):
     if args.pv_grid is not None and (args.pv_grid < 3 or args.pv_grid % 2 == 0):
         print("nhspec: --pv-grid must be odd and >= 3", file=sys.stderr)
         return 2
-    config = {"emit": emit, "workers": args.workers, "tol_ep": args.tol_ep,
+    config = {"emit": emit, "tol_ep": args.tol_ep,
               "pv_grid": args.pv_grid,
               "seed_p1": getattr(args, "seed_p1", None),
               "seed_p2": getattr(args, "seed_p2", None)}

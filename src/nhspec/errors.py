@@ -34,7 +34,8 @@ class GridTooCoarse(NhspecError):
 
 
 class MatchingAmbiguous(NhspecError):
-    """Eigenpair continuation could not be disambiguated by overlaps."""
+    """Eigenpair continuation could not be disambiguated by overlaps,
+    even after bisecting the parameter step."""
 
     def __init__(self, message, best_overlap=None):
         super().__init__(message)
@@ -52,10 +53,6 @@ class NoConvergence(NhspecError):
 
 class SaddleRejected(NoConvergence):
     """Search converged to a stationary point whose gap stays above tolerance."""
-
-
-class TransportAmbiguous(NhspecError):
-    """Contour transport lost track of an eigenpair despite refinement."""
 
 
 class EOutsideWindow(NhspecError):

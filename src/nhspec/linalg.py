@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AtExceptionalPoint, NonConvergence, NotDefective
+from .errors import NonConvergence, NotDefective
 
 GENERAL = "general"
 COMPLEX_SYMMETRIC = "complex_symmetric"
@@ -17,6 +17,8 @@ HERMITIAN = "hermitian"
 
 _SYMMETRY_TOL = 1e-12
 DEFECT_TOL = 1e-12
+# magnitude cap on mixing coefficients, which diverge at a coalescence
+B_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,34 @@ def _match_by_value(w_ref, w_other):
     return perm
 
 
+def eig_stack(a, hermitian):
+    """Unsorted eigenvalues and right eigenvectors of a (T, n, n) stack.
+
+    One LAPACK call per kind: eigh for the frames flagged in the boolean
+    `hermitian` (T,), eig for the rest.  Batched calls return the same
+    bits as one call per frame.
+    """
+    try:
+        if not hermitian.any():
+            return np.linalg.eig(a)
+        w = np.empty(a.shape[:-1], dtype=complex)
+        vr = np.empty_like(a)
+        w[hermitian], vr[hermitian] = np.linalg.eigh(a[hermitian])
+        rest = ~hermitian
+        if rest.any():
+            w[rest], vr[rest] = np.linalg.eig(a[rest])
+        return w, vr
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+
+
+def sort_pairs(w, vr):
+    """Eigenpairs ordered ascending by (Re, Im), vectors at unit norm."""
+    order = np.lexsort((w.imag, w.real))
+    vr = vr[:, order]
+    return w[order], vr / np.linalg.norm(vr, axis=0)
+
+
 def eig(H, defect_tol=DEFECT_TOL):
     """Full eigendecomposition with biorthogonally paired left vectors.
 
@@ -114,20 +144,8 @@ def eig(H, defect_tol=DEFECT_TOL):
     """
     H = as_matrix(H)
     a = H.entries
-    scale = max(np.abs(a).max(), 1.0)
-    try:
-        if H.symmetry_hint == HERMITIAN:
-            w, vr = np.linalg.eigh(a)
-            w = w.astype(complex)
-        else:
-            w, vr = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    vr = vr[:, order]
-    vr = vr / np.linalg.norm(vr, axis=0)
+    w, vr = eig_stack(a[None], np.array([H.symmetry_hint == HERMITIAN]))
+    w, vr = sort_pairs(w[0], vr[0])
 
     n = H.n
     ep_flag = np.zeros(n, dtype=bool)

@@ -9,16 +9,12 @@ interior-wavefunction phase rigidity, and the width-bifurcation toy
 model H0 - i alpha V V^T.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-import dataclasses
-
-from . import linalg
-from .errors import (AtExceptionalPoint, EOutsideWindow, ETooCloseToThreshold,
-                     SelfConsistencyFailure)
+from . import linalg, sweep
+from .errors import EOutsideWindow, ETooCloseToThreshold
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +334,6 @@ def _clamp_energy(energy, lo, hi, h):
 # ---------------------------------------------------------------------------
 # mixing coefficients
 
-_B_CAP = 1e12
-
 UNPERTURBED_BASIS = "unperturbed_noncoupled"
 BOUND_BASIS = "bound_basis"
 
@@ -351,7 +345,8 @@ class MixingResult:
     flagged: np.ndarray
 
 
-def mixing_coefficients(states, basis=UNPERTURBED_BASIS, model=None, cap=_B_CAP):
+def mixing_coefficients(states, basis=UNPERTURBED_BASIS, model=None,
+                        cap=linalg.B_CAP):
     """Expansion coefficients of the resonance vectors over a reference basis.
 
     unperturbed_noncoupled: c-products with the eigenvectors of the
@@ -433,20 +428,10 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
         raise ValueError("alpha grid must be non-negative")
     vvt = v @ v.T
 
-    values = np.empty((len(alphas), n), dtype=complex)
-    prev_u = None
-    for t, alpha in enumerate(alphas):
-        h = linalg.ComplexMatrix(h0 - 1j * alpha * vvt,
-                                 linalg.COMPLEX_SYMMETRIC)
-        sys = linalg.eig(h)
-        u = sys.right_vectors / np.linalg.norm(sys.right_vectors, axis=0)
-        if prev_u is None:
-            perm = np.arange(n)
-        else:
-            ov = np.abs(prev_u.T @ u)
-            _, perm = linear_sum_assignment(-ov)
-        values[t] = sys.values[perm]
-        prev_u = u[:, perm]
+    frames = sweep._track(
+        lambda alpha: linalg.ComplexMatrix(h0 - 1j * alpha * vvt,
+                                           linalg.COMPLEX_SYMMETRIC), alphas)
+    values = np.array([f.values for f in frames if f.on_grid])
 
     widths = -2.0 * values.imag
     gamma0 = widths.max(axis=1)
@@ -461,6 +446,8 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
         alpha_cr = float(alphas[0])
 
     top = alphas >= 0.5 * (alphas[0] + alphas[-1])
+    if top.sum() < 2:
+        top[-2:] = True
     coef = np.polyfit(alphas[top], order[top], 1)
     fit = np.polyval(coef, alphas[top])
     fit_residual = float(np.abs(fit - order[top]).max()

@@ -9,15 +9,21 @@ eigenframe to read off the swap/phase pattern of the branch point.
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
 from . import linalg, twolevel
-from .errors import (MatchingAmbiguous, NoConvergence, SaddleRejected,
-                     TransportAmbiguous)
+from .errors import MatchingAmbiguous, NoConvergence, SaddleRejected
 
 MATCH_THRESHOLD = 0.5
+# an interval whose best overlap stays below MATCH_THRESHOLD is bisected
+# at most this deep (1/256 of its length) before continuation gives up
+MAX_BISECT = 8
+# matrices are diagonalized in stacks of about this many bytes: one LAPACK
+# call per stack, without holding a whole long grid in memory at once
+_STACK_BYTES = 1 << 20
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_EP_GAP_TOL = 1e-10
 DEFAULT_BIC_TOL = 1e-10
@@ -90,6 +96,81 @@ def make_plane_family(model, p1, p2):
 
 
 # ---------------------------------------------------------------------------
+# continuation core
+
+def _match(u_prev, u_new):
+    # Hermitian overlap: the unconjugated product collapses near a
+    # coalescence along with the phase rigidity and cannot identify states
+    ov = np.abs(u_prev.conj().T @ u_new)
+    _, cols = linear_sum_assignment(-ov)
+    chosen = ov[np.arange(len(cols)), cols]
+    return cols, float(chosen.min())
+
+
+def _min_pair_gap(values):
+    """Smallest distance between two eigenvalues along the last axis."""
+    n = values.shape[-1]
+    d = np.abs(values[..., :, None] - values[..., None, :])
+    d[..., np.arange(n), np.arange(n)] = np.inf
+    return d.min(axis=(-2, -1))
+
+
+class _Frame(NamedTuple):
+    t: float
+    values: np.ndarray      # eigenvalues, in continuation order once matched
+    vectors: np.ndarray     # unit right eigenvectors as columns, same order
+    on_grid: bool           # False for a bisection midpoint
+    peak: float             # largest entry magnitude of the matrix at t
+
+
+def _solve(family, ts):
+    """Unmatched frames of family(t) for each t, with eigenpairs sorted
+    by linalg.sort_pairs, from stacked eigensolves of bounded size."""
+    mats = []
+    for k, t in enumerate(ts):
+        mats.append(family(t))
+        full = len(mats) * mats[0].entries.nbytes >= _STACK_BYTES
+        if not full and k + 1 < len(ts):
+            continue
+        stack = np.stack([m.entries for m in mats])
+        hermitian = np.array([m.symmetry_hint == linalg.HERMITIAN
+                              for m in mats])
+        peaks = np.abs(stack).max(axis=(1, 2))
+        w, vr = linalg.eig_stack(stack, hermitian)
+        del stack
+        for t_k, z, u, peak in zip(ts[k + 1 - len(mats):k + 1], w, vr, peaks):
+            yield _Frame(t_k, *linalg.sort_pairs(z, u), True, float(peak))
+        mats = []
+
+
+def _step(family, f0, f1, depth=0):
+    """Frames after the continued frame f0 up to and including f1, matched
+    by overlap; an ambiguous interval is bisected, MAX_BISECT deep."""
+    perm, best = _match(f0.vectors, f1.vectors)
+    if best >= MATCH_THRESHOLD:
+        return [f1._replace(values=f1.values[perm],
+                            vectors=f1.vectors[:, perm])]
+    if depth == MAX_BISECT:
+        raise MatchingAmbiguous(
+            f"overlap {best:.3f} below threshold at param {f1.t!r}",
+            best_overlap=best)
+    mid = next(_solve(family, [0.5 * (f0.t + f1.t)]))._replace(on_grid=False)
+    left = _step(family, f0, mid, depth + 1)
+    return left + _step(family, left[-1], f1, depth + 1)
+
+
+def _track(family, ts):
+    """Continue the eigenpairs of family(t) along the parameters ts,
+    yielding the matched frames in order, bisection midpoints included."""
+    frames = _solve(family, ts)
+    prev = next(frames)
+    yield prev
+    for f in frames:
+        for prev in _step(family, prev, f):
+            yield prev
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 @dataclass(frozen=True)
@@ -99,7 +180,6 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    adaptive: bool = True
 
     def __post_init__(self):
         if self.steps < 2:
@@ -131,46 +211,7 @@ class SweepResult:
     vectors: list = field(default_factory=list, repr=False)
 
 
-def _unit_cols(v):
-    return v / np.linalg.norm(v, axis=0)
-
-
-def _solve_point(H):
-    """Eigensystem with c-norm diagnostics, tolerant of general matrices."""
-    sys = linalg.eig(H)
-    if H.symmetry_hint in (linalg.COMPLEX_SYMMETRIC, linalg.HERMITIAN):
-        return linalg.c_normalize(sys)
-    u = _unit_cols(sys.right_vectors)
-    r = np.abs(np.einsum("ik,ik->k", u, u))
-    with np.errstate(divide="ignore"):
-        a = np.where(r > 0, 1.0 / np.maximum(r, 1e-300), np.inf)
-    return dataclasses.replace(sys, norms_A=a, rigidity_r=r)
-
-
-def _overlap_matrix(u_prev, u_new):
-    # Hermitian overlap: the unconjugated product collapses near a
-    # coalescence along with the phase rigidity and cannot identify states
-    return np.abs(u_prev.conj().T @ u_new)
-
-
-def _match(u_prev, u_new):
-    ov = _overlap_matrix(u_prev, u_new)
-    _, cols = linear_sum_assignment(-ov)
-    chosen = ov[np.arange(len(cols)), cols]
-    return cols, float(chosen.min())
-
-
-def _min_pair_gap(values):
-    n = len(values)
-    if n < 2:
-        return np.inf
-    d = np.abs(values[:, None] - values[None, :])
-    d[np.diag_indices(n)] = np.inf
-    return float(d.min())
-
-
-def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None, workers=1,
-          max_refine=8):
+def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None):
     """Sweep a model parameter, continuing eigenpairs by overlap matching.
 
     Events: sign changes of the energy (width) differences, interior
@@ -182,164 +223,90 @@ def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None, workers=1,
         family = spec.model
     else:
         family = make_family(spec.model, spec.parameter)
-    adaptive = spec.adaptive
-    ts = list(np.linspace(spec.start, spec.stop, spec.steps))
-
-    points = _evaluate_grid(family, ts, workers)
-    scale = max(max(np.abs(p.matrix.entries).max() for p in points), 1.0)
+    frames = list(_track(family, np.linspace(spec.start, spec.stop,
+                                             spec.steps)))
+    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
     gap_tol = DEFAULT_GAP_TOL * scale if gap_tol is None else gap_tol
     ep_gap_tol = DEFAULT_EP_GAP_TOL * scale if ep_gap_tol is None else ep_gap_tol
 
-    rows, vectors = _continue_chain(family, ts, points, adaptive, max_refine)
+    params = np.array([f.t for f in frames])
+    values = np.array([f.values for f in frames])        # (T, n)
+    vectors = [f.vectors for f in frames]
+    # phase rigidity r = |u^T u| of the unit vectors, A = 1/r; both are
+    # flagged (r = 0, A = inf) where the c-norm has numerically vanished
+    r = np.array([np.abs(np.einsum("ik,ik->k", u, u)) for u in vectors])
+    r[r < linalg.DEFECT_TOL] = 0.0
+    with np.errstate(divide="ignore"):
+        norms = 1.0 / r
+    gaps = _min_pair_gap(values)
+    rows = [SweepRow(param=float(t), values=values[k], norms_A=norms[k],
+                     rigidity_r=r[k], min_gap=float(gaps[k]))
+            for k, t in enumerate(params)]
 
     if bic_tol is None:
-        max_width = max((max(-2.0 * r.values.imag.min(), 0.0) for r in rows),
-                        default=0.0)
+        max_width = max(-2.0 * values.imag.min(), 0.0)
         bic_tol = DEFAULT_BIC_TOL * max(max_width, 1e-300)
-    events = _detect_events(rows, family.window, gap_tol, ep_gap_tol, bic_tol)
+    events = _detect_events(params, values, family.window, gap_tol,
+                            ep_gap_tol, bic_tol)
     return SweepResult(rows=rows, events=events, vectors=vectors)
 
 
-def _evaluate_grid(family, ts, workers):
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: _solve_point(family(t)), ts))
-    return [_solve_point(family(t)) for t in ts]
-
-
-def _continue_chain(family, ts, points, adaptive, max_refine):
-    rows = []
-    vectors = []
-    prev_u = None
-    queue = list(zip(ts, points))
-    out = []
-    while queue:
-        t, sys = queue.pop(0)
-        u = _unit_cols(sys.right_vectors)
-        if prev_u is None:
-            perm = np.arange(sys.n)
-        else:
-            perm, best = _match(prev_u, u)
-            if best < MATCH_THRESHOLD:
-                refined = _refine_between(family, out[-1][0], t, prev_u,
-                                          adaptive, max_refine)
-                if refined is None:
-                    raise MatchingAmbiguous(
-                        f"overlap {best:.3f} below threshold at param {t!r}",
-                        best_overlap=best)
-                mid_entries, prev_u = refined
-                out.extend(mid_entries)
-                perm, best = _match(prev_u, u)
-                if best < MATCH_THRESHOLD:
-                    raise MatchingAmbiguous(
-                        f"overlap {best:.3f} below threshold at param {t!r}"
-                        " after refinement", best_overlap=best)
-        u = u[:, perm]
-        values = sys.values[perm]
-        a = sys.norms_A[perm] if sys.norms_A is not None else np.full(sys.n, np.nan)
-        r = (sys.rigidity_r[perm] if sys.rigidity_r is not None
-             else np.full(sys.n, np.nan))
-        out.append((t, values, a, r, u))
-        prev_u = u
-    for t, values, a, r, u in out:
-        rows.append(SweepRow(param=float(t), values=values, norms_A=a,
-                             rigidity_r=r, min_gap=_min_pair_gap(values)))
-        vectors.append(u)
-    return rows, vectors
-
-
-def _refine_between(family, t_lo, t_hi, u_lo, adaptive, max_refine):
-    """Walk from t_lo to t_hi through midpoints until overlaps stay sharp."""
-    if not adaptive:
-        return None
-    for level in range(1, max_refine + 1):
-        n_mid = 2 ** level - 1
-        mids = np.linspace(t_lo, t_hi, n_mid + 2)[1:-1]
-        u = u_lo
-        entries = []
-        ok = True
-        for t in mids:
-            sys = _solve_point(family(t))
-            cand = _unit_cols(sys.right_vectors)
-            perm, best = _match(u, cand)
-            if best < MATCH_THRESHOLD:
-                ok = False
-                break
-            cand = cand[:, perm]
-            values = sys.values[perm]
-            a = (sys.norms_A[perm] if sys.norms_A is not None
-                 else np.full(sys.n, np.nan))
-            r = (sys.rigidity_r[perm] if sys.rigidity_r is not None
-                 else np.full(sys.n, np.nan))
-            entries.append((t, values, a, r, cand))
-            u = cand
-        if ok:
-            return entries, u
-    return None
-
-
-def _detect_events(rows, window, gap_tol, ep_gap_tol, bic_tol):
-    events = []
-    if not rows:
-        return events
-    n = rows[0].values.shape[0]
-    params = np.array([r.param for r in rows])
-    zs = np.array([r.values for r in rows])       # (T, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            re_gap = zs[:, i].real - zs[:, j].real
-            im_gap = zs[:, i].imag - zs[:, j].imag
-            full_gap = np.abs(zs[:, i] - zs[:, j])
-            events += _sign_change_events("energy_crossing", params, re_gap,
-                                          gap_tol, (i, j))
-            events += _sign_change_events("width_crossing", params, im_gap,
-                                          gap_tol, (i, j))
-            events += _local_min_events("avoided_crossing", params,
-                                        np.abs(re_gap), gap_tol, (i, j))
-            below = full_gap < ep_gap_tol
-            for t in _run_starts(below):
-                events.append(Event("ep_candidate", float(params[t]), (i, j)))
-        if window is not None:
-            widths = -2.0 * zs[:, i].imag
-            inside = (zs[:, i].real >= window[0]) & (zs[:, i].real <= window[1])
-            flag = (widths < bic_tol) & inside
-            for t in _run_starts(flag):
-                events.append(Event("bic", float(params[t]), (i,)))
-    events.sort(key=lambda e: (e.param, e.kind, e.indices))
-    return events
-
-
-def _run_starts(mask):
-    idx = np.flatnonzero(mask)
-    starts = []
-    for t in idx:
-        if t == 0 or not mask[t - 1]:
-            starts.append(int(t))
+def _first_of_runs(mask):
+    """True at the first sample (axis 0) of every run of True."""
+    starts = mask.copy()
+    starts[1:] &= ~mask[:-1]
     return starts
 
 
-def _sign_change_events(kind, params, gap, tol, indices):
-    # a run of near-zero gaps counts as a single crossing at its start;
-    # sign changes are only counted between samples clearly off zero
-    events = []
+def _crossings(gap, tol):
+    """Event count per sample for zero crossings of gap (T, P).
+
+    A run of near-zero gaps counts as a single crossing at its start;
+    sign changes are only counted between samples clearly off zero, at
+    the sample nearer to zero.
+    """
     zero = np.abs(gap) <= tol
-    for t in _run_starts(zero):
-        events.append(Event(kind, float(params[t]), indices))
+    count = _first_of_runs(zero).astype(int)
     sgn = np.where(zero, 0.0, np.sign(gap))
-    for t in range(len(gap) - 1):
-        if sgn[t] * sgn[t + 1] < 0.0:
-            at = t if abs(gap[t]) <= abs(gap[t + 1]) else t + 1
-            events.append(Event(kind, float(params[at]), indices))
-    return events
+    flip = sgn[:-1] * sgn[1:] < 0.0
+    left = np.abs(gap[:-1]) <= np.abs(gap[1:])
+    count[:-1] += flip & left
+    count[1:] += flip & ~left
+    return count
 
 
-def _local_min_events(kind, params, gap, tol, indices):
+def _local_minima(gap, tol):
+    """Interior samples where gap (T, P) has a local minimum above tol."""
+    found = np.zeros(gap.shape, dtype=bool)
+    mid = gap[1:-1]
+    found[1:-1] = (mid < gap[:-2]) & (mid <= gap[2:]) & (mid > tol)
+    return found
+
+
+def _detect_events(params, zs, window, gap_tol, ep_gap_tol, bic_tol):
+    """Events over the (sample x level pair) grid of the values zs (T, n)."""
+    n = zs.shape[1]
+    i, j = np.triu_indices(n, 1)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    diff = zs[:, i] - zs[:, j]                       # (T, pairs)
+    found = [
+        ("energy_crossing", _crossings(diff.real, gap_tol), pairs),
+        ("width_crossing", _crossings(diff.imag, gap_tol), pairs),
+        ("avoided_crossing", _local_minima(np.abs(diff.real), gap_tol), pairs),
+        ("ep_candidate", _first_of_runs(np.abs(diff) < ep_gap_tol), pairs),
+    ]
+    if window is not None:
+        inside = (zs.real >= window[0]) & (zs.real <= window[1])
+        vanishing = (-2.0 * zs.imag < bic_tol) & inside
+        found.append(("bic", _first_of_runs(vanishing),
+                      [(k,) for k in range(n)]))
     events = []
-    for t in range(1, len(gap) - 1):
-        if gap[t] < gap[t - 1] and gap[t] <= gap[t + 1] and gap[t] > tol:
-            events.append(Event(kind, float(params[t]), indices))
+    for kind, count, indices in found:
+        ts, ks = np.nonzero(count)
+        for t, k, c in zip(ts.tolist(), ks.tolist(), count[ts, ks].tolist()):
+            events += [Event(kind, float(params[t]), indices[k])
+                       for _ in range(c)]
+    events.sort(key=lambda e: (e.param, e.kind, e.indices))
     return events
 
 
@@ -572,7 +539,7 @@ def make_omega_family(model):
         model=model, parameter="omega")
 
 
-def encircle(spec, family, max_refine=8):
+def encircle(spec, family):
     """Transport the eigenframe around a closed contour in the coupling plane.
 
     Reports the eigenvalue permutation and accumulated eigenvector phase
@@ -590,7 +557,6 @@ def encircle(spec, family, max_refine=8):
 
     sys0 = linalg.c_normalize(linalg.eig(family(point(0.0))))
     n = sys0.n
-    init_vals = sys0.values.copy()
     h0 = np.linalg.norm(sys0.right_vectors, axis=0)
     init_w = sys0.right_vectors / h0
     init_s = (1.0 / h0).astype(complex)
@@ -602,17 +568,19 @@ def encircle(spec, family, max_refine=8):
         for th in np.linspace(0.0, 2 * np.pi, 16, endpoint=False)]
     encloses = gap_center < min(contour_gaps) / 10.0
 
+    thetas = 2 * np.pi * np.arange(total + 1) / steps
+    frames = _track(lambda th: family(point(th)), thetas)
+    next(frames)
     cur_w, cur_s = init_w, init_s
-    contour = [(0.0, init_vals.copy())]
+    contour = [(0.0, sys0.values.copy())]
     cycles = []
-    thetas = 2 * np.pi * np.arange(1, total + 1) / steps
-    prev_theta = 0.0
-    for theta in thetas:
-        cur_w, cur_s, vals = _transport_step(family, point, prev_theta,
-                                             theta, cur_w, cur_s, max_refine)
-        contour.append((float(theta), vals))
-        prev_theta = theta
-        if abs((theta / (2 * np.pi)) - round(theta / (2 * np.pi))) < 1e-12:
+    for f in frames:
+        cur_w, cur_s = _carry(cur_w, cur_s, f.vectors)
+        if not f.on_grid:
+            continue
+        contour.append((float(f.t), f.values))
+        turns = f.t / (2 * np.pi)
+        if abs(turns - round(turns)) < 1e-12:
             perm, phases = _compare_to_start(init_w, init_s, cur_w, cur_s)
             # the continued c-normalized frame gives a sign per state;
             # swapped states carry the half-turn of the norm branch, written
@@ -636,32 +604,19 @@ def encircle(spec, family, max_refine=8):
                        eigenvector_period=vec_period, contour=contour)
 
 
-def _transport_step(family, point, th_lo, th_hi, w, s, max_refine, depth=0):
-    """One transport step carrying (w, s): a Hermitian-unit frame with
+def _carry(w, s, u):
+    """Carry (w, s) onto the matched frame u: a Hermitian-unit frame with
     phase continuity and the branch-continuous square root of its
     unconjugated norms.  The analytically continued c-normalized frame is
     w / s, which picks up the half-winding factors of the norm branch."""
-    sys = linalg.eig(family(point(th_hi)))
-    u_new = _unit_cols(sys.right_vectors)
-    perm, best = _match(w, u_new)
-    if best < MATCH_THRESHOLD:
-        if depth >= max_refine:
-            raise TransportAmbiguous(
-                f"overlap {best:.3f} below threshold at theta {th_hi:.4f}")
-        mid = 0.5 * (th_lo + th_hi)
-        w, s, _ = _transport_step(family, point, th_lo, mid, w, s,
-                                  max_refine, depth + 1)
-        return _transport_step(family, point, mid, th_hi, w, s,
-                               max_refine, depth + 1)
-    new = u_new[:, perm].copy()
-    vals = sys.values[perm]
+    new = u / np.linalg.norm(u, axis=0)
     s_new = np.empty_like(s)
     for k in range(new.shape[1]):
         z = np.vdot(new[:, k], w[:, k])
         new[:, k] = new[:, k] * (z / abs(z))
         cand = np.sqrt(new[:, k] @ new[:, k])
         s_new[k] = cand if abs(cand - s[k]) <= abs(cand + s[k]) else -cand
-    return new, s_new, vals
+    return new, s_new
 
 
 def _compare_to_start(init_w, init_s, cur_w, cur_s):

@@ -286,10 +286,7 @@ class DeltaReport:
     flagged: bool
 
 
-_B_CAP = 1e12
-
-
-def delta_diagnostic(m, a, cap=_B_CAP):
+def delta_diagnostic(m, a, cap=linalg.B_CAP):
     """Mixing of the coupled eigenvectors over the uncoupled (omega=0) basis.
 
     b_ij are the c-products of the coupled eigenvectors with the

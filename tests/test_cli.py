@@ -150,6 +150,19 @@ class TestTrapCommand:
         assert csv_header(tmp_path / "trapping.csv") == \
             ["alpha", "k", "re_z", "im_z", "gamma", "trapped_flag"]
 
+    def test_flags_agree_with_summary(self, tmp_path):
+        doc = json.loads((DATA / "trapping_chain.json").read_text())
+        doc["parameters"]["trapped_fraction"] = 0.01
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("trap", "--model", str(model), "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        rows = [line.split(",") for line in
+                (tmp_path / "trapping.csv").read_text().splitlines()[1:]]
+        last = rows[-1][0]
+        flags = sum(int(r[5]) for r in rows if r[0] == last)
+        assert flags == summary["n_trapped"]
+
 
 class TestScatterCommand:
     def test_double_pole(self, tmp_path):

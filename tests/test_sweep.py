@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, sweep, twolevel
-from nhspec.errors import NoConvergence, SaddleRejected
+from nhspec.errors import MatchingAmbiguous, NoConvergence, SaddleRejected
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
 
@@ -88,13 +89,36 @@ class TestSweep:
         assert len(cross) == 1
         assert abs(cross[0].param - 1.0) < 0.05
 
-    def test_workers_agree(self):
-        spec = sweep.SweepSpec(model=canonical_model(), parameter="omega_im",
-                               start=0.5, stop=0.9, steps=21)
-        serial = sweep.sweep(spec, workers=1)
-        parallel = sweep.sweep(spec, workers=4)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert np.allclose(a.values, b.values, atol=1e-12)
+    def test_coarse_grid_is_refined(self):
+        # three points are too coarse for 16 levels: steps get bisected
+        rng = np.random.default_rng(1)
+        a, b = [0.5 * (m + m.T) for m in
+                (rng.standard_normal((16, 16))
+                 + 1j * rng.standard_normal((16, 16)) for _ in range(2))]
+        fam = sweep.MatrixFamily(fn=lambda t: a + t * b)
+        res = sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 3))
+        params = [r.param for r in res.rows]
+        assert set(np.linspace(0.0, 1.0, 3)) <= set(params)
+        assert all(q > p for p, q in zip(params, params[1:]))
+        assert len(res.rows) > 3
+        scale = np.abs(a).max() + np.abs(b).max()
+        for r in res.rows:
+            ref = np.linalg.eigvals(a + r.param * b)
+            cost = np.abs(r.values[:, None] - ref[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() < 1e-10 * scale
+
+    def test_discontinuous_family_is_ambiguous(self):
+        # every eigenvector of H D H^T overlaps every unit vector by 8^-1/2
+        h = np.array([[1.0]])
+        for _ in range(3):
+            h = np.block([[h, h], [h, -h]])
+        h /= np.sqrt(8.0)
+        d = np.diag(np.arange(8.0))
+        fam = sweep.MatrixFamily(fn=lambda t: d if t < 0.5 else h @ d @ h.T)
+        with pytest.raises(MatchingAmbiguous) as info:
+            sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 11))
+        assert abs(info.value.best_overlap - 8 ** -0.5) < 1e-6
 
 
 class TestLocateEp:
