@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import opensys, scattering, sweep, twolevel
-from .errors import ModelFileError, NhspecError
+from .errors import ModelFileError, NhspecError, SelfConsistencyFailure
 
 MODEL_VERSION = "1"
 KINDS = ("two_level", "pt_two_level", "avoided_crossing", "open_system",
@@ -339,12 +339,8 @@ def cmd_encircle(doc, out, config):
     n = len(rep.contour[0][1])
     header = ["theta"] + [f"{part}_z{k}" for k in range(n)
                           for part in ("re", "im")]
-    rows = []
-    for theta, vals in rep.contour:
-        row = [theta]
-        for k in range(n):
-            row += [vals[k].real, vals[k].imag]
-        rows.append(row)
+    rows = [[theta] + [x for z in vals[:n] for x in (z.real, z.imag)]
+            for theta, vals in rep.contour]
     write_csv(out / "contour.csv", header, rows)
     return 0
 
@@ -420,6 +416,9 @@ def cmd_heff(doc, out, config):
     rows = [[k, s.z.real, s.z.imag, s.width, s.energy, s.converged,
              s.iterations, s.residual] for k, s in enumerate(states)]
     write_csv(out / "resonances.csv", header, rows)
+    failed = [k for k, s in enumerate(states) if not s.converged]
+    if failed:
+        raise SelfConsistencyFailure(f"states {failed} did not converge")
     return 0
 
 

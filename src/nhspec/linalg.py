@@ -152,18 +152,12 @@ def eig(H, defect_tol=DEFECT_TOL):
 
     if H.symmetry_hint == HERMITIAN:
         vl = vr.conj().T
-    elif H.symmetry_hint == COMPLEX_SYMMETRIC:
-        vl = vr.T.copy()
-        for k in range(n):
-            c = vl[k] @ vr[:, k]
-            if abs(c) < defect_tol:
-                ep_flag[k] = True
-            else:
-                vl[k] = vl[k] / c
     else:
-        wl, ul = np.linalg.eig(a.T)
-        perm = _match_by_value(w, wl)
-        vl = ul[:, perm].T
+        if H.symmetry_hint == COMPLEX_SYMMETRIC:
+            vl = vr.T.copy()
+        else:
+            wl, ul = np.linalg.eig(a.T)
+            vl = ul[:, _match_by_value(w, wl)].T
         for k in range(n):
             c = vl[k] @ vr[:, k]
             if abs(c) < defect_tol:

@@ -21,10 +21,8 @@ from .errors import EOutsideWindow, ETooCloseToThreshold
 # channel coupling profiles
 
 @dataclass(frozen=True)
-class ConstantCoupling:
-    """Energy-independent amplitudes, one column per channel."""
-
-    amplitudes: np.ndarray      # (N, C)
+class _Amplitudes:
+    amplitudes: np.ndarray      # (N, C), one column per channel
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes",
@@ -33,6 +31,11 @@ class ConstantCoupling:
     @property
     def n_channels(self):
         return self.amplitudes.shape[1]
+
+
+@dataclass(frozen=True)
+class ConstantCoupling(_Amplitudes):
+    """Energy-independent amplitudes, one column per channel."""
 
     def at(self, energy, window):
         return self.amplitudes
@@ -43,18 +46,8 @@ class ConstantCoupling:
 
 
 @dataclass(frozen=True)
-class SemicircleCoupling:
+class SemicircleCoupling(_Amplitudes):
     """Amplitudes modulated by a semicircular profile over the window."""
-
-    amplitudes: np.ndarray      # (N, C)
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes",
-                           np.atleast_2d(np.asarray(self.amplitudes, float)))
-
-    @property
-    def n_channels(self):
-        return self.amplitudes.shape[1]
 
     def _shape(self, energy, window):
         lo, hi = window
@@ -87,11 +80,7 @@ class TabulatedCoupling:
         return self.values.shape[2]
 
     def at(self, energy, window):
-        out = np.empty(self.values.shape[1:])
-        flat = self.values.reshape(len(self.grid), -1)
-        for idx in range(flat.shape[1]):
-            out.flat[idx] = np.interp(energy, self.grid, flat[:, idx])
-        return out
+        return self.on_grid(np.array([energy], float), window)[0]
 
     def on_grid(self, grid, window):
         if len(grid) == len(self.grid) and np.allclose(grid, self.grid):
@@ -153,11 +142,26 @@ def pv_integral(f, grid, energy):
     Subtraction method: the regularized integrand (f(E') - f(E))/(E - E')
     is integrated by the trapezoid rule (with the limit -f'(E) at the
     singular node), and the subtracted logarithmic part is added back in
-    closed form.  Converges at second order in the grid spacing.
+    closed form.  Converges at second order in the grid spacing.  The
+    rule is linear in f, so it is applied as one weight vector.
     """
     grid = np.asarray(grid, float)
-    f_call = f if callable(f) else None
-    f = np.asarray(f(grid) if callable(f) else f)
+    k, c_e, a = _pv_weights(grid, energy)
+    if callable(f):
+        # exact f(E): interpolating it is second order in h, but within
+        # ~h^2 of a node its error is amplified by 1/(E - E')
+        return np.tensordot(k, np.asarray(f(grid)), axes=1) \
+            + c_e * np.asarray(f(energy))
+    return np.tensordot(k + c_e * a, np.asarray(f), axes=1)[()]  # 1-D f: scalar
+
+
+def _pv_weights(grid, energy):
+    """Weights (k, c_e, a) with PV int f/(E - E') = k.f + c_e f(E).
+
+    `a` holds np.interp's two node weights, f(E) ~ a.f.  The derivative
+    limit at a near node takes f'(E) ~ a.np.gradient(f), whose stencil
+    is central inside the grid and one-sided at its ends.
+    """
     lo, hi = grid[0], grid[-1]
     h = grid[1] - grid[0]
     if not (lo < energy < hi):
@@ -165,12 +169,11 @@ def pv_integral(f, grid, energy):
     if energy - lo < 0.5 * h or hi - energy < 0.5 * h:
         raise ETooCloseToThreshold(
             f"E = {energy!r} within half a grid cell of a threshold")
-    # interpolating f(E) is second order in h, but when E sits within
-    # ~h^2 of a node the interpolation error is amplified by 1/(E - E');
-    # an exact evaluation avoids that whenever the caller can provide one
-    f_e = np.asarray(f_call(energy)) if f_call is not None \
-        else _interp_along_grid(f, grid, energy)
-    fp_e = _interp_along_grid(np.gradient(f, h, axis=0), grid, energy)
+    m = len(grid)
+    j = int(np.searchsorted(grid, energy, side="right")) - 1
+    t = (energy - grid[j]) / (grid[j + 1] - grid[j])
+    a = np.zeros(m)
+    a[j], a[j + 1] = 1.0 - t, t
     denom = energy - grid
     # nodes closer than the cancellation noise floor of f(E') - f(E) get
     # the derivative limit; anything tighter than this amplifies roundoff
@@ -178,34 +181,30 @@ def pv_integral(f, grid, energy):
     near_tol = min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale),
                    0.45 * h)
     near = np.abs(denom) < near_tol
-    denom_safe = np.where(near, 1.0, denom)
-    shape_tail = (1,) * (f.ndim - 1)
-    integrand = (f - f_e) / denom_safe.reshape((-1,) + shape_tail)
-    if near.any():
-        integrand[near] = -fp_e
-    reg = np.trapezoid(integrand, dx=h, axis=0)
-    return reg + f_e * np.log((energy - lo) / (hi - energy))
-
-
-def _interp_along_grid(f, grid, energy):
-    if f.ndim == 1:
-        return np.interp(energy, grid, f)
-    flat = f.reshape(len(grid), -1)
-    out = np.array([np.interp(energy, grid, flat[:, i])
-                    for i in range(flat.shape[1])])
-    return out.reshape(f.shape[1:])
+    w = np.full(m, h)
+    w[[0, -1]] = 0.5 * h
+    k = w / np.where(near, np.inf, denom)
+    c_e = np.log((energy - lo) / (hi - energy)) - k.sum()
+    w_near = w[near].sum()
+    for i in (j, j + 1):
+        lo_i, hi_i = max(i - 1, 0), min(i + 1, m - 1)
+        step = w_near * a[i] / ((hi_i - lo_i) * h)
+        k[lo_i] += step
+        k[hi_i] -= step
+    return k, c_e, a
 
 
 def _plain_integral(f, grid, energy):
     """Ordinary int f(E')/(E - E') dE' for E outside the grid span."""
     grid = np.asarray(grid, float)
     h = grid[1] - grid[0]
-    if np.abs(energy - grid).min() < 1e-12 * h:
+    denom = energy - grid
+    if np.abs(denom).min() < 1e-12 * h:
         raise ETooCloseToThreshold(
             f"E = {energy!r} coincides with a continuum grid node")
-    shape_tail = (1,) * (np.asarray(f).ndim - 1)
-    integrand = np.asarray(f) / (energy - grid).reshape((-1,) + shape_tail)
-    return np.trapezoid(integrand, dx=h, axis=0)
+    w = np.full(len(grid), h)
+    w[[0, -1]] = 0.5 * h
+    return np.tensordot(w / denom, np.asarray(f), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +225,33 @@ def assemble_heff(m, energy):
     Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window, zero outside,
     making the matrix complex symmetric (Hermitian outside the window).
     """
+    return _heff_at(m)(energy)
+
+
+def _heff_at(m):
+    """energy -> EffectiveHamiltonian, with g g^T on the grid built once."""
     grid = m.grid
     lo, hi = m.window
     g_grid = m.coupling.on_grid(grid, m.window)          # (M, N, C)
     prod = np.einsum("mic,mjc->mij", g_grid, g_grid)     # (M, N, N)
-    if lo < energy < hi:
-        shift = pv_integral(prod, grid, energy) / (2.0 * np.pi)
-        g_e = m.coupling.at(energy, m.window)            # (N, C)
-        width = 0.5 * g_e @ g_e.T
-    else:
-        shift = _plain_integral(prod, grid, energy) / (2.0 * np.pi)
-        width = np.zeros((m.n_states, m.n_states))
-    h = m.h_bound() + shift - 1j * width
-    hint = linalg.HERMITIAN if not (lo < energy < hi) else linalg.COMPLEX_SYMMETRIC
-    return EffectiveHamiltonian(energy=float(energy),
-                                matrix=linalg.ComplexMatrix(h, hint),
-                                real_shift=shift, width_term=width)
+    h_b = m.h_bound()
+
+    def at(energy):
+        if lo < energy < hi:
+            shift = pv_integral(prod, grid, energy) / (2.0 * np.pi)
+            g_e = m.coupling.at(energy, m.window)        # (N, C)
+            width = 0.5 * g_e @ g_e.T
+            hint = linalg.COMPLEX_SYMMETRIC
+        else:
+            shift = _plain_integral(prod, grid, energy) / (2.0 * np.pi)
+            width = np.zeros((m.n_states, m.n_states))
+            hint = linalg.HERMITIAN
+        return EffectiveHamiltonian(
+            energy=float(energy),
+            matrix=linalg.ComplexMatrix(h_b + shift - 1j * width, hint),
+            real_shift=shift, width_term=width)
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +284,15 @@ def solve_resonances(m, tol=1e-10, max_iter=200, damping=0.5):
     h = m.grid[1] - m.grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
     eb_vals, eb_vecs = np.linalg.eigh(m.h_bound())
+    heff_at = _heff_at(m)
     states = []
     for k in range(m.n_states):
         energy = float(eb_vals[k])
         phi_ref = eb_vecs[:, k].astype(complex)
-        converged = False
-        it = 0
-        resid = np.inf
+        converged, it, resid = False, 0, np.inf
         for it in range(1, max_iter + 1):
             energy = _clamp_energy(energy, lo, hi, h)
-            heff = assemble_heff(m, energy)
-            sys = linalg.eig(heff.matrix)
+            sys = linalg.eig(heff_at(energy).matrix)
             u = sys.right_vectors / np.linalg.norm(sys.right_vectors, axis=0)
             ref = phi_ref / np.linalg.norm(phi_ref)
             idx = int(np.argmax(np.abs(ref.conj() @ u)))
@@ -297,11 +305,9 @@ def solve_resonances(m, tol=1e-10, max_iter=200, damping=0.5):
                 converged = True
                 break
         energy = _clamp_energy(energy, lo, hi, h)
-        heff = assemble_heff(m, energy)
+        sys = linalg.eig(heff_at(energy).matrix)
         if lo < energy < hi:
-            sys = linalg.c_normalize(linalg.eig(heff.matrix))
-        else:
-            sys = linalg.eig(heff.matrix)
+            sys = linalg.c_normalize(sys)
         u = sys.right_vectors
         un = u / np.linalg.norm(u, axis=0)
         ref = phi_ref / np.linalg.norm(phi_ref)

@@ -70,6 +70,18 @@ def s_matrix_polesum(m, energy, real_pole_tol=0.0):
     return s
 
 
+def _s_diag(m, energies, channel):
+    """S_cc(E) over an energy array, with s_matrix_polesum's pole rule."""
+    denom = energies[:, None] - m.poles                  # (E, K)
+    hit = (denom == 0.0).any(axis=1)
+    if hit.any():
+        raise PoleOnRealAxis("requested energy coincides with a zero-width "
+                             "pole", energy=float(energies[hit][0]))
+    g = m.couplings[:, channel]
+    s = 1.0 - 1j * np.einsum("k,k,ek->e", g, g, 1.0 / denom)
+    return s if m.background is None else s - m.background[channel, channel]
+
+
 def s_matrix_resolvent(h_b, gamma_hat, energy):
     """S = 1 - i g^T (E - H_B + (i/2) g g^T)^{-1} g; unitary for real input."""
     h_b = np.asarray(h_b, float)
@@ -105,13 +117,9 @@ def _unwrapped_phase(s_values):
 
 
 def _extrema(grid, y):
-    minima, maxima = [], []
-    for i in range(1, len(y) - 1):
-        if y[i] < y[i - 1] and y[i] <= y[i + 1]:
-            minima.append(float(grid[i]))
-        if y[i] > y[i - 1] and y[i] >= y[i + 1]:
-            maxima.append(float(grid[i]))
-    return minima, maxima
+    inner, left, mid, right = np.asarray(grid)[1:-1], y[:-2], y[1:-1], y[2:]
+    return (inner[(mid < left) & (mid <= right)].tolist(),
+            inner[(mid > left) & (mid >= right)].tolist())
 
 
 def _halfmax_span(grid, sigma):
@@ -119,6 +127,21 @@ def _halfmax_span(grid, sigma):
     above = sigma >= 0.5 * peak
     idx = np.flatnonzero(above)
     return float(grid[idx[-1]] - grid[idx[0]]) if len(idx) else 0.0
+
+
+def _report(grid, s, sigma_at_center=None, breit_wigner_span=0.0):
+    """Cross section, phase and features of S_cc(E) on the grid."""
+    sigma = np.abs(1.0 - s) ** 2
+    phase = _unwrapped_phase(s)
+    minima, maxima = _extrema(grid, sigma)
+    if sigma_at_center is None:
+        sigma_at_center = float(sigma[len(grid) // 2])
+    return LineshapeReport(
+        grid=grid, s_values=s, sigma=sigma, phase=phase,
+        total_phase_change=float(phase[-1] - phase[0]),
+        sigma_at_center=sigma_at_center,
+        halfmax_span=_halfmax_span(grid, sigma),
+        breit_wigner_span=breit_wigner_span, minima=minima, maxima=maxima)
 
 
 def double_pole_lineshape(e_d, gamma_d, grid):
@@ -138,21 +161,11 @@ def double_pole_lineshape(e_d, gamma_d, grid):
         raise GridTooCoarse("grid must resolve the width by >= 8 points")
     d = 1.0 / (grid - e_d + 0.5j * gamma_d)
     s = 1.0 - 2j * gamma_d * d - gamma_d ** 2 * d ** 2
-    sigma = np.abs(1.0 - s) ** 2
-    phase = _unwrapped_phase(s)
-    minima, maxima = _extrema(grid, sigma)
-
     d_c = 1.0 / (0.0 + 0.5j * gamma_d)
     s_center = 1.0 - 2j * gamma_d * d_c - gamma_d ** 2 * d_c ** 2
-
     bw = np.abs(1j * gamma_d / (grid - e_d + 0.5j * gamma_d)) ** 2
-    return LineshapeReport(
-        grid=grid, s_values=s, sigma=sigma, phase=phase,
-        total_phase_change=float(phase[-1] - phase[0]),
-        sigma_at_center=float(abs(1.0 - s_center) ** 2),
-        halfmax_span=_halfmax_span(grid, sigma),
-        breit_wigner_span=_halfmax_span(grid, bw),
-        minima=minima, maxima=maxima)
+    return _report(grid, s, float(abs(1.0 - s_center) ** 2),
+                   _halfmax_span(grid, bw))
 
 
 def lineshape(m, grid, channel=0):
@@ -165,16 +178,7 @@ def lineshape(m, grid, channel=0):
     finite = widths[widths > 1e-12 * span]
     if len(finite) and grid[1] - grid[0] > finite.min() / 8.0:
         raise GridTooCoarse("grid must resolve the narrowest width by >= 8 points")
-    s = np.array([s_matrix_polesum(m, e)[channel, channel] for e in grid])
-    sigma = np.abs(1.0 - s) ** 2
-    phase = _unwrapped_phase(s)
-    minima, maxima = _extrema(grid, sigma)
-    return LineshapeReport(
-        grid=grid, s_values=s, sigma=sigma, phase=phase,
-        total_phase_change=float(phase[-1] - phase[0]),
-        sigma_at_center=float(sigma[len(grid) // 2]),
-        halfmax_span=_halfmax_span(grid, sigma), breit_wigner_span=0.0,
-        minima=minima, maxima=maxima)
+    return _report(grid, _s_diag(m, grid, channel))
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +211,12 @@ def detect_bic(m, bic_tol=1e-12, channel=0, local_points=401):
             continue
         half = max(50.0 * max(widths[k], 1e-300), 1e-14 * max(abs(z.real), 1.0))
         local = z.real + np.linspace(-half, half, local_points)
-        s = np.array([s_matrix_polesum(m, e)[channel, channel] for e in local])
-        phase = _unwrapped_phase(s)
+        phase = _unwrapped_phase(_s_diag(m, local, channel))
         jump = float(phase[-1] - phase[0])
         coarse = m.energy_grid if m.energy_grid is not None else local
         step = coarse[1] - coarse[0] if len(coarse) > 1 else half
-        sig_lo = abs(1.0 - s_matrix_polesum(m, z.real - 0.5 * step)[channel,
-                                                                   channel]) ** 2
-        sig_hi = abs(1.0 - s_matrix_polesum(m, z.real + 0.5 * step)[channel,
-                                                                    channel]) ** 2
+        sig_lo, sig_hi = np.abs(1.0 - _s_diag(
+            m, z.real + np.array([-0.5, 0.5]) * step, channel)) ** 2
         resolved = abs(sig_hi - sig_lo) > 0.1 * max(sig_hi, sig_lo, 1e-300)
         out.append(BicDetection(index=k, energy=float(z.real),
                                 phase_jump=jump, peak_resolved=resolved))

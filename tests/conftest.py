@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, and slow shared
+# hosts do not turn a slow example into a failure
+settings.register_profile("nhspec", derandomize=True, deadline=None)
+settings.load_profile("nhspec")
 
 
 def random_complex_symmetric(rng, n):

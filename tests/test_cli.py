@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhspec import cli
+from nhspec import cli, opensys
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,6 +196,25 @@ class TestHeffCommand:
             assert cells[5] == "1"                 # converged
             assert float(cells[3]) > 0.0           # positive width
 
+    def test_unconverged_state_is_numerical_failure(self, tmp_path,
+                                                     monkeypatch, capsys):
+        solve = opensys.solve_resonances
+
+        def second_unconverged(model):
+            states = solve(model)
+            states[1].converged = False
+            return states
+
+        monkeypatch.setattr(opensys, "solve_resonances", second_unconverged)
+        assert run("heff", "--model", str(DATA / "open_system.json"),
+                   "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "[1]" in err
+        # the table is still written, with the failing state marked
+        rows = [line.split(",") for line in
+                (tmp_path / "resonances.csv").read_text().splitlines()[1:]]
+        assert [r[5] for r in rows] == ["1", "0"]
+
 
 # ---------------------------------------------------------------------------
 # failure modes and argument validation
@@ -261,6 +280,7 @@ class TestDeterminism:
         ("encircle", "two_level_sweep.json"),
         ("trap", "trapping_chain.json"),
         ("scatter", "double_pole.json"),
+        ("scatter", "bic_pair.json"),
         ("heff", "open_system.json"),
     ])
     def test_byte_identical_reruns(self, tmp_path, command, model):

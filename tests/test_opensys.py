@@ -1,6 +1,7 @@
 import numpy as np
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhspec import linalg, opensys
 from nhspec.errors import EOutsideWindow, ETooCloseToThreshold
@@ -15,6 +16,58 @@ def standard_model(g=0.055, grid_size=2001):
 
 # ---------------------------------------------------------------------------
 # principal-value integration
+
+def _near_tol(grid, energy):
+    h = grid[1] - grid[0]
+    scale = max(abs(grid[0]), abs(grid[-1]), abs(energy))
+    return min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale), 0.45 * h)
+
+
+def _subtraction_rule(f, grid, energy):
+    """The PV subtraction rule evaluated term by term: interpolated f(E)
+    and f'(E), the derivative limit at a near node, the trapezoid rule
+    and the closed-form logarithm."""
+    lo, hi = grid[0], grid[-1]
+    h = grid[1] - grid[0]
+
+    def at_energy(g):
+        flat = g.reshape(len(grid), -1)
+        return np.array([np.interp(energy, grid, col) for col in flat.T]) \
+            .reshape(g.shape[1:])
+
+    f_e = at_energy(f)
+    fp_e = at_energy(np.gradient(f, h, axis=0))
+    denom = energy - grid
+    near = np.abs(denom) < _near_tol(grid, energy)
+    integrand = (f - f_e) / np.where(near, 1.0, denom)[:, None, None]
+    integrand[near] = -fp_e
+    reg = np.trapezoid(integrand, dx=h, axis=0)
+    return reg + f_e * np.log((energy - lo) / (hi - energy))
+
+
+@st.composite
+def pv_cases(draw):
+    """A grid, an energy on it and a seed for matrix-valued samples.
+
+    Energies are drawn anywhere inside the window, within the derivative-
+    limit tolerance of an interior node, or in the first or last cell
+    next to the node beside the edge, where np.gradient is one-sided."""
+    m = 2 * draw(st.integers(2, 200)) + 1
+    lo = draw(st.sampled_from([-2.0, 0.0, 1e5]))
+    grid = np.linspace(lo, lo + draw(st.floats(0.5, 20.0)), m)
+    h = grid[1] - grid[0]
+    u = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["generic", "near", "edge"]))
+    if kind == "generic":
+        energy = lo + h * (0.51 + u * (m - 2.02))
+    elif kind == "near":
+        node = grid[draw(st.integers(1, m - 2))]
+        energy = node + (2.0 * u - 1.0) * 0.99 * _near_tol(grid, node)
+    elif draw(st.booleans()):
+        energy = grid[1] - 0.49 * u * h
+    else:
+        energy = grid[-2] + 0.49 * u * h
+    return grid, float(energy), draw(st.integers(0, 2 ** 32 - 1))
 
 class TestPvIntegral:
     window = (-2.0, 3.0)
@@ -73,6 +126,15 @@ class TestPvIntegral:
         assert abs(out[0, 1] - out[1, 0]) < 1e-12
         assert abs(out[0, 0] - opensys.pv_integral(np.ones_like(grid),
                                                    grid, 0.7)) < 1e-12
+
+    @settings(max_examples=150)
+    @given(pv_cases())
+    def test_weights_match_subtraction_rule(self, case):
+        grid, energy, seed = case
+        f = np.random.default_rng(seed).standard_normal((len(grid), 2, 2))
+        got = opensys.pv_integral(f, grid, energy)
+        want = _subtraction_rule(f, grid, energy)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(f).max()
 
     def test_outside_window_rejected(self):
         with pytest.raises(EOutsideWindow):

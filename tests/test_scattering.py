@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhspec import scattering
-from nhspec.errors import GridTooCoarse, PoleOnRealAxis
+from nhspec.errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
 from conftest import random_real_symmetric
 
@@ -66,6 +67,12 @@ class TestSMatrix:
         with pytest.raises(PoleOnRealAxis):
             scattering.s_matrix_polesum(m, 0.5)
 
+    def test_singular_resolvent_rejected(self):
+        # the decoupled level at E = 0 makes E - H_B + (i/2) g g^T singular
+        with pytest.raises(SingularResolvent):
+            scattering.s_matrix_resolvent(np.diag([0.0, 1.0]), [[0.0], [1.0]],
+                                          0.0)
+
 
 class TestDoublePoleLineshape:
     def grid(self, width, span, pts_per_width=16):
@@ -121,6 +128,56 @@ class TestLineshape:
         m = one_pole_model(gamma=0.01)
         with pytest.raises(GridTooCoarse):
             scattering.lineshape(m, np.linspace(-1.0, 1.0, 101))
+
+    def test_zero_width_pole_on_grid_rejected(self):
+        m = scattering.SMatrixModel(poles=[0.5 + 0.0j, 0.0 - 0.2j],
+                                    couplings=[[1.0], [np.sqrt(0.2)]])
+        with pytest.raises(PoleOnRealAxis) as exc:
+            scattering.lineshape(m, np.linspace(-2.0, 2.0, 401))
+        assert exc.value.energy == 0.5
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           c=st.integers(1, 3), channel=st.integers(0, 2))
+    def test_batched_s_matches_polesum(self, seed, n, c, channel):
+        rng = np.random.default_rng(seed)
+        # distinct levels keep the pole vectors well conditioned
+        levels = np.cumsum(rng.uniform(0.5, 1.5, n)) - 0.5 * n
+        g = rng.uniform(0.1, 0.6, (n, c)) * rng.choice([-1.0, 1.0], (n, c))
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            np.diag(levels), g)
+        channel = min(channel, c - 1)
+        width = (-2.0 * m.poles.imag).min()
+        center = float(m.poles.real.mean())
+        grid = center + np.linspace(-200.0, 200.0, 401) * width / 10.0
+        rep = scattering.lineshape(m, grid, channel=channel)
+        full = np.array([scattering.s_matrix_polesum(m, e) for e in grid])
+        assert np.abs(rep.s_values - full[:, channel, channel]).max() <= 1e-13
+        # real H_B: S is unitary, so with one channel S_cc is a pure phase
+        defect = np.einsum("eij,ekj->eik", full, full.conj()) - np.eye(c)
+        assert np.abs(defect).max() <= 1e-9
+        if c == 1:
+            assert np.abs(np.abs(rep.s_values) - 1.0).max() <= 1e-9
+
+
+def _extrema_loop(grid, y):
+    minima, maxima = [], []
+    for i in range(1, len(y) - 1):
+        if y[i] < y[i - 1] and y[i] <= y[i + 1]:
+            minima.append(float(grid[i]))
+        if y[i] > y[i - 1] and y[i] >= y[i + 1]:
+            maxima.append(float(grid[i]))
+    return minima, maxima
+
+
+class TestExtrema:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_matches_loop_with_plateaus(self, values):
+        # few distinct levels make plateaus (ties) common
+        y = np.array(values, float)
+        grid = np.linspace(-1.0, 1.0, len(y))
+        assert scattering._extrema(grid, y) == _extrema_loop(grid, y)
 
 
 class TestDetectBic:
