@@ -197,14 +197,22 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(path, obj, indent=None):
+    # NaN and inf have no JSON spelling; emitting one is a numerical failure
+    try:
+        return json.dumps(_jsonable(obj), sort_keys=True, indent=indent,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NhspecError(f"non-finite value for {path}: {exc}") from exc
+
+
 def write_json(path, obj):
-    Path(path).write_text(
-        json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(_dumps(path, obj, 2) + "\n", encoding="utf-8")
 
 
 def write_jsonl(path, records):
-    lines = [json.dumps(_jsonable(r), sort_keys=True) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    text = "".join(_dumps(path, r) + "\n" for r in records)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # minimal deterministic SVG: two stacked panels of polylines

@@ -94,15 +94,18 @@ class EigenSystem:
         return len(self.values)
 
 
-def _match_by_value(w_ref, w_other):
-    """Greedy proximity assignment of one eigenvalue list onto another."""
+def _assign(score):
+    """Columns cols maximizing sum_i score[i, cols[i]] over permutations.
+
+    Row maxima in distinct columns are optimal as they stand; only rows
+    that want the same column go to the Hungarian solver (scipy.optimize).
+    """
+    cols = score.argmax(axis=1)
+    if len(set(cols.tolist())) == len(cols):
+        return cols
     from scipy.optimize import linear_sum_assignment
 
-    cost = np.abs(w_ref[:, None] - w_other[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty_like(cols)
-    perm[rows] = cols
-    return perm
+    return linear_sum_assignment(-score)[1]
 
 
 def eig_stack(a, hermitian):
@@ -157,7 +160,8 @@ def eig(H, defect_tol=DEFECT_TOL):
             vl = vr.T.copy()
         else:
             wl, ul = np.linalg.eig(a.T)
-            vl = ul[:, _match_by_value(w, wl)].T
+            # pair each left vector with the nearest right eigenvalue
+            vl = ul[:, _assign(-np.abs(w[:, None] - wl[None, :]))].T
         for k in range(n):
             c = vl[k] @ vr[:, k]
             if abs(c) < defect_tol:

@@ -53,12 +53,13 @@ class SMatrixModel:
                    energy_grid=energy_grid)
 
 
-def s_matrix_polesum(m, energy, real_pole_tol=0.0):
-    """S(E) = 1 - i sum_k gamma_k^c gamma_k^c' / (E - z_k) - background."""
+def s_matrix_polesum(m, energy):
+    """S(E) = 1 - i sum_k gamma_k^c gamma_k^c' / (E - z_k) - background.
+
+    Raises PoleOnRealAxis only on an exact hit E == z_k (a zero-width pole).
+    """
     denom = energy - m.poles
-    on_axis = (np.abs(m.poles.imag) <= real_pole_tol) & (denom.real == 0.0) \
-        & (denom.imag == 0.0)
-    if on_axis.any():
+    if (denom == 0.0).any():
         raise PoleOnRealAxis(
             "requested energy coincides with a zero-width pole",
             energy=float(energy))

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 from . import linalg, twolevel
-from .errors import MatchingAmbiguous, NoConvergence, SaddleRejected
+from .errors import (DegenerateInput, MatchingAmbiguous, NoConvergence,
+                     SaddleRejected)
 
 MATCH_THRESHOLD = 0.5
 # an interval whose best overlap stays below MATCH_THRESHOLD is bisected
@@ -102,7 +102,7 @@ def _match(u_prev, u_new):
     # Hermitian overlap: the unconjugated product collapses near a
     # coalescence along with the phase rigidity and cannot identify states
     ov = np.abs(u_prev.conj().T @ u_new)
-    _, cols = linear_sum_assignment(-ov)
+    cols = linalg._assign(ov)
     chosen = ov[np.arange(len(cols)), cols]
     return cols, float(chosen.min())
 
@@ -323,10 +323,10 @@ class EpLocation:
 
 
 def _closest_pair(values):
-    n = len(values)
+    """(gap, i, j) of the nearest two values, numpy or mpmath alike."""
     best = (np.inf, 0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
             d = abs(values[i] - values[j])
             if d < best[0]:
                 best = (d, i, j)
@@ -351,6 +351,8 @@ def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=400,
     high-precision characteristic-polynomial polish removes the
     square-root noise floor of the dense eigensolver.
     """
+    from scipy.optimize import minimize
+
     if not isinstance(family, PlaneFamily):
         family = make_plane_family(family, p1, p2)
     scale = max(np.abs(family(seed[0], seed[1]).entries).max(), 1.0)
@@ -373,7 +375,7 @@ def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=400,
     if polish and gap > tol:
         try:
             p, gap, z0 = _hp_polish(family, p)
-        except Exception:
+        except ArithmeticError:
             pass
     if gap > tol:
         if stalled and gap > 1e4 * tol:
@@ -394,7 +396,7 @@ def _closed_form_polish(family, p):
         return None
     try:
         w_plus, w_minus = twolevel.ep_locations(model.eps1, model.eps2)
-    except Exception:
+    except DegenerateInput:
         return None
     cur = complex(p[0], p[1])
     w = w_plus if abs(w_plus - cur) <= abs(w_minus - cur) else w_minus
@@ -441,31 +443,29 @@ def _hp_polish(family, p, dps=50, iters=25):
     """High-precision Newton on the squared pair gap via the char poly."""
     import mpmath as mp
 
-    def pair_sq(px, py, prec):
-        with mp.workdps(prec):
-            a = family(float(px), float(py)).entries
-            roots = _mp_roots(a, mp)
-            gap, i, j = _closest_pair_mp(roots, mp)
-            return (roots[i] - roots[j]) ** 2, gap, (roots[i] + roots[j]) / 2
+    def pair_sq(px, py):
+        roots = _mp_roots(family(float(px), float(py)).entries, mp)
+        gap, i, j = _closest_pair(roots)
+        return (roots[i] - roots[j]) ** 2, gap, (roots[i] + roots[j]) / 2
 
     px, py = mp.mpf(repr(float(p[0]))), mp.mpf(repr(float(p[1])))
     h = mp.mpf("1e-20")
     with mp.workdps(dps):
         for _ in range(iters):
-            f0, gap, z0 = pair_sq(px, py, dps)
+            f0, gap, z0 = pair_sq(px, py)
             if abs(f0) < mp.mpf("1e-30"):
                 break
-            fx = (pair_sq(px + h, py, dps)[0] - pair_sq(px - h, py, dps)[0]) / (2 * h)
-            fy = (pair_sq(px, py + h, dps)[0] - pair_sq(px, py - h, dps)[0]) / (2 * h)
+            fx = (pair_sq(px + h, py)[0] - pair_sq(px - h, py)[0]) / (2 * h)
+            fy = (pair_sq(px, py + h)[0] - pair_sq(px, py - h)[0]) / (2 * h)
             jac = mp.matrix([[mp.re(fx), mp.re(fy)], [mp.im(fx), mp.im(fy)]])
             rhs = mp.matrix([-mp.re(f0), -mp.im(f0)])
             try:
                 step = mp.lu_solve(jac, rhs)
-            except Exception:
+            except ZeroDivisionError:
                 break
             px += step[0]
             py += step[1]
-        f0, gap, z0 = pair_sq(px, py, dps)
+        f0, gap, z0 = pair_sq(px, py)
     return (np.array([float(px), float(py)]), float(gap),
             complex(float(mp.re(z0)), float(mp.im(z0))))
 
@@ -486,16 +486,6 @@ def _mp_roots(a, mp):
         for i in range(n):
             mk[i, i] += ck
     return mp.polyroots(coeffs, maxsteps=200, extraprec=80)
-
-
-def _closest_pair_mp(roots, mp):
-    best = (mp.inf, 0, 1)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if d < best[0]:
-                best = (d, i, j)
-    return best
 
 
 # ---------------------------------------------------------------------------

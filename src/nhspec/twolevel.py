@@ -294,8 +294,6 @@ def delta_diagnostic(m, a, cap=linalg.B_CAP):
     b_ij is simply the j-th component of the c-normalized i-th vector.
     At a coalescence the entries diverge; they are capped and flagged.
     """
-    from scipy.optimize import linear_sum_assignment
-
     sys = linalg.c_normalize(linalg.eig(m.matrix(a)))
     flagged = bool(sys.ep_flag.any())
     b = sys.right_vectors.T.copy()     # b[i, j] = component j of state i
@@ -303,8 +301,7 @@ def delta_diagnostic(m, a, cap=linalg.B_CAP):
     if big.any():
         b[big] = cap * b[big] / np.abs(b[big])
         flagged = True
-    _, cols = linear_sum_assignment(-np.abs(b))
-    b = b[:, cols]
+    b = b[:, linalg._assign(np.abs(b))]
     diag = np.abs(b[0, 0]) ** 2
     off = np.abs(b[0, 1]) ** 2
     return DeltaReport(delta=float(diag - off), b=b, flagged=flagged)

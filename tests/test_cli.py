@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nhspec import cli, opensys
+from nhspec import cli, opensys, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -255,6 +258,26 @@ class TestExitCodes:
         assert run("heff", "--model", str(DATA / "open_system.json"),
                    "--out", str(tmp_path), "--pv-grid", "100") == 2
 
+    def test_eigensolver_failure_is_exit_3(self, tmp_path, monkeypatch,
+                                          capsys):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
+                   "--out", str(tmp_path)) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_json_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        nan_gap = sweep.EpLocation(p1=0.0, p2=1.0, z0=0j, gap=float("nan"),
+                                   iterations=1)
+        monkeypatch.setattr(sweep, "locate_ep", lambda *a, **k: nan_gap)
+        assert run("locate", "--model", str(DATA / "two_level_sweep.json"),
+                   "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "ep.json" in err
+        assert not (tmp_path / "ep.json").exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # Hermitian family: the pair gap is bounded below, no coalescence
         model = tmp_path / "hermitian.json"
@@ -289,3 +312,28 @@ class TestDeterminism:
             assert run(command, "--model", str(DATA / model),
                        "--out", str(out), "--workers", "1") == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+
+# ---------------------------------------------------------------------------
+# cold start: only Nelder-Mead and tied assignments need scipy.optimize
+
+SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
+              ("trap", "trapping_chain.json")]
+
+
+def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
+    script = f"""
+import sys
+import nhspec.cli
+print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+for command, model in {SCIPY_FREE!r}:
+    rc = nhspec.cli.main([command, "--model", {str(DATA)!r} + "/" + model,
+                          "--out", {str(tmp_path)!r} + "/" + command])
+    print(command, rc, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[0] == "False"
+    assert out[1:-1] == [f"{c} 0 False" for c, _ in SCIPY_FREE]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg
-from nhspec.errors import NotDefective
+from nhspec.errors import NonConvergence, NotDefective
 
 from conftest import random_complex_symmetric
 
@@ -75,6 +78,41 @@ class TestEig:
         sys = linalg.eig(linalg.as_matrix(h))
         res = h @ sys.right_vectors - sys.right_vectors * sys.values
         assert np.abs(res).max() < 1e-9 * np.linalg.norm(h)
+
+
+class TestEigStack:
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            linalg.eig_stack(np.eye(2, dtype=complex)[None],
+                             np.array([False]))
+
+
+@st.composite
+def score_matrices(draw):
+    n = draw(st.integers(2, 8))
+    return draw(arrays(float, (n, n), elements=st.floats(0.0, 1.0)))
+
+
+class TestAssign:
+    @given(score_matrices())
+    def test_matches_hungarian_optimum(self, score):
+        n = len(score)
+        cols = linalg._assign(score)
+        assert sorted(cols.tolist()) == list(range(n))
+        rows, ref = linear_sum_assignment(-score)
+        best = score[rows, ref].sum()
+        assert score[np.arange(n), cols].sum() == pytest.approx(best, rel=1e-12)
+        row_max = score.max(axis=1, keepdims=True)
+        if ((score == row_max).sum(axis=1) == 1).all():
+            assert cols.tolist() == ref.tolist()
+
+    def test_distinct_row_maxima_are_kept(self):
+        score = np.array([[0.1, 0.9, 0.0], [0.0, 0.2, 0.7], [0.8, 0.0, 0.3]])
+        assert linalg._assign(score).tolist() == [1, 2, 0]
 
 
 class TestCNormalize:

@@ -67,6 +67,12 @@ class TestSMatrix:
         with pytest.raises(PoleOnRealAxis):
             scattering.s_matrix_polesum(m, 0.5)
 
+    def test_near_real_pole_is_finite(self):
+        # only an exact hit raises; a pole 1e-9 below the axis gives
+        # S = 1 - i g^2 / (i 1e-9) = 1 - 10
+        m = scattering.SMatrixModel(poles=[0.5 - 1e-9j], couplings=[[1e-4]])
+        assert scattering.s_matrix_polesum(m, 0.5)[0, 0] == pytest.approx(-9.0)
+
     def test_singular_resolvent_rejected(self):
         # the decoupled level at E = 0 makes E - H_B + (i/2) g g^T singular
         with pytest.raises(SingularResolvent):

@@ -149,6 +149,19 @@ class TestLocateEp:
             sweep.locate_ep(model, seed=(0.5, -0.5), p1="eps1_re",
                             p2="eps2_re")
 
+    def test_equal_energies_fall_back_from_closed_form(self):
+        # eps1 == eps2 has no closed-form locus (DegenerateInput); the search
+        # still finds the level crossing at omega = 0
+        model = twolevel.TwoLevelModel(eps1=0.5 + 0.1j, eps2=0.5 + 0.1j,
+                                       omega=0.3)
+        fam = sweep.make_plane_family(model, "omega_re", "omega_im")
+        assert sweep._closed_form_polish(fam, np.zeros(2)) is None
+        loc = sweep.locate_ep(model, seed=(0.1, 0.2), p1="omega_re",
+                              p2="omega_im")
+        assert abs(complex(loc.p1, loc.p2)) < 1e-12
+        assert abs(loc.z0 - (0.5 + 0.1j)) < 1e-12
+        assert loc.gap < 1e-10
+
     def test_generic_family_without_closed_form(self):
         # embedded two-level block with a spectator level; the coalescence
         # sits at (p1, p2) = (0, 1) but no model shortcut applies
