@@ -74,6 +74,8 @@ class TabulatedCoupling:
         object.__setattr__(self, "values", np.asarray(self.values, float))
         if self.values.shape[0] != len(self.grid):
             raise ValueError("values must be tabulated on the grid")
+        if np.any(np.diff(self.grid) <= 0):
+            raise ValueError("tabulation grid must be strictly increasing")
 
     @property
     def n_channels(self):
@@ -83,8 +85,6 @@ class TabulatedCoupling:
         return self.on_grid(np.array([energy], float), window)[0]
 
     def on_grid(self, grid, window):
-        if len(grid) == len(self.grid) and np.allclose(grid, self.grid):
-            return self.values
         flat = self.values.reshape(len(self.grid), -1)
         out = np.stack([np.interp(grid, self.grid, flat[:, i])
                         for i in range(flat.shape[1])], axis=1)
@@ -272,13 +272,16 @@ class ResonanceState:
         return -2.0 * self.z.imag
 
 
-def solve_resonances(m, tol=1e-10, max_iter=200, damping=0.5):
+def solve_resonances(m, tol=1e-10, max_iter=200):
     """Solve (H_eff(E) - z) phi = 0 self-consistently in the real energy.
 
-    Fixed point E <- (1-damping) E + damping Re z_k(E) per state, with
-    the state tracked across iterations by eigenvector overlap.  States
-    whose self-consistent energy falls outside the window come out with
-    zero width and ordinary orthonormal vectors.
+    Secant steps on F(E) = Re z_k(E) - E per state, with the state
+    tracked across iterations by eigenvector overlap.  The first step,
+    and any whose secant is undefined, non-finite or would cross a
+    threshold (a kink of H_eff), is the damped E <- (E + Re z_k(E))/2.
+    Stops when a step is below tol * scale.  States whose self-consistent
+    energy falls outside the window come out with zero width and ordinary
+    orthonormal vectors.
     """
     lo, hi = m.window
     h = m.grid[1] - m.grid[0]
@@ -290,6 +293,7 @@ def solve_resonances(m, tol=1e-10, max_iter=200, damping=0.5):
         energy = float(eb_vals[k])
         phi_ref = eb_vecs[:, k].astype(complex)
         converged, it, resid = False, 0, np.inf
+        e_prev = f_prev = np.nan    # no previous iterate: first step damped
         for it in range(1, max_iter + 1):
             energy = _clamp_energy(energy, lo, hi, h)
             sys = linalg.eig(heff_at(energy).matrix)
@@ -298,7 +302,14 @@ def solve_resonances(m, tol=1e-10, max_iter=200, damping=0.5):
             idx = int(np.argmax(np.abs(ref.conj() @ u)))
             z = sys.values[idx]
             phi_ref = u[:, idx]
-            new_e = (1.0 - damping) * energy + damping * z.real
+            f = z.real - energy
+            new_e = 0.5 * energy + 0.5 * z.real
+            if f != f_prev:
+                sec = energy - f * (energy - e_prev) / (f - f_prev)
+                if np.isfinite(sec) and (sec - lo) * (energy - lo) > 0 \
+                        and (sec - hi) * (energy - hi) > 0:
+                    new_e = sec
+            e_prev, f_prev = energy, f
             resid = abs(new_e - energy)
             energy = new_e
             if resid < tol * scale:

@@ -373,9 +373,10 @@ def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=400,
     p, stalled = _newton_on_sq_gap(family, p, scale)
     gap, _, z0 = _pair_state(family, p)
     if polish and gap > tol:
+        from mpmath.libmp import NoConvergence as PolyrootsFailed
         try:
             p, gap, z0 = _hp_polish(family, p)
-        except ArithmeticError:
+        except (ArithmeticError, PolyrootsFailed):   # keep the float64 point
             pass
     if gap > tol:
         if stalled and gap > 1e4 * tol:

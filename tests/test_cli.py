@@ -278,6 +278,26 @@ class TestExitCodes:
         assert "numerical failure" in err and "ep.json" in err
         assert not (tmp_path / "ep.json").exists()
 
+    def test_polyroots_failure_is_exit_3(self, tmp_path, monkeypatch,
+                                         capsys):
+        # the reversed (omega_im, omega_re) plane has no closed form, so
+        # the search reaches the high-precision polish
+        import mpmath
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("polyroots did not converge")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        model = tmp_path / "reversed_plane.json"
+        model.write_text(json.dumps({
+            "version": "1", "kind": "two_level",
+            "parameters": {"eps1": 1.0, "eps2": [-1.0, 0.1],
+                           "omega": [0.0, 0.5]},
+            "locate": {"p1": "omega_im", "p2": "omega_re", "seed": [0.8, 0.1]}}))
+        assert run("locate", "--model", str(model),
+                   "--out", str(tmp_path)) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # Hermitian family: the pair gap is bounded below, no coalescence
         model = tmp_path / "hermitian.json"

@@ -1,10 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nhspec import linalg, opensys
+from nhspec import cli, linalg, opensys
 from nhspec.errors import EOutsideWindow, ETooCloseToThreshold
+
+DATA = Path(__file__).parent / "data"
 
 
 def standard_model(g=0.055, grid_size=2001):
@@ -12,6 +17,62 @@ def standard_model(g=0.055, grid_size=2001):
         e_b=[-0.5, 0.5],
         coupling=opensys.ConstantCoupling([[g], [g]]),
         window=(-10.0, 10.0), grid_size=grid_size)
+
+
+# ---------------------------------------------------------------------------
+# coupling profiles
+
+@st.composite
+def tabulated_cases(draw):
+    """A tabulated coupling; energies on its nodes, at and beyond both ends
+    and between nodes; and its grid shifted by up to 1e-6 of its span."""
+    m = draw(st.integers(2, 40))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=m - 1,
+                          max_size=m - 1))
+    grid = draw(st.floats(-50.0, 50.0)) + np.concatenate([[0.0],
+                                                          np.cumsum(steps)])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal((m, draw(st.integers(1, 4)),
+                                  draw(st.integers(1, 3))))
+    span = grid[-1] - grid[0]
+    beyond = [grid[0] - span * draw(st.floats(1e-9, 2.0)),
+              grid[-1] + span * draw(st.floats(1e-9, 2.0))]
+    between = grid[0] + span * rng.uniform(0.0, 1.0, draw(st.integers(0, 20)))
+    energies = np.concatenate([grid, beyond, between])
+    shifted = grid + span * draw(st.floats(1e-8, 1e-6))
+    return (opensys.TabulatedCoupling(grid=grid, values=values),
+            [energies, shifted])
+
+
+class TestTabulatedCoupling:
+    @settings(max_examples=150)
+    @given(tabulated_cases())
+    def test_on_grid_matches_interp_per_entry(self, case):
+        # the shifted grid has the tabulation's length and is allclose to
+        # it, so it also checks that no node values are handed back as is
+        tab, energy_sets = case
+        flat = tab.values.reshape(len(tab.grid), -1)
+        tol = 1e-14 * np.abs(tab.values).max()
+        for energies in energy_sets:
+            want = np.stack([np.interp(energies, tab.grid, col)
+                             for col in flat.T], axis=1) \
+                .reshape((len(energies),) + tab.values.shape[1:])
+            got = tab.on_grid(energies, None)
+            assert np.abs(got - want).max() <= tol
+            at = np.array([tab.at(e, None) for e in energies])
+            assert np.abs(at - want).max() <= tol
+
+    def test_single_node_is_constant(self):
+        tab = opensys.TabulatedCoupling(grid=[0.0], values=[[[0.3, -0.2]]])
+        got = tab.on_grid(np.array([-5.0, 0.0, 7.0]), None)
+        assert np.array_equal(got, np.tile([[[0.3, -0.2]]], (3, 1, 1)))
+        assert np.array_equal(tab.at(1.0, None), [[0.3, -0.2]])
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_non_increasing_grid_rejected(self, grid):
+        # the last two nodes equal, or out of order
+        with pytest.raises(ValueError, match="strictly increasing"):
+            opensys.TabulatedCoupling(grid=grid, values=np.ones((3, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +306,29 @@ class TestSolveResonances:
         for s in opensys.solve_resonances(m):
             assert s.gamma_c.shape == (1,)
             assert abs(s.gamma_c[0]) > 0.05
+
+    def test_fixture_converges_in_few_steps(self):
+        doc = json.loads((DATA / "open_system.json").read_text())
+        states = opensys.solve_resonances(
+            cli._build_open_system(doc["parameters"]))
+        assert [s.converged for s in states] == [True, True]
+        assert max(s.iterations for s in states) <= 5
+
+    def test_strong_coupling_is_self_consistent(self):
+        m = opensys.OpenSystemModel(
+            e_b=[-0.5, 0.5, 9.5],
+            coupling=opensys.ConstantCoupling(
+                [[1.0, 0.6], [0.8, -0.9], [0.7, 1.2]]),
+            window=(-10.0, 10.0), grid_size=2001)
+        scale = 10.0
+        states = opensys.solve_resonances(m)
+        assert all(s.converged for s in states)
+        for s in states:
+            z = np.linalg.eigvals(
+                opensys.assemble_heff(m, s.energy).matrix.entries)
+            z_k = z[np.argmin(np.abs(z - s.z))]
+            assert abs(z_k - s.z) <= 1e-10 * scale
+            assert abs(z_k.real - s.energy) <= 1e-10 * scale
 
     def test_state_outside_window_stays_bound(self):
         m = opensys.OpenSystemModel(

@@ -174,6 +174,21 @@ class TestLocateEp:
         assert abs(loc.p1) < 1e-6 and abs(loc.p2 - 1.0) < 1e-6
         assert loc.gap < 1e-10
 
+    def test_polyroots_failure_ends_in_no_convergence(self, monkeypatch):
+        # mpmath's NoConvergence is not an ArithmeticError; the polish is
+        # skipped and the search reports its own failure
+        import mpmath
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence("polyroots did not converge")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: np.array(
+            [[1.0 + 0.2 * p1 ** 2, p1 + 1j * p2],
+             [p1 + 1j * p2, -1.0 + 0.1j]]))
+        with pytest.raises(NoConvergence):
+            sweep.locate_ep(fam, seed=(0.1, 0.8))
+
 
 class TestEncircle:
     def report(self, center=1j, radius=0.5, cycles=4):
