@@ -94,15 +94,23 @@ class EigenSystem:
         return len(self.values)
 
 
-def _assign(score):
+def _assign(score, cost=None):
     """Columns cols maximizing sum_i score[i, cols[i]] over permutations.
 
-    Row maxima in distinct columns are optimal as they stand; only rows
-    that want the same column go to the Hungarian solver (scipy.optimize).
+    Row maxima in distinct columns are optimal as they stand.  A 2x2
+    collision compares both sums in closed form (within 4 ulp a tie, which
+    swaps only to a smaller summed `cost`); larger ones go to the
+    Hungarian solver (scipy.optimize).
     """
     cols = score.argmax(axis=1)
     if len(set(cols.tolist())) == len(cols):
         return cols
+    if len(cols) == 2:
+        keep, swap = score[0, 0] + score[1, 1], score[0, 1] + score[1, 0]
+        if abs(keep - swap) <= 4 * np.spacing(max(abs(keep), abs(swap))):
+            keep, swap = (0, 0) if cost is None else (   # lower cost wins
+                cost[0, 1] + cost[1, 0], cost[0, 0] + cost[1, 1])
+        return np.array([1, 0]) if swap > keep else np.arange(2)
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment(-score)[1]
@@ -131,9 +139,17 @@ def eig_stack(a, hermitian):
 
 def sort_pairs(w, vr):
     """Eigenpairs ordered ascending by (Re, Im), vectors at unit norm."""
-    order = np.lexsort((w.imag, w.real))
-    vr = vr[:, order]
-    return w[order], vr / np.linalg.norm(vr, axis=0)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    # sorted on the transpose: columns stay contiguous, as in vr[:, order]
+    ut = np.take_along_axis(vr.swapaxes(-1, -2), order[..., None], axis=-2)
+    return (np.take_along_axis(w, order, axis=-1),
+            (ut / np.linalg.norm(ut, axis=-1, keepdims=True)).swapaxes(-1, -2))
+
+
+def eig_pairs(H):
+    """sort_pairs of the eigendecomposition of one ComplexMatrix."""
+    w, vr = eig_stack(H.entries[None], np.array([H.symmetry_hint == HERMITIAN]))
+    return sort_pairs(w[0], vr[0])
 
 
 def eig(H, defect_tol=DEFECT_TOL):
@@ -146,9 +162,7 @@ def eig(H, defect_tol=DEFECT_TOL):
     zero are flagged as coalesced instead of being rescaled.
     """
     H = as_matrix(H)
-    a = H.entries
-    w, vr = eig_stack(a[None], np.array([H.symmetry_hint == HERMITIAN]))
-    w, vr = sort_pairs(w[0], vr[0])
+    w, vr = eig_pairs(H)
 
     n = H.n
     ep_flag = np.zeros(n, dtype=bool)
@@ -159,7 +173,7 @@ def eig(H, defect_tol=DEFECT_TOL):
         if H.symmetry_hint == COMPLEX_SYMMETRIC:
             vl = vr.T.copy()
         else:
-            wl, ul = np.linalg.eig(a.T)
+            wl, ul = np.linalg.eig(H.entries.T)
             # pair each left vector with the nearest right eigenvalue
             vl = ul[:, _assign(-np.abs(w[:, None] - wl[None, :]))].T
         for k in range(n):

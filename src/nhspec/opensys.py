@@ -296,12 +296,9 @@ def solve_resonances(m, tol=1e-10, max_iter=200):
         e_prev = f_prev = np.nan    # no previous iterate: first step damped
         for it in range(1, max_iter + 1):
             energy = _clamp_energy(energy, lo, hi, h)
-            sys = linalg.eig(heff_at(energy).matrix)
-            u = sys.right_vectors / np.linalg.norm(sys.right_vectors, axis=0)
-            ref = phi_ref / np.linalg.norm(phi_ref)
-            idx = int(np.argmax(np.abs(ref.conj() @ u)))
-            z = sys.values[idx]
-            phi_ref = u[:, idx]
+            w, u = linalg.eig_pairs(heff_at(energy).matrix)
+            idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
+            z, phi_ref = w[idx], u[:, idx]
             f = z.real - energy
             new_e = 0.5 * energy + 0.5 * z.real
             if f != f_prev:
@@ -320,11 +317,9 @@ def solve_resonances(m, tol=1e-10, max_iter=200):
         if lo < energy < hi:
             sys = linalg.c_normalize(sys)
         u = sys.right_vectors
-        un = u / np.linalg.norm(u, axis=0)
-        ref = phi_ref / np.linalg.norm(phi_ref)
-        idx = int(np.argmax(np.abs(ref.conj() @ un)))
-        z = sys.values[idx]
-        phi = u[:, idx]
+        idx = int(np.argmax(np.abs(phi_ref.conj()
+                                   @ (u / np.linalg.norm(u, axis=0)))))
+        z, phi = sys.values[idx], u[:, idx]
         if not (lo < energy < hi):
             z = complex(z.real, 0.0)
             phi = phi.real / np.linalg.norm(phi.real) if np.abs(phi.imag).max() \
@@ -432,8 +427,6 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     h0 = np.asarray(h0, float)
     if h0.ndim == 1:
         h0 = np.diag(h0)
-    if not np.allclose(h0, h0.T):
-        raise ValueError("h0 must be symmetric")
     v = np.atleast_2d(np.asarray(v, float))
     if v.shape[0] != len(h0):
         v = v.T
@@ -443,11 +436,8 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     alphas = np.asarray(alphas, float)
     if (alphas < 0).any():
         raise ValueError("alpha grid must be non-negative")
-    vvt = v @ v.T
-
     frames = sweep._track(
-        lambda alpha: linalg.ComplexMatrix(h0 - 1j * alpha * vvt,
-                                           linalg.COMPLEX_SYMMETRIC), alphas)
+        sweep._Pencil(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC), alphas)
     values = np.array([f.values for f in frames if f.on_grid])
 
     widths = -2.0 * values.imag

@@ -44,6 +44,30 @@ class MatrixFamily:
     def __call__(self, t):
         return linalg.as_matrix(self.fn(t))
 
+    def stack(self, ts):
+        """(T, n, n) array of the family over ts, with each Hermitian flag."""
+        mats = [self(t) for t in ts]
+        return (np.stack([m.entries for m in mats]),
+                np.array([m.symmetry_hint == linalg.HERMITIAN for m in mats]))
+
+
+class _Pencil(MatrixFamily):
+    """Affine family t -> A + c(t) B (c the identity unless given), checked
+    for the symmetry hint once and, as a stack, for finiteness."""
+
+    def __init__(self, a, b, hint, coef=None, **info):
+        super().__init__(fn=lambda t: linalg.ComplexMatrix(
+            self.a + self.coef(t) * self.b, hint), **info)
+        self.a, self.b = (linalg.ComplexMatrix(x, hint).entries for x in (a, b))
+        self.hint, self.coef = hint, coef or (lambda t: t)
+
+    def stack(self, ts):
+        with np.errstate(all="ignore"):     # non-finite entries raise below
+            s = self.a + self.coef(np.asarray(ts))[:, None, None] * self.b
+        if not np.all(np.isfinite(s.view(float))):
+            raise ValueError("entries must be finite")
+        return s, np.full(len(s), self.hint == linalg.HERMITIAN)
+
 
 _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}
 
@@ -66,13 +90,21 @@ def make_family(model, parameter, window=None):
 
     Paths: 'a' for the avoided-crossing sweep variable, 'omega_re',
     'omega_im', 'eps1_re', ... for real/imaginary parts, or any real
-    dataclass field name.
+    dataclass field name.  'a' and TwoLevelModel fields give pencils.
     """
-    if parameter == "a":
-        fn = lambda t: model.matrix(t)
+    kw = dict(model=model, parameter=parameter, window=window)
+    name, _, part = parameter.partition("_")
+    if parameter == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
+        m, b = model.matrix(0.0), np.diag([model.e1_slope, model.e2_slope])
+    elif isinstance(model, twolevel.TwoLevelModel) \
+            and name in _COMPLEX_FIELDS and part in ("", "re", "im"):
+        # entries that do not move cancel exactly, the moving one is 1 or 1j
+        m = _set_path(model, parameter, 0.0).matrix()
+        b = _set_path(model, parameter, 1.0).matrix().entries - m.entries
     else:
-        fn = lambda t: _set_path(model, parameter, t).matrix()
-    return MatrixFamily(fn=fn, model=model, parameter=parameter, window=window)
+        return MatrixFamily(fn=lambda t: model.matrix(t) if parameter == "a"
+                            else _set_path(model, parameter, t).matrix(), **kw)
+    return _Pencil(m.entries, b, m.symmetry_hint, **kw)
 
 
 @dataclass
@@ -88,21 +120,19 @@ class PlaneFamily:
 
 
 def make_plane_family(model, p1, p2):
-    def fn(x1, x2):
-        m = _set_path(model, p1, x1)
-        m = _set_path(m, p2, x2)
-        return m.matrix()
-    return PlaneFamily(fn=fn, model=model, parameters=(p1, p2))
+    return PlaneFamily(
+        fn=lambda x1, x2: _set_path(_set_path(model, p1, x1), p2, x2).matrix(),
+        model=model, parameters=(p1, p2))
 
 
 # ---------------------------------------------------------------------------
 # continuation core
 
-def _match(u_prev, u_new):
+def _match(u_prev, u_new, z0=None, z1=None):
     # Hermitian overlap: the unconjugated product collapses near a
     # coalescence along with the phase rigidity and cannot identify states
     ov = np.abs(u_prev.conj().T @ u_new)
-    cols = linalg._assign(ov)
+    cols = linalg._assign(ov, None if z0 is None else np.abs(z0[:, None] - z1))
     chosen = ov[np.arange(len(cols)), cols]
     return cols, float(chosen.min())
 
@@ -123,51 +153,59 @@ class _Frame(NamedTuple):
     peak: float             # largest entry magnitude of the matrix at t
 
 
-def _solve(family, ts):
-    """Unmatched frames of family(t) for each t, with eigenpairs sorted
-    by linalg.sort_pairs, from stacked eigensolves of bounded size."""
-    mats = []
-    for k, t in enumerate(ts):
-        mats.append(family(t))
-        full = len(mats) * mats[0].entries.nbytes >= _STACK_BYTES
-        if not full and k + 1 < len(ts):
-            continue
-        stack = np.stack([m.entries for m in mats])
-        hermitian = np.array([m.symmetry_hint == linalg.HERMITIAN
-                              for m in mats])
-        peaks = np.abs(stack).max(axis=(1, 2))
-        w, vr = linalg.eig_stack(stack, hermitian)
-        del stack
-        for t_k, z, u, peak in zip(ts[k + 1 - len(mats):k + 1], w, vr, peaks):
-            yield _Frame(t_k, *linalg.sort_pairs(z, u), True, float(peak))
-        mats = []
+def _frame_at(family, t, on_grid=True):
+    m = family(t)
+    return _Frame(t, *linalg.eig_pairs(m), on_grid, float(abs(m.entries).max()))
 
 
-def _step(family, f0, f1, depth=0):
+def _step(family, f0, f1, perm=None, depth=0):
     """Frames after the continued frame f0 up to and including f1, matched
-    by overlap; an ambiguous interval is bisected, MAX_BISECT deep."""
-    perm, best = _match(f0.vectors, f1.vectors)
+    by overlap unless the order perm of f1 is given, and that order; an
+    ambiguous interval is bisected, MAX_BISECT deep."""
+    best = MATCH_THRESHOLD
+    if perm is None:
+        perm, best = _match(f0.vectors, f1.vectors, f0.values, f1.values)
     if best >= MATCH_THRESHOLD:
-        return [f1._replace(values=f1.values[perm],
-                            vectors=f1.vectors[:, perm])]
+        return [_Frame(f1.t, f1.values[perm], f1.vectors[:, perm],
+                       f1.on_grid, f1.peak)], perm
     if depth == MAX_BISECT:
         raise MatchingAmbiguous(
             f"overlap {best:.3f} below threshold at param {f1.t!r}",
             best_overlap=best)
-    mid = next(_solve(family, [0.5 * (f0.t + f1.t)]))._replace(on_grid=False)
-    left = _step(family, f0, mid, depth + 1)
-    return left + _step(family, left[-1], f1, depth + 1)
+    mid = _frame_at(family, 0.5 * (f0.t + f1.t), on_grid=False)
+    left, _ = _step(family, f0, mid, depth=depth + 1)
+    right, perm = _step(family, left[-1], f1, depth=depth + 1)
+    return left + right, perm
 
 
 def _track(family, ts):
-    """Continue the eigenpairs of family(t) along the parameters ts,
-    yielding the matched frames in order, bisection midpoints included."""
-    frames = _solve(family, ts)
-    prev = next(frames)
+    """Continue the eigenpairs of a MatrixFamily along the parameters ts,
+    yielding the matched frames in order, bisection midpoints included.
+    Chunks are diagonalized, sorted and overlap-matched in batch: where the
+    row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
+    MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find (a
+    row's argmax ignores row order); other steps go through _step."""
+    prev = _frame_at(family, ts[0])
     yield prev
-    for f in frames:
-        for prev in _step(family, prev, f):
-            yield prev
+    # a chunk holds its matrices, then its vectors and their overlaps
+    size = max(1, _STACK_BYTES // (2 * prev.vectors.nbytes))
+    for lo in range(1, len(ts), size):
+        chunk = ts[lo:lo + size]
+        mats, hermitian = family.stack(chunk)
+        peaks = np.abs(mats).max(axis=(1, 2)).tolist()
+        w, vr = linalg.sort_pairs(*linalg.eig_stack(mats, hermitian))
+        del mats
+        ov = np.concatenate([prev.vectors[None], vr[:-1]])
+        ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
+        cols, perm = ov.argmax(axis=2), np.arange(ov.shape[2])
+        clean = (ov.max(axis=2).min(axis=1) >= MATCH_THRESHOLD) \
+            & (np.sort(cols, axis=1) == perm).all(axis=1)
+        for k, t in enumerate(chunk):
+            raw = _Frame(t, w[k], vr[k], True, peaks[k])
+            order = cols[k][perm] if clean[k] else None
+            steps, perm = _step(family, prev, raw, order)
+            yield from steps
+            prev = steps[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +257,8 @@ def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None):
     gaps below the coalescence tolerance, and vanishing widths inside
     the coupling window when the family declares one.
     """
-    if isinstance(spec.model, MatrixFamily):
-        family = spec.model
-    else:
-        family = make_family(spec.model, spec.parameter)
+    family = spec.model if isinstance(spec.model, MatrixFamily) \
+        else make_family(spec.model, spec.parameter)
     frames = list(_track(family, np.linspace(spec.start, spec.stop,
                                              spec.steps)))
     scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
@@ -234,7 +270,9 @@ def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None):
     vectors = [f.vectors for f in frames]
     # phase rigidity r = |u^T u| of the unit vectors, A = 1/r; both are
     # flagged (r = 0, A = inf) where the c-norm has numerically vanished
-    r = np.array([np.abs(np.einsum("ik,ik->k", u, u)) for u in vectors])
+    per = max(1, _STACK_BYTES // vectors[0].nbytes)
+    r = np.concatenate([np.abs(np.einsum("tik,tik->tk", u, u)) for u in (
+        np.array(vectors[i:i + per]) for i in range(0, len(vectors), per))])
     r[r < linalg.DEFECT_TOL] = 0.0
     with np.errstate(divide="ignore"):
         norms = 1.0 / r
@@ -525,9 +563,7 @@ class CycleReport:
 
 def make_omega_family(model):
     """Family over complex coupling for contour transport."""
-    return MatrixFamily(
-        fn=lambda w: dataclasses.replace(model, omega=w).matrix(),
-        model=model, parameter="omega")
+    return make_family(model, "omega")
 
 
 def encircle(spec, family):
@@ -552,15 +588,15 @@ def encircle(spec, family):
     init_w = sys0.right_vectors / h0
     init_s = (1.0 / h0).astype(complex)
 
-    gap_center = _min_pair_gap(np.linalg.eigvals(
-        family(spec.center).entries))
-    contour_gaps = [
-        _min_pair_gap(np.linalg.eigvals(family(point(th)).entries))
-        for th in np.linspace(0.0, 2 * np.pi, 16, endpoint=False)]
-    encloses = gap_center < min(contour_gaps) / 10.0
+    probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    gaps = _min_pair_gap(np.linalg.eigvals(
+        family.stack(np.append(spec.center, probes))[0]))
+    encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(total + 1) / steps
-    frames = _track(lambda th: family(point(th)), thetas)
+    frames = _track(MatrixFamily(fn=lambda th: family(point(th)))
+                    if not isinstance(family, _Pencil) else  # linear in omega
+                    _Pencil(family.a, family.b, family.hint, coef=point), thetas)
     next(frames)
     cur_w, cur_s = init_w, init_s
     contour = [(0.0, sys0.values.copy())]

@@ -335,10 +335,12 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# cold start: only Nelder-Mead and tied assignments need scipy.optimize
+# cold start: only Nelder-Mead and tied assignments beyond 2x2 need
+# scipy.optimize
 
 SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
-              ("trap", "trapping_chain.json")]
+              ("trap", "trapping_chain.json"),
+              ("sweep", "two_level_sweep.json")]
 
 
 def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):

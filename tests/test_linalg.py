@@ -114,6 +114,23 @@ class TestAssign:
         score = np.array([[0.1, 0.9, 0.0], [0.0, 0.2, 0.7], [0.8, 0.0, 0.3]])
         assert linalg._assign(score).tolist() == [1, 2, 0]
 
+    def test_two_by_two_collision_takes_larger_sum(self):
+        # both rows want column 0; the sums decide without scipy
+        assert linalg._assign(np.array([[0.9, 0.2], [0.8, 0.6]])).tolist() \
+            == [0, 1]
+        assert linalg._assign(np.array([[0.9, 0.8], [0.7, 0.1]])).tolist() \
+            == [1, 0]
+
+    def test_two_by_two_tie_goes_to_smaller_cost_then_identity(self):
+        # overlaps on the step off the fixture's exact EP: the two sums
+        # differ by one rounding (2.2e-16), which is a tie
+        score = np.array([[0.9975216814438146, 0.9975216814438148],
+                          [0.9975216814438146, 0.9975216814438147]])
+        assert linalg._assign(score).tolist() == [0, 1]
+        assert linalg._assign(score, np.zeros((2, 2))).tolist() == [0, 1]
+        assert linalg._assign(score, np.eye(2)).tolist() == [1, 0]
+        assert linalg._assign(score, 1.0 - np.eye(2)).tolist() == [0, 1]
+
 
 class TestCNormalize:
     def test_cnorm_is_one(self, rng):

@@ -314,6 +314,17 @@ class TestSolveResonances:
         assert [s.converged for s in states] == [True, True]
         assert max(s.iterations for s in states) <= 5
 
+    def test_iterates_skip_the_left_vectors(self, monkeypatch):
+        # the secant iterates need values and right vectors only; the full
+        # linalg.eig (with paired left vectors) is for the final solve
+        calls = []
+        eig = linalg.eig
+        monkeypatch.setattr(linalg, "eig",
+                            lambda h, **kw: calls.append(1) or eig(h, **kw))
+        states = opensys.solve_resonances(standard_model())
+        assert len(calls) == len(states)
+        assert all(s.iterations > 1 for s in states)
+
     def test_strong_coupling_is_self_consistent(self):
         m = opensys.OpenSystemModel(
             e_b=[-0.5, 0.5, 9.5],

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from nhspec import linalg, sweep, twolevel
+from nhspec import linalg, opensys, sweep, twolevel
 from nhspec.errors import MatchingAmbiguous, NoConvergence, SaddleRejected
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
@@ -248,3 +249,193 @@ class TestEncircle:
                                   cycles=2)
         rep = sweep.encircle(spec, canonical_model())
         assert rep.eigenvalue_period == 2
+
+
+# ---------------------------------------------------------------------------
+# pencils: built-in families as A + t B, evaluated as whole stacks
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(float), np.ascontiguousarray(y).view(float))
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+params = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False,
+                                           allow_infinity=False))
+complexes = st.builds(complex, finite, finite)
+
+
+def assert_pencil_matches(family, t, reference):
+    assert isinstance(family, sweep._Pencil)
+    one = family(t)
+    mats, hermitian = family.stack(np.array([t]))
+    assert same_bits(one.entries, reference.entries)
+    assert same_bits(mats[0], reference.entries)
+    assert one.symmetry_hint == reference.symmetry_hint
+    assert hermitian.tolist() == [reference.symmetry_hint == linalg.HERMITIAN]
+
+
+class TestPencil:
+    @settings(max_examples=150)
+    @given(eps1=complexes, eps2=complexes, omega=complexes, t=params,
+           path=st.sampled_from(["omega_re", "omega_im", "eps1_re", "eps1_im",
+                                 "eps2_re", "eps2_im", "omega", "eps1"]))
+    def test_two_level_paths_bit_for_bit(self, eps1, eps2, omega, t, path):
+        model = twolevel.TwoLevelModel(eps1, eps2, omega)
+        assert_pencil_matches(sweep.make_family(model, path), t,
+                              sweep._set_path(model, path, t).matrix())
+
+    @settings(max_examples=150)
+    @given(e=st.tuples(finite, finite, finite, finite),
+           widths=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+           omega=complexes, t=params)
+    def test_avoided_crossing_bit_for_bit(self, e, widths, omega, t):
+        e1_0, e1_slope, e2_0, e2_slope = e
+        if e1_slope == e2_slope:
+            e2_slope = e1_slope + 1.0
+        model = twolevel.AvoidedCrossingModel(e1_0, e1_slope, e2_0, e2_slope,
+                                              *widths, omega)
+        assert_pencil_matches(sweep.make_family(model, "a"), t,
+                              sweep._set_path(model, "a", t).matrix())
+
+    @settings(max_examples=50)
+    @given(eps1=complexes, eps2=complexes, center=complexes,
+           radius=st.floats(0.01, 3.0),
+           theta=st.floats(0.0, 8 * np.pi, allow_nan=False))
+    def test_encircle_contour_bit_for_bit(self, eps1, eps2, center, radius,
+                                          theta):
+        # encircle moves omega on c + r exp(i theta) through the same pencil
+        model = twolevel.TwoLevelModel(eps1, eps2, 0.5j)
+        omega = sweep.make_omega_family(model)
+
+        def point(th):
+            return center + radius * np.exp(1j * th)
+
+        along = sweep._Pencil(omega.a, omega.b, omega.hint, coef=point)
+        theta = np.float64(theta)
+        reference = twolevel.TwoLevelModel(eps1, eps2, point(theta)).matrix()
+        assert_pencil_matches(along, theta, reference)
+        assert same_bits(omega(point(theta)).entries, reference.entries)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8))
+    def test_toy_trapping_bit_for_bit(self, seed, n):
+        rng = np.random.default_rng(seed)
+        h0 = np.diag(rng.uniform(-10.0, 10.0, n))
+        h0[0, -1] = h0[-1, 0] = rng.uniform(-1.0, 1.0)
+        v = rng.uniform(-1.5, 1.5, n)
+        alphas = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 5)])
+        seen = []
+        track = sweep._track
+        try:
+            sweep._track = lambda fam, ts: seen.append(fam) or track(fam, ts)
+            opensys.toy_trapping(h0, v, alphas)
+        finally:
+            sweep._track = track
+        vvt = np.outer(v, v)
+        for alpha in alphas:
+            reference = linalg.ComplexMatrix(h0 - 1j * alpha * vvt,
+                                             linalg.COMPLEX_SYMMETRIC)
+            assert_pencil_matches(seen[0], alpha, reference)
+
+    def test_unknown_paths_stay_lazy(self):
+        pt = twolevel.PTTwoLevelModel(e=0.0, gamma=1.0, omega=0.3)
+        fam = sweep.make_family(pt, "gamma")
+        assert not isinstance(fam, sweep._Pencil)
+        assert same_bits(fam(0.5).entries,
+                         twolevel.PTTwoLevelModel(0.0, 0.5, 0.3).matrix().entries)
+
+    def test_non_finite_stack_rejected(self):
+        fam = sweep.make_family(canonical_model(), "omega_re")
+        with pytest.raises(ValueError, match="finite"):
+            fam.stack(np.array([0.0, np.inf]))
+
+    def test_sweep_builds_matrices_once(self, monkeypatch):
+        calls = []
+        matrix = twolevel.TwoLevelModel.matrix
+        monkeypatch.setattr(twolevel.TwoLevelModel, "matrix",
+                            lambda self: calls.append(1) or matrix(self))
+        res = sweep.sweep(sweep.SweepSpec(canonical_model(), "omega_im",
+                                          0.5, 1.5, 2001))
+        assert len(res.rows) == 2001
+        assert len(calls) <= 4
+
+
+# ---------------------------------------------------------------------------
+# batched continuation against the step-by-step chain
+
+def sequential_frames(family, ts):
+    """The continuation as a chain of single solves and _step calls."""
+    out = [sweep._frame_at(family, ts[0])]
+    for t in ts[1:]:
+        steps, _ = sweep._step(family, out[-1], sweep._frame_at(family, t))
+        out += steps
+    return out
+
+
+def assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.t == w.t and g.on_grid == w.on_grid
+        assert same_bits(g.values, w.values)
+        assert same_bits(g.vectors, w.vectors)
+
+
+def random_pencil(seed, n):
+    rng = np.random.default_rng(seed)
+    a, b = (random_complex_symmetric(rng, n) for _ in range(2))
+    return sweep._Pencil(a, b, linalg.COMPLEX_SYMMETRIC)
+
+
+def random_complex_symmetric(rng, n):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (m + m.T)
+
+
+def near_crossing(n=8, delta=0.03):
+    # n diabatic levels t * slope_k all cross at t = 0 under a weak random
+    # coupling: a coarse step across t = 0 leaves every state spread over
+    # the new basis, so the interval is bisected
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal((n, n))
+    return sweep._Pencil(delta * (c + c.T) / 2, np.diag(np.linspace(-1, 1, n)),
+                         linalg.COMPLEX_SYMMETRIC)
+
+
+class TestBatchedTrack:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+           steps=st.integers(2, 40))
+    def test_matches_sequential_chain(self, seed, n, steps):
+        fam = random_pencil(seed, n)
+        ts = np.linspace(-1.0, 1.0, steps)
+        assert_same_frames(list(sweep._track(fam, ts)),
+                           sequential_frames(fam, ts))
+
+    def test_callable_family_takes_the_same_path(self):
+        pencil = random_pencil(7, 5)
+        fam = sweep.MatrixFamily(fn=lambda t: pencil.a + t * pencil.b)
+        ts = np.linspace(0.0, 2.0, 9)
+        assert_same_frames(list(sweep._track(fam, ts)),
+                           sequential_frames(fam, ts))
+        assert_same_frames(list(sweep._track(fam, ts)),
+                           list(sweep._track(pencil, ts)))
+
+    def test_near_crossing_is_bisected(self):
+        fam = near_crossing()
+        ts = np.linspace(-1.0, 1.0, 6)
+        frames = list(sweep._track(fam, ts))
+        assert any(not f.on_grid for f in frames)
+        assert_same_frames(frames, sequential_frames(fam, ts))
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    def test_chunk_boundaries(self, monkeypatch, per_chunk):
+        fam = near_crossing()
+        ts = np.linspace(-1.0, 1.0, 11)
+        whole = list(sweep._track(fam, ts))
+        # a budget of a few 8x8 frames, counting matrices and overlaps
+        monkeypatch.setattr(sweep, "_STACK_BYTES", per_chunk * 2 * 64 * 16)
+        chunked = list(sweep._track(fam, ts))
+        assert any(not f.on_grid for f in chunked)
+        assert_same_frames(chunked, whole)
+        assert_same_frames(chunked, sequential_frames(fam, ts))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhspec import linalg, twolevel
-from nhspec.errors import DegenerateInput, NotAtEP
+from nhspec.errors import AtExceptionalPoint, DegenerateInput, NotAtEP
 
 
 def model(eps1, eps2, omega):
@@ -120,6 +120,11 @@ class TestNonlinearSource:
     def test_near_ep_still_exact(self):
         m = model(1.0, -1.0, 1j * (1 + 1e-3))
         assert twolevel.nonlinear_source_residual(m) < 1e-8
+
+    def test_exact_ep_raises(self):
+        # the fixture's coalescence: the c-norm vanishes and is flagged
+        with pytest.raises(AtExceptionalPoint):
+            twolevel.nonlinear_source_residual(model(1.0, -1.0, 1j))
 
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
