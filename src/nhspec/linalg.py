@@ -100,7 +100,7 @@ def _assign(score, cost=None):
     Row maxima in distinct columns are optimal as they stand.  A 2x2
     collision compares both sums in closed form (within 4 ulp a tie, which
     swaps only to a smaller summed `cost`); larger ones go to the
-    Hungarian solver (scipy.optimize).
+    Hungarian method, in numpy so that no command loads scipy for it.
     """
     cols = score.argmax(axis=1)
     if len(set(cols.tolist())) == len(cols):
@@ -111,9 +111,31 @@ def _assign(score, cost=None):
             keep, swap = (0, 0) if cost is None else (   # lower cost wins
                 cost[0, 1] + cost[1, 0], cost[0, 0] + cost[1, 1])
         return np.array([1, 0]) if swap > keep else np.arange(2)
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(-score)[1]
+    # shortest augmenting paths with potentials u, v, adding one row at a
+    # time; column 0 is the root, row_of[j] the row holding column j
+    if not np.isfinite(score).all():        # the search below needs finite
+        raise ValueError("assignment scores must be finite")
+    n = len(score)
+    c = np.hstack([np.zeros((n, 1)), -score])
+    u, v = np.zeros(n), np.zeros(n + 1)
+    row_of, way = np.full(n + 1, -1), np.zeros(n + 1, dtype=int)
+    for i in range(n):
+        row_of[0], j = i, 0
+        minv, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while row_of[j] >= 0:
+            used[j], r = True, row_of[j]
+            reduced = c[r] - u[r] - v
+            closer = ~used & (reduced < minv)
+            minv[closer], way[closer] = reduced[closer], j
+            j = np.where(used, np.inf, minv).argmin()
+            delta = minv[j]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j:
+            row_of[j], j = row_of[way[j]], way[j]
+    cols[row_of[1:]] = np.arange(n)
+    return cols
 
 
 def eig_stack(a, hermitian):

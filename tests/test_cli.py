@@ -335,8 +335,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# cold start: only Nelder-Mead and tied assignments beyond 2x2 need
-# scipy.optimize
+# cold start: only Nelder-Mead and minimize_scalar need scipy.optimize
 
 SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
               ("trap", "trapping_chain.json"),

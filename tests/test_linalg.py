@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +135,26 @@ class TestAssign:
         assert linalg._assign(score, np.zeros((2, 2))).tolist() == [0, 1]
         assert linalg._assign(score, np.eye(2)).tolist() == [1, 0]
         assert linalg._assign(score, 1.0 - np.eye(2)).tolist() == [0, 1]
+
+    def test_larger_collision_moves_an_uncontested_row(self):
+        # rows 0 and 1 want column 0; the optimum also moves row 2 off its
+        # uncontested column 1
+        score = np.array([[1.0, 0.0, 0.0], [0.9, 0.85, 0.0],
+                          [0.0, 0.9, 0.89]])
+        assert linalg._assign(score).tolist() == [0, 1, 2]
+
+    def test_larger_collision_leaves_scipy_unloaded(self):
+        score = np.random.default_rng(0).random((21, 21))
+        score[:, 3] += 1.0
+        script = ("import sys, numpy as np; from nhspec import linalg; "
+                  f"s = np.array({score.tolist()!r}); "
+                  "print(linalg._assign(s).tolist(), 'scipy' in sys.modules)")
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True).stdout
+        cols = linear_sum_assignment(-score)[1].tolist()
+        assert out.strip() == f"{cols} False"
 
 
 class TestCNormalize:
