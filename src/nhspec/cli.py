@@ -322,7 +322,8 @@ def cmd_locate(doc, out, config):
                           gap_tol=config.get("tol_ep", 1e-10))
     write_json(out / "ep.json", {
         "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
-        "residual": loc.gap, "iterations": loc.iterations})
+        "residual": loc.gap, "backward_error": loc.backward_error,
+        "step": loc.step, "iterations": loc.iterations})
     return 0
 
 

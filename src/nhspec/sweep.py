@@ -2,9 +2,9 @@
 
 Trajectories are continued by overlap matching (eigenvalues collide
 near coalescence points; eigenvectors disambiguate longer), coalescence
-points are located in two real parameters by a simplex stage followed
-by Newton on the squared pair gap, and closed contours transport the
-eigenframe to read off the swap/phase pattern of the branch point.
+points are located in two real parameters by Newton on the squared pair
+gap, and closed contours transport the eigenframe to read off the
+swap/phase pattern of the branch point.
 """
 
 import dataclasses
@@ -73,8 +73,8 @@ _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}
 
 
 def _set_path(model, path, value):
-    if path in ("a", "alpha"):
-        return model.model_at(value) if hasattr(model, "model_at") else value
+    if path in ("a", "alpha") and hasattr(model, "model_at"):
+        return model.model_at(value)
     name, _, part = path.partition("_")
     if name in _COMPLEX_FIELDS and part in ("re", "im"):
         old = complex(getattr(model, name))
@@ -102,8 +102,8 @@ def make_family(model, parameter, window=None):
         m = _set_path(model, parameter, 0.0).matrix()
         b = _set_path(model, parameter, 1.0).matrix().entries - m.entries
     else:
-        return MatrixFamily(fn=lambda t: model.matrix(t) if parameter == "a"
-                            else _set_path(model, parameter, t).matrix(), **kw)
+        return MatrixFamily(
+            fn=lambda t: _set_path(model, parameter, t).matrix(), **kw)
     return _Pencil(m.entries, b, m.symmetry_hint, **kw)
 
 
@@ -187,25 +187,31 @@ def _track(family, ts):
     row's argmax ignores row order); other steps go through _step."""
     prev = _frame_at(family, ts[0])
     yield prev
-    # a chunk holds its matrices, then its vectors and their overlaps
-    size = max(1, _STACK_BYTES // (2 * prev.vectors.nbytes))
+    # four chunk-sized arrays are live at the peak, inside sort_pairs:
+    # LAPACK's vectors, their sorted copy and the two temporaries of its
+    # norm; the matrices before it and the previous chunk are released
+    size = max(1, _STACK_BYTES // (4 * prev.vectors.nbytes))
     for lo in range(1, len(ts), size):
         chunk = ts[lo:lo + size]
         mats, hermitian = family.stack(chunk)
         peaks = np.abs(mats).max(axis=(1, 2)).tolist()
-        w, vr = linalg.sort_pairs(*linalg.eig_stack(mats, hermitian))
+        pairs = linalg.eig_stack(mats, hermitian)
         del mats
+        w, vr = linalg.sort_pairs(*pairs)
+        del pairs
         ov = np.concatenate([prev.vectors[None], vr[:-1]])
         ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
         cols, perm = ov.argmax(axis=2), np.arange(ov.shape[2])
         clean = (ov.max(axis=2).min(axis=1) >= MATCH_THRESHOLD) \
             & (np.sort(cols, axis=1) == perm).all(axis=1)
+        del ov
         for k, t in enumerate(chunk):
             raw = _Frame(t, w[k], vr[k], True, peaks[k])
             order = cols[k][perm] if clean[k] else None
             steps, perm = _step(family, prev, raw, order)
             yield from steps
-            prev = steps[-1]
+            prev = steps[-1]      # a copy: frames hold no view of vr
+        del w, vr, raw
 
 
 # ---------------------------------------------------------------------------
@@ -353,81 +359,75 @@ def _detect_events(params, zs, window, gap_tol, ep_gap_tol, bic_tol):
 
 @dataclass
 class EpLocation:
+    """A located coalescence (p1, p2) with eigenvalue z0 and its certificate.
+
+    gap is the eigenvalue gap |z_i - z_j| there; from a dense eigensolver
+    it cannot fall below about sqrt(eps) * scale.  backward_error is
+    |(z_i - z_j)^2| / scale^2, good to O(eps): the matrix at (p1, p2) is
+    within about backward_error * scale of an exactly defective one.
+    step is the length of the last correction to (p1, p2), an
+    a-posteriori estimate of its error; iterations counts Newton steps.
+    """
+
     p1: float
     p2: float
     z0: complex
     gap: float
+    backward_error: float
+    step: float
     iterations: int
 
 
-def _closest_pair(values):
-    """(gap, i, j) of the nearest two values, numpy or mpmath alike."""
-    best = (np.inf, 0, 1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            d = abs(values[i] - values[j])
-            if d < best[0]:
-                best = (d, i, j)
-    return best
-
-
 def _pair_state(family, p):
+    """(gap, squared difference, mean) of the closest eigenvalue pair at p."""
     w = np.linalg.eigvals(family(p[0], p[1]).entries)
-    gap, i, j = _closest_pair(w)
-    return gap, (w[i] - w[j]) ** 2, 0.5 * (w[i] + w[j])
+    if not np.all(np.isfinite(w)):
+        point = (float(p[0]), float(p[1]))
+        raise NoConvergence(f"eigenvalues not finite at {point}", point=point)
+    i, j = np.triu_indices(len(w), 1)
+    k = np.argmin(np.abs(w[i] - w[j]))
+    diff = w[i[k]] - w[j[k]]
+    return float(abs(diff)), diff ** 2, 0.5 * (w[i[k]] + w[j[k]])
 
 
-def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=400,
-              polish=True):
+def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=60):
     """Locate a point in two real parameters where two eigenvalues coalesce.
 
     Accepts either a PlaneFamily or a model plus two parameter paths.
-    A derivative-free simplex stage shrinks the pair gap, then Newton
-    iterates on the squared gap (which is smooth through the
-    coalescence).  For the closed-form two-level model in the coupling
-    plane the exact locus is used as the final polish; otherwise a
-    high-precision characteristic-polynomial polish removes the
-    square-root noise floor of the dense eigensolver.
+    Newton iterates from the seed on the squared gap of the closest pair,
+    which is smooth through the coalescence.  For the closed-form
+    two-level model in the coupling plane the exact locus nearest the
+    Newton point is the final step.  The search succeeds when the
+    backward error at the returned point is at most gap_tol; otherwise
+    it raises SaddleRejected where |(z_i - z_j)^2| stopped descending far
+    above that, and NoConvergence else.
     """
-    from scipy.optimize import minimize
-
     if not isinstance(family, PlaneFamily):
         family = make_plane_family(family, p1, p2)
-    scale = max(np.abs(family(seed[0], seed[1]).entries).max(), 1.0)
-    tol = gap_tol * scale
-
-    res = minimize(lambda p: _pair_state(family, p)[0], np.asarray(seed, float),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": maxiter})
-    p = np.asarray(res.x, dtype=float)
-
+    p, (gap, sq, z0), step, iterations, stalled = _newton_on_sq_gap(
+        family, seed, maxiter)
     exact = _closed_form_polish(family, p)
     if exact is not None:
-        p, z0, gap = exact
-        if gap <= tol:
-            return EpLocation(p1=float(p[0]), p2=float(p[1]), z0=z0,
-                              gap=gap, iterations=int(res.nit))
-
-    p, stalled = _newton_on_sq_gap(family, p, scale)
-    gap, _, z0 = _pair_state(family, p)
-    if polish and gap > tol:
-        from mpmath.libmp import NoConvergence as PolyrootsFailed
-        try:
-            p, gap, z0 = _hp_polish(family, p)
-        except (ArithmeticError, PolyrootsFailed):   # keep the float64 point
-            pass
-    if gap > tol:
-        if stalled and gap > 1e4 * tol:
+        step = float(np.hypot(*(exact[0] - p)))
+        p, (gap, sq, z0) = exact
+    scale = max(np.abs(family(p[0], p[1]).entries).max(), 1.0)
+    eta = abs(sq) / scale ** 2
+    if not eta <= gap_tol:
+        if stalled and eta > 1e4 * gap_tol:
             raise SaddleRejected(
                 f"local minimum with gap {gap:.3e} above tolerance",
                 point=tuple(p), residual=gap)
-        raise NoConvergence(f"gap {gap:.3e} above tolerance {tol:.3e}",
-                            point=tuple(p), residual=gap)
+        raise NoConvergence(f"backward error {eta:.3e} (gap {gap:.3e}) above "
+                            f"tolerance {gap_tol:.3e}", point=tuple(p),
+                            residual=gap)
     return EpLocation(p1=float(p[0]), p2=float(p[1]), z0=complex(z0),
-                      gap=float(gap), iterations=int(res.nit))
+                      gap=gap, backward_error=float(eta), step=step,
+                      iterations=iterations)
 
 
 def _closed_form_polish(family, p):
+    """The exact two-level locus nearest p in the (omega_re, omega_im)
+    plane with the pair state there, or None for any other family."""
     model = family.model
     if not isinstance(model, twolevel.TwoLevelModel):
         return None
@@ -439,92 +439,49 @@ def _closed_form_polish(family, p):
         return None
     cur = complex(p[0], p[1])
     w = w_plus if abs(w_plus - cur) <= abs(w_minus - cur) else w_minus
-    m = dataclasses.replace(model, omega=w)
-    lam_p, lam_m, z = twolevel.eigenvalues(m)
-    return (np.array([w.real, w.imag]), 0.5 * (lam_p + lam_m),
-            float(abs(2.0 * z)))
+    lam_p, lam_m, z = twolevel.eigenvalues(dataclasses.replace(model, omega=w))
+    return (np.array([w.real, w.imag]),
+            (float(abs(2.0 * z)), (2.0 * z) ** 2, 0.5 * (lam_p + lam_m)))
 
 
-def _newton_on_sq_gap(family, p, scale, iters=60):
-    """Newton on F(p) = (z_i - z_j)^2, smooth and ~linear near the locus."""
-    h = 1e-7 * max(np.abs(p).max(), 1.0)
-    stalled = False
-    for _ in range(iters):
-        _, f0, _ = _pair_state(family, p)
-        if abs(f0) < (1e-15 * scale) ** 2:
-            break
-        jac = np.empty((2, 2))
-        for k in range(2):
-            dp = np.zeros(2)
-            dp[k] = h
-            _, fp, _ = _pair_state(family, p + dp)
-            _, fm, _ = _pair_state(family, p - dp)
-            d = (fp - fm) / (2.0 * h)
-            jac[0, k] = d.real
-            jac[1, k] = d.imag
-        rhs = -np.array([f0.real, f0.imag])
+def _newton_on_sq_gap(family, p, maxiter):
+    """Newton from p on F(p) = (z_i - z_j)^2 of the closest pair.
+
+    F is analytic through a coalescence, where z_i - z_j is not, and a
+    dense eigensolver gives it to O(eps * scale^2).  The Jacobian is a
+    central difference; a step that does not lower |F| is halved, up to
+    30 times, and the iteration ends once a Newton step is within a few
+    ulp of p.  Returns the point, its _pair_state, the length of the last
+    Newton step, the iteration count and whether |F| stopped descending
+    (a singular Jacobian, or a line search that found no lower |F|).
+    """
+    p = np.asarray(p, dtype=float)
+    state, step = _pair_state(family, p), np.inf
+    for it in range(1, maxiter + 1):
+        width = max(np.abs(p).max(), 1.0)
+        h, ulps = 1e-7 * width, 4.0 * np.finfo(float).eps * width
+        d = [(_pair_state(family, p + dp)[1] - _pair_state(family, p - dp)[1])
+             / (2.0 * h) for dp in (np.array([h, 0.0]), np.array([0.0, h]))]
+        f = state[1]
         try:
-            step = np.linalg.solve(jac, rhs)
+            s = np.linalg.solve([[d[0].real, d[1].real],
+                                 [d[0].imag, d[1].imag]], [-f.real, -f.imag])
         except np.linalg.LinAlgError:
-            stalled = True
-            break
-        if not np.all(np.isfinite(step)):
-            stalled = True
-            break
-        p = p + step
-        if np.linalg.norm(step) < 1e-14 * max(np.abs(p).max(), 1.0):
-            stalled = abs(f0) > (1e-10 * scale) ** 2
-            break
-    return p, stalled
-
-
-def _hp_polish(family, p, dps=50, iters=25):
-    """High-precision Newton on the squared pair gap via the char poly."""
-    import mpmath as mp
-
-    def pair_sq(px, py):
-        roots = _mp_roots(family(float(px), float(py)).entries, mp)
-        gap, i, j = _closest_pair(roots)
-        return (roots[i] - roots[j]) ** 2, gap, (roots[i] + roots[j]) / 2
-
-    px, py = mp.mpf(repr(float(p[0]))), mp.mpf(repr(float(p[1])))
-    h = mp.mpf("1e-20")
-    with mp.workdps(dps):
-        for _ in range(iters):
-            f0, gap, z0 = pair_sq(px, py)
-            if abs(f0) < mp.mpf("1e-30"):
+            return p, state, step, it, True
+        step, t = float(np.hypot(*s)), 1.0
+        if not np.isfinite(step):
+            return p, state, step, it, False
+        while t * step > ulps:
+            trial = _pair_state(family, p + t * s)
+            if abs(trial[1]) < abs(f):
                 break
-            fx = (pair_sq(px + h, py)[0] - pair_sq(px - h, py)[0]) / (2 * h)
-            fy = (pair_sq(px, py + h)[0] - pair_sq(px, py - h)[0]) / (2 * h)
-            jac = mp.matrix([[mp.re(fx), mp.re(fy)], [mp.im(fx), mp.im(fy)]])
-            rhs = mp.matrix([-mp.re(f0), -mp.im(f0)])
-            try:
-                step = mp.lu_solve(jac, rhs)
-            except ZeroDivisionError:
-                break
-            px += step[0]
-            py += step[1]
-        f0, gap, z0 = pair_sq(px, py)
-    return (np.array([float(px), float(py)]), float(gap),
-            complex(float(mp.re(z0)), float(mp.im(z0))))
-
-
-def _mp_roots(a, mp):
-    n = a.shape[0]
-    m = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = mp.mpc(a[i, j].real, a[i, j].imag)
-    # Faddeev-LeVerrier characteristic polynomial
-    coeffs = [mp.mpc(1)]
-    mk = mp.eye(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        ck = -sum(mk[i, i] for i in range(n)) / k
-        coeffs.append(ck)
-        for i in range(n):
-            mk[i, i] += ck
-    return mp.polyroots(coeffs, maxsteps=200, extraprec=80)
+            t *= 0.5
+            if t < 2.0 ** -30:
+                return p, state, step, it, True
+        else:                       # the step is at ulp level: converged
+            return p, state, step, it, False
+        p, state = p + t * s, trial
+    return p, state, step, maxiter, False
 
 
 # ---------------------------------------------------------------------------

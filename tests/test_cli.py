@@ -242,6 +242,17 @@ class TestExitCodes:
                                    "parameters": {}}))
         assert run("sweep", "--model", str(bad), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("parameter", ["alpha", "a"])
+    def test_unknown_sweep_path_is_input_error(self, tmp_path, capsys,
+                                               parameter):
+        # the avoided-crossing path names mean nothing to a two-level model
+        doc = json.loads((DATA / "two_level_sweep.json").read_text())
+        doc["sweep"]["parameter"] = parameter
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("sweep", "--model", str(model), "--out", str(tmp_path)) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_unknown_emit(self, tmp_path):
         assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
                    "--out", str(tmp_path), "--emit", "csv,png") == 2
@@ -270,7 +281,7 @@ class TestExitCodes:
 
     def test_non_finite_json_is_exit_3(self, tmp_path, monkeypatch, capsys):
         nan_gap = sweep.EpLocation(p1=0.0, p2=1.0, z0=0j, gap=float("nan"),
-                                   iterations=1)
+                                   backward_error=0.0, step=0.0, iterations=1)
         monkeypatch.setattr(sweep, "locate_ep", lambda *a, **k: nan_gap)
         assert run("locate", "--model", str(DATA / "two_level_sweep.json"),
                    "--out", str(tmp_path)) == 3
@@ -278,16 +289,9 @@ class TestExitCodes:
         assert "numerical failure" in err and "ep.json" in err
         assert not (tmp_path / "ep.json").exists()
 
-    def test_polyroots_failure_is_exit_3(self, tmp_path, monkeypatch,
-                                         capsys):
-        # the reversed (omega_im, omega_re) plane has no closed form, so
-        # the search reaches the high-precision polish
-        import mpmath
-
-        def no_convergence(*args, **kwargs):
-            raise mpmath.libmp.NoConvergence("polyroots did not converge")
-
-        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    def test_reversed_omega_plane_is_located(self, tmp_path):
+        # (omega_im, omega_re) has no closed form: Newton alone finds the
+        # EP omega = i (eps1 - eps2)/2 = 0.05 + 1i
         model = tmp_path / "reversed_plane.json"
         model.write_text(json.dumps({
             "version": "1", "kind": "two_level",
@@ -295,8 +299,10 @@ class TestExitCodes:
                            "omega": [0.0, 0.5]},
             "locate": {"p1": "omega_im", "p2": "omega_re", "seed": [0.8, 0.1]}}))
         assert run("locate", "--model", str(model),
-                   "--out", str(tmp_path)) == 3
-        assert "numerical failure" in capsys.readouterr().err
+                   "--out", str(tmp_path)) == 0
+        rec = json.loads((tmp_path / "ep.json").read_text())
+        assert abs(complex(rec["p1"], rec["p2"]) - complex(1.0, 0.05)) < 1e-12
+        assert rec["backward_error"] <= 1e-10
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # Hermitian family: the pair gap is bounded below, no coalescence
@@ -335,11 +341,14 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# cold start: only Nelder-Mead and minimize_scalar need scipy.optimize
+# cold start: only minimize_scalar (twolevel.find_critical_width) needs
+# scipy.optimize, and nothing outside the tests needs mpmath
 
 SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
               ("trap", "trapping_chain.json"),
-              ("sweep", "two_level_sweep.json")]
+              ("sweep", "two_level_sweep.json"),
+              ("locate", "two_level_sweep.json"),
+              ("encircle", "two_level_sweep.json")]
 
 
 def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
@@ -351,10 +360,12 @@ for command, model in {SCIPY_FREE!r}:
     rc = nhspec.cli.main([command, "--model", {str(DATA)!r} + "/" + model,
                           "--out", {str(tmp_path)!r} + "/" + command])
     print(command, rc, "scipy.optimize" in sys.modules)
+print("mpmath" in sys.modules)
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert out[0] == "False"
-    assert out[1:-1] == [f"{c} 0 False" for c, _ in SCIPY_FREE]
+    assert out[1:-2] == [f"{c} 0 False" for c, _ in SCIPY_FREE]
+    assert out[-2] == "False"

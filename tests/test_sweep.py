@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,23 +174,37 @@ class TestLocateEp:
 
         fam = sweep.PlaneFamily(fn=fn)
         loc = sweep.locate_ep(fam, seed=(0.15, 0.85))
-        assert abs(loc.p1) < 1e-6 and abs(loc.p2 - 1.0) < 1e-6
-        assert loc.gap < 1e-10
+        assert abs(loc.p1) < 1e-12 and abs(loc.p2 - 1.0) < 1e-12
+        # the eigenvalue gap stays at the sqrt(eps) floor; the squared gap
+        # certifies the point
+        assert loc.backward_error <= 1e-14
 
-    def test_polyroots_failure_ends_in_no_convergence(self, monkeypatch):
-        # mpmath's NoConvergence is not an ArithmeticError; the polish is
-        # skipped and the search reports its own failure
-        import mpmath
+    def test_plane_family_in_few_eigensolves(self, monkeypatch):
+        # [[a, w], [w, b]] with w = p1 + i p2 coalesces at w = i (a - b)/2
+        # = 0.05 + i (1 + 0.1 p1^2): at (p1, p2) = (0.05, 1.00025)
+        calls = []
+        eigvals = np.linalg.eigvals
 
-        def no_convergence(*args, **kwargs):
-            raise mpmath.libmp.NoConvergence("polyroots did not converge")
+        def counted(a):
+            calls.append(1)
+            return eigvals(a)
 
-        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
         fam = sweep.PlaneFamily(fn=lambda p1, p2: np.array(
             [[1.0 + 0.2 * p1 ** 2, p1 + 1j * p2],
              [p1 + 1j * p2, -1.0 + 0.1j]]))
-        with pytest.raises(NoConvergence):
+        loc = sweep.locate_ep(fam, seed=(0.05, 0.9))
+        assert abs(complex(loc.p1, loc.p2) - complex(0.05, 1.00025)) < 1e-12
+        assert loc.backward_error <= 1e-14
+        assert len(calls) <= 100
+
+    def test_non_finite_eigenvalues_end_in_no_convergence(self):
+        # finite entries whose largest eigenvalue overflows to inf
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: 1e308 * np.array(
+            [[1.7, p1 + 1j * p2], [p1 + 1j * p2, 1.7]]))
+        with pytest.raises(NoConvergence) as info:
             sweep.locate_ep(fam, seed=(0.1, 0.8))
+        assert info.value.point == (0.1, 0.8)
 
 
 class TestEncircle:
@@ -428,13 +444,27 @@ class TestBatchedTrack:
         assert any(not f.on_grid for f in frames)
         assert_same_frames(frames, sequential_frames(fam, ts))
 
+    def test_chunk_peak_within_budget(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; chunks of 32 16x16
+        # frames, many per sweep
+        monkeypatch.setattr(sweep, "_STACK_BYTES", 32 * 4 * 256 * 16)
+        fam, ts = random_pencil(3, 16), np.linspace(-1.0, 1.0, 400)
+        tracemalloc.start()
+        try:
+            for _ in sweep._track(fam, ts):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sweep._STACK_BYTES
+
     @pytest.mark.parametrize("per_chunk", [1, 2, 3])
     def test_chunk_boundaries(self, monkeypatch, per_chunk):
         fam = near_crossing()
         ts = np.linspace(-1.0, 1.0, 11)
         whole = list(sweep._track(fam, ts))
-        # a budget of a few 8x8 frames, counting matrices and overlaps
-        monkeypatch.setattr(sweep, "_STACK_BYTES", per_chunk * 2 * 64 * 16)
+        # a budget of a few 8x8 frames, four chunk-sized arrays each
+        monkeypatch.setattr(sweep, "_STACK_BYTES", per_chunk * 4 * 64 * 16)
         chunked = list(sweep._track(fam, ts))
         assert any(not f.on_grid for f in chunked)
         assert_same_frames(chunked, whole)

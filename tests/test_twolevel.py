@@ -122,9 +122,12 @@ class TestNonlinearSource:
         assert twolevel.nonlinear_source_residual(m) < 1e-8
 
     def test_exact_ep_raises(self):
-        # the fixture's coalescence: the c-norm vanishes and is flagged
-        with pytest.raises(AtExceptionalPoint):
-            twolevel.nonlinear_source_residual(model(1.0, -1.0, 1j))
+        # the fixture's coalescence: the c-norm vanishes and is flagged;
+        # at the second, omega = i (eps1 - eps2)/2 as well, LAPACK splits
+        # the pair by sqrt(eps) and leaves a c-norm of 1e-8 unflagged
+        for m in (model(1.0, -1.0, 1j), model(0.5 - 0.25j, -0.5 - 0.25j, 0.5j)):
+            with pytest.raises(AtExceptionalPoint):
+                twolevel.nonlinear_source_residual(m)
 
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
