@@ -319,7 +319,7 @@ def cmd_locate(doc, out, config):
     if config.get("seed_p2") is not None:
         seed = (seed[0], config["seed_p2"])
     loc = sweep.locate_ep(model, seed, p1=p1, p2=p2,
-                          gap_tol=config.get("tol_ep", 1e-10))
+                          tol=config.get("tol_ep", 1e-10))
     write_json(out / "ep.json", {
         "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
         "residual": loc.gap, "backward_error": loc.backward_error,

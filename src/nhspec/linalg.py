@@ -174,6 +174,36 @@ def eig_pairs(H):
     return sort_pairs(w[0], vr[0])
 
 
+def closest_pair(w):
+    """Indices (i, j), i < j, of the closest pair among the eigenvalues w."""
+    i, j = np.triu_indices(len(w), 1)
+    k = np.argmin(np.abs(w[i] - w[j]))
+    return i[k], j[k]
+
+
+def coalescence_error(a):
+    """Backward error of a coalescence of the closest eigenvalue pair of a.
+
+    |z_i - z_j| * s / scale with scale = max(max |a|, 1) and s the larger
+    of |y^H x| over the pair, for unit right vectors x and unit left
+    vectors y (rows of the inverse of the right-vector matrix).  To first
+    order a perturbation of norm |z_i - z_j| * s makes the pair coincide.
+    Near a coalescence s shrinks with the gap, so the error is O(gap^2)
+    and reaches eps where a dense eigensolver leaves the gap at sqrt(eps);
+    for a normal pair s = 1 and it is gap / scale.  Parallel right
+    vectors give 0.
+    """
+    w, vr = np.linalg.eig(a)
+    i, j = closest_pair(w)
+    try:
+        rows = np.linalg.inv(vr)[[i, j]]
+    except np.linalg.LinAlgError:
+        return 0.0
+    s = 1.0 / (np.linalg.norm(rows, axis=1)
+               * np.linalg.norm(vr[:, [i, j]], axis=0))
+    return float(abs(w[i] - w[j]) * s.max() / max(np.abs(a).max(), 1.0))
+
+
 def eig(H, defect_tol=DEFECT_TOL):
     """Full eigendecomposition with biorthogonally paired left vectors.
 

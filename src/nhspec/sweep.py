@@ -363,10 +363,12 @@ class EpLocation:
 
     gap is the eigenvalue gap |z_i - z_j| there; from a dense eigensolver
     it cannot fall below about sqrt(eps) * scale.  backward_error is
-    |(z_i - z_j)^2| / scale^2, good to O(eps): the matrix at (p1, p2) is
-    within about backward_error * scale of an exactly defective one.
-    step is the length of the last correction to (p1, p2), an
-    a-posteriori estimate of its error; iterations counts Newton steps.
+    linalg.coalescence_error of the pair: to first order the matrix at
+    (p1, p2) is within backward_error * scale of one where the pair
+    coincides.  step estimates the error in (p1, p2): the last Newton
+    correction when it fell below 4 ulp, else the last step taken (for
+    the two-level coupling plane, the move to the closed-form locus);
+    iterations counts Newton steps.
     """
 
     p1: float
@@ -384,13 +386,12 @@ def _pair_state(family, p):
     if not np.all(np.isfinite(w)):
         point = (float(p[0]), float(p[1]))
         raise NoConvergence(f"eigenvalues not finite at {point}", point=point)
-    i, j = np.triu_indices(len(w), 1)
-    k = np.argmin(np.abs(w[i] - w[j]))
-    diff = w[i[k]] - w[j[k]]
-    return float(abs(diff)), diff ** 2, 0.5 * (w[i[k]] + w[j[k]])
+    i, j = linalg.closest_pair(w)
+    diff = w[i] - w[j]
+    return float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
 
 
-def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=60):
+def locate_ep(family, seed, p1=None, p2=None, tol=1e-10, maxiter=60):
     """Locate a point in two real parameters where two eigenvalues coalesce.
 
     Accepts either a PlaneFamily or a model plus two parameter paths.
@@ -398,36 +399,37 @@ def locate_ep(family, seed, p1=None, p2=None, gap_tol=1e-10, maxiter=60):
     which is smooth through the coalescence.  For the closed-form
     two-level model in the coupling plane the exact locus nearest the
     Newton point is the final step.  The search succeeds when the
-    backward error at the returned point is at most gap_tol; otherwise
-    it raises SaddleRejected where |(z_i - z_j)^2| stopped descending far
-    above that, and NoConvergence else.
+    backward error at the returned point is at most tol, a bound on
+    distance to a coalescence relative to the matrix scale, not on the
+    eigenvalue gap; otherwise it raises SaddleRejected where Newton
+    stalled with the backward error far above tol, and NoConvergence else.
     """
     if not isinstance(family, PlaneFamily):
         family = make_plane_family(family, p1, p2)
-    p, (gap, sq, z0), step, iterations, stalled = _newton_on_sq_gap(
+    p, (gap, _, z0), step, iterations, stalled = _newton_on_sq_gap(
         family, seed, maxiter)
     exact = _closed_form_polish(family, p)
     if exact is not None:
         step = float(np.hypot(*(exact[0] - p)))
-        p, (gap, sq, z0) = exact
-    scale = max(np.abs(family(p[0], p[1]).entries).max(), 1.0)
-    eta = abs(sq) / scale ** 2
-    if not eta <= gap_tol:
-        if stalled and eta > 1e4 * gap_tol:
+        p, (gap, z0) = exact
+    eta = linalg.coalescence_error(family(p[0], p[1]).entries)
+    if not eta <= tol:
+        if stalled and eta > 1e4 * tol:
             raise SaddleRejected(
                 f"local minimum with gap {gap:.3e} above tolerance",
                 point=tuple(p), residual=gap)
         raise NoConvergence(f"backward error {eta:.3e} (gap {gap:.3e}) above "
-                            f"tolerance {gap_tol:.3e}", point=tuple(p),
+                            f"tolerance {tol:.3e}", point=tuple(p),
                             residual=gap)
     return EpLocation(p1=float(p[0]), p2=float(p[1]), z0=complex(z0),
-                      gap=gap, backward_error=float(eta), step=step,
+                      gap=gap, backward_error=eta, step=step,
                       iterations=iterations)
 
 
 def _closed_form_polish(family, p):
     """The exact two-level locus nearest p in the (omega_re, omega_im)
-    plane with the pair state there, or None for any other family."""
+    plane with the pair's gap and mean there, or None for any other
+    family."""
     model = family.model
     if not isinstance(model, twolevel.TwoLevelModel):
         return None
@@ -441,7 +443,7 @@ def _closed_form_polish(family, p):
     w = w_plus if abs(w_plus - cur) <= abs(w_minus - cur) else w_minus
     lam_p, lam_m, z = twolevel.eigenvalues(dataclasses.replace(model, omega=w))
     return (np.array([w.real, w.imag]),
-            (float(abs(2.0 * z)), (2.0 * z) ** 2, 0.5 * (lam_p + lam_m)))
+            (float(abs(2.0 * z)), 0.5 * (lam_p + lam_m)))
 
 
 def _newton_on_sq_gap(family, p, maxiter):
@@ -450,13 +452,14 @@ def _newton_on_sq_gap(family, p, maxiter):
     F is analytic through a coalescence, where z_i - z_j is not, and a
     dense eigensolver gives it to O(eps * scale^2).  The Jacobian is a
     central difference; a step that does not lower |F| is halved, up to
-    30 times, and the iteration ends once a Newton step is within a few
-    ulp of p.  Returns the point, its _pair_state, the length of the last
-    Newton step, the iteration count and whether |F| stopped descending
-    (a singular Jacobian, or a line search that found no lower |F|).
+    30 times, and the iteration has converged once a full Newton step is
+    within 4 ulp of p.  Returns the point, its _pair_state, the step
+    estimate of EpLocation, the iteration count and whether Newton
+    stalled: a singular Jacobian, a non-finite step, or a line search
+    that found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
-    state, step = _pair_state(family, p), np.inf
+    state, step = _pair_state(family, p), 0.0
     for it in range(1, maxiter + 1):
         width = max(np.abs(p).max(), 1.0)
         h, ulps = 1e-7 * width, 4.0 * np.finfo(float).eps * width
@@ -468,19 +471,19 @@ def _newton_on_sq_gap(family, p, maxiter):
                                  [d[0].imag, d[1].imag]], [-f.real, -f.imag])
         except np.linalg.LinAlgError:
             return p, state, step, it, True
-        step, t = float(np.hypot(*s)), 1.0
-        if not np.isfinite(step):
-            return p, state, step, it, False
-        while t * step > ulps:
+        full, t = float(np.hypot(*s)), 1.0
+        if not np.isfinite(full):
+            return p, state, step, it, True
+        if full <= ulps:
+            return p, state, full, it, False
+        while True:
             trial = _pair_state(family, p + t * s)
             if abs(trial[1]) < abs(f):
                 break
             t *= 0.5
-            if t < 2.0 ** -30:
+            if t < 2.0 ** -30 or t * full <= ulps:
                 return p, state, step, it, True
-        else:                       # the step is at ulp level: converged
-            return p, state, step, it, False
-        p, state = p + t * s, trial
+        p, state, step = p + t * s, trial, t * full
     return p, state, step, maxiter, False
 
 

@@ -172,14 +172,13 @@ def nonlinear_source_residual(m, defect_tol=linalg.DEFECT_TOL):
     sum_{l != k} B_k^l phi_l } with W the (negated) off-diagonal coupling
     block, for both eigenstates; returns the maximum componentwise
     residual.  Raises AtExceptionalPoint where the eigensolver flags a
-    vanishing c-norm, or where the backward error of the closed-form
-    squared gap, |(eps1 - eps2)^2 + 4 omega^2| / scale^2, is at roundoff
-    level: the eigensolver can split an exact coalescence by sqrt(eps).
+    vanishing c-norm, or where the pair's backward error
+    (linalg.coalescence_error) is at roundoff level: the eigensolver can
+    split an exact coalescence by sqrt(eps).
     """
     sys = linalg.c_normalize(linalg.eig(m.matrix()), defect_tol=defect_tol)
-    sq_gap = (m.eps1 - m.eps2) ** 2 + 4.0 * m.omega ** 2
-    if sys.ep_flag.any() \
-            or abs(sq_gap) <= 8.0 * np.finfo(float).eps * m.scale ** 2:
+    if sys.ep_flag.any() or linalg.coalescence_error(
+            sys.matrix.entries) <= 32.0 * np.finfo(float).eps:
         raise AtExceptionalPoint("source-term expansion diverges at coalescence")
     h0 = np.diag([m.eps1, m.eps2])
     w_mat = -np.array([[0.0, m.omega], [m.omega, 0.0]])

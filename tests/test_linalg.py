@@ -233,6 +233,21 @@ class TestCNormalize:
         assert sys.ep_flag.any()
 
 
+class TestCoalescenceError:
+    def test_normal_pair_is_its_gap(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        eta = linalg.coalescence_error(
+            rot @ np.diag([0.5, 0.5 + 2e-6]) @ rot.T)
+        assert abs(eta - 2e-6) < 1e-12
+
+    def test_near_defective_pair_is_its_distance(self):
+        # [[0, 1], [d, 0]] is d from the Jordan block; the gap is 2 sqrt(d)
+        d = 1e-12
+        eta = linalg.coalescence_error(np.array([[0.0, 1.0], [d, 0.0]]))
+        assert d <= eta <= 4.0 * d * (1 + 1e-6)
+
+
 class TestJordanChain:
     def test_canonical_chain(self):
         phi, phia = linalg.jordan_chain(linalg.as_matrix(T_DEFECTIVE), 0.0)

@@ -152,6 +152,17 @@ class TestLocateEp:
             sweep.locate_ep(model, seed=(0.5, -0.5), p1="eps1_re",
                             p2="eps2_re")
 
+    def test_normal_near_crossing_is_not_certified(self):
+        # a normal pair whose gap bottoms out at 2e-6: |F| falls to 4e-12
+        # there, but the pair is 1e-6 from coinciding, not 1e-12
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: rot @ np.diag(
+            [0.5, 0.5 + 2e-6 + p1 ** 2 + 1j * p2 ** 2]) @ rot.T)
+        with pytest.raises(SaddleRejected) as info:
+            sweep.locate_ep(fam, seed=(0.1, 0.2))
+        assert info.value.residual > 1.9e-6
+
     def test_equal_energies_fall_back_from_closed_form(self):
         # eps1 == eps2 has no closed-form locus (DegenerateInput); the search
         # still finds the level crossing at omega = 0
