@@ -305,25 +305,18 @@ class TestExitCodes:
         assert rec["backward_error"] <= 1e-10
 
     def test_numerical_failure_is_exit_3(self, tmp_path):
-        # Hermitian family: the pair gap is bounded below, no coalescence
-        model = tmp_path / "hermitian.json"
-        model.write_text(json.dumps({
-            "version": "1", "kind": "two_level",
-            "parameters": {"eps1": 1.0, "eps2": -1.0, "omega": 0.3},
-            "locate": {"p1": "eps1_re", "p2": "eps2_re", "seed": [0.5, -0.5]}}))
-        assert run("locate", "--model", str(model),
-                   "--out", str(tmp_path)) == 3
-
-    def test_hermitian_near_crossing_is_exit_3(self, tmp_path):
-        # eps1 = eps2 leaves a gap of 2 omega = 2e-6, far from a coalescence
-        model = tmp_path / "near_crossing.json"
-        model.write_text(json.dumps({
-            "version": "1", "kind": "two_level",
-            "parameters": {"eps1": 1.0, "eps2": -1.0, "omega": 1e-6},
-            "locate": {"p1": "eps1_re", "p2": "eps2_re", "seed": [0.5, -0.5]}}))
-        assert run("locate", "--model", str(model),
-                   "--out", str(tmp_path)) == 3
-        assert not (tmp_path / "ep.json").exists()
+        # Hermitian family: the pair gap is bounded below by 2 omega, also
+        # where eps1 = eps2 leaves a near-crossing of gap 2e-6
+        for omega in (0.3, 1e-6):
+            model = tmp_path / "hermitian.json"
+            model.write_text(json.dumps({
+                "version": "1", "kind": "two_level",
+                "parameters": {"eps1": 1.0, "eps2": -1.0, "omega": omega},
+                "locate": {"p1": "eps1_re", "p2": "eps2_re",
+                           "seed": [0.5, -0.5]}}))
+            assert run("locate", "--model", str(model),
+                       "--out", str(tmp_path)) == 3
+            assert not (tmp_path / "ep.json").exists()
 
 
 # ---------------------------------------------------------------------------
