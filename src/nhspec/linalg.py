@@ -114,7 +114,7 @@ def _assign(score, cost=None):
     # shortest augmenting paths with potentials u, v, adding one row at a
     # time; column 0 is the root, row_of[j] the row holding column j
     if not np.isfinite(score).all():        # the search below needs finite
-        raise ValueError("assignment scores must be finite")
+        raise NonConvergence("assignment scores must be finite")
     n = len(score)
     c = np.hstack([np.zeros((n, 1)), -score])
     u, v = np.zeros(n), np.zeros(n + 1)

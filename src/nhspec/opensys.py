@@ -436,8 +436,7 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     alphas = np.asarray(alphas, float)
     if (alphas < 0).any():
         raise ValueError("alpha grid must be non-negative")
-    frames = sweep._track(
-        sweep._Pencil(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC), alphas)
+    frames = sweep._track(sweep._SecularPencil(h0, v), alphas)
     values = np.array([f.values for f in frames if f.on_grid])
 
     widths = -2.0 * values.imag

@@ -50,6 +50,14 @@ class MatrixFamily:
         return (np.stack([m.entries for m in mats]),
                 np.array([m.symmetry_hint == linalg.HERMITIAN for m in mats]))
 
+    def pairs(self, ts):
+        """Largest entry of each matrix over ts, then its sort_pairs."""
+        mats, hermitian = self.stack(ts)
+        peaks = np.abs(mats).max(axis=(1, 2)).tolist()
+        pairs = linalg.eig_stack(mats, hermitian)
+        del mats
+        return (peaks, *linalg.sort_pairs(*pairs))
+
 
 class _Pencil(MatrixFamily):
     """Affine family t -> A + c(t) B (c the identity unless given), checked
@@ -67,6 +75,52 @@ class _Pencil(MatrixFamily):
         if not np.all(np.isfinite(s.view(float))):
             raise ValueError("entries must be finite")
         return s, np.full(len(s), self.hint == linalg.HERMITIAN)
+
+
+class _SecularPencil(_Pencil):
+    """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)) with LAPACK's
+    eigenvalues alone and each vector in closed form: Q (D - z)^-1 W c for
+    H0 = Q D Q^T, W = Q^T V and c a null vector of I - i t W^T (D - z)^-1 W
+    (the secular equation of Sokolov and Zelevinsky).  A chunk where one
+    is not finite (z on a level of D) or leaves |(H - z) x| / |x| above
+    1e-8 of the largest entry takes LAPACK's vectors; zgeev gives the
+    same eigenvalue bits with or without them."""
+
+    def __init__(self, h0, v):
+        super().__init__(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
+        self.d, self.q = np.linalg.eigh(h0)
+        self.w = self.q.T @ v
+
+    def pairs(self, ts):
+        w, k, ia = self.w, self.w.shape[1], 1j * np.asarray(ts)[:, None, None]
+        if k * k > len(w):      # the K x K systems would outweigh the vectors
+            return super().pairs(ts)
+        mats, _ = self.stack(ts)
+        peaks = np.abs(mats).max(axis=(1, 2))
+        try:
+            z = np.linalg.eigvals(mats)
+        except np.linalg.LinAlgError:   # for eig_stack to retry or report
+            return super().pairs(ts)
+        del mats
+        z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), -1)
+        with np.errstate(all="ignore"):      # non-finite chunks fall back
+            y = np.reciprocal(self.d - z[..., None])  # row j: (D - z_j)^-1
+            c = np.ones(z.shape + (1,))
+            if k > 1:
+                a = (y @ np.einsum("bk,bl->bkl", w, w).reshape(len(w), -1))
+                a = a.reshape(*z.shape, k, k)
+                a *= -ia[..., None]
+                a += np.eye(k)
+                a[~np.isfinite(a)] = 0.0
+                c = np.linalg.svd(a)[2][..., -1, :].conj()
+            y *= c @ w.T
+            norm = np.sqrt(np.vecdot(y, y).real)[..., None]
+            y /= norm
+            r = (c / norm - ia * (y @ w)) @ w.T    # (H - z) x in the D basis
+        if not (np.vecdot(r, r).real <= (1e-8 * peaks[:, None]) ** 2).all():
+            del y, r
+            return super().pairs(ts)
+        return peaks.tolist(), z, (y @ self.q.T).swapaxes(1, 2)
 
 
 _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}
@@ -187,18 +241,13 @@ def _track(family, ts):
     row's argmax ignores row order); other steps go through _step."""
     prev = _frame_at(family, ts[0])
     yield prev
-    # four chunk-sized arrays are live at the peak, inside sort_pairs:
-    # LAPACK's vectors, their sorted copy and the two temporaries of its
-    # norm; the matrices before it and the previous chunk are released
+    # four chunk-sized arrays are live at the peak, inside family.pairs:
+    # LAPACK's vectors, their sort_pairs copy and the two temporaries of
+    # its norm; the matrices before it and the previous chunk are released
     size = max(1, _STACK_BYTES // (4 * prev.vectors.nbytes))
     for lo in range(1, len(ts), size):
         chunk = ts[lo:lo + size]
-        mats, hermitian = family.stack(chunk)
-        peaks = np.abs(mats).max(axis=(1, 2)).tolist()
-        pairs = linalg.eig_stack(mats, hermitian)
-        del mats
-        w, vr = linalg.sort_pairs(*pairs)
-        del pairs
+        peaks, w, vr = family.pairs(chunk)
         ov = np.concatenate([prev.vectors[None], vr[:-1]])
         ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
         cols, perm = ov.argmax(axis=2), np.arange(ov.shape[2])
@@ -453,13 +502,14 @@ def _newton_on_sq_gap(family, p, maxiter):
     dense eigensolver gives it to O(eps * scale^2).  The Jacobian is a
     central difference; a step that does not lower |F| is halved, up to
     30 times, and the iteration has converged once a full Newton step is
-    within 4 ulp of p.  Returns the point, its _pair_state, the step
-    estimate of EpLocation, the iteration count and whether Newton
-    stalled: a singular Jacobian, a non-finite step, or a line search
-    that found no lower |F|.
+    within 4 ulp of p; where full steps halve, as at the double root of a
+    crossing, the doubled step is tried first.  Returns the point, its
+    _pair_state, the step estimate of EpLocation, the iteration count and
+    whether Newton stalled: a singular Jacobian, a non-finite step, or a
+    line search that found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
-    state, step = _pair_state(family, p), 0.0
+    state, step, last = _pair_state(family, p), 0.0, np.inf
     for it in range(1, maxiter + 1):
         width = max(np.abs(p).max(), 1.0)
         h, ulps = 1e-7 * width, 4.0 * np.finfo(float).eps * width
@@ -471,11 +521,12 @@ def _newton_on_sq_gap(family, p, maxiter):
                                  [d[0].imag, d[1].imag]], [-f.real, -f.imag])
         except np.linalg.LinAlgError:
             return p, state, step, it, True
-        full, t = float(np.hypot(*s)), 1.0
+        full = float(np.hypot(*s))
         if not np.isfinite(full):
             return p, state, step, it, True
         if full <= ulps:
             return p, state, full, it, False
+        t, last = 2.0 if 0.4 <= full / last <= 0.6 else 1.0, full
         while True:
             trial = _pair_state(family, p + t * s)
             if abs(trial[1]) < abs(f):

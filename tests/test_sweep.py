@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, opensys, sweep, twolevel
-from nhspec.errors import MatchingAmbiguous, NoConvergence, SaddleRejected
+from nhspec.errors import (MatchingAmbiguous, NoConvergence, NonConvergence,
+                           SaddleRejected)
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
 
@@ -175,6 +176,22 @@ class TestLocateEp:
         assert abs(complex(loc.p1, loc.p2)) < 1e-12
         assert abs(loc.z0 - (0.5 + 0.1j)) < 1e-12
         assert loc.gap < 1e-10
+
+    def test_crossing_without_coalescence_in_few_eigensolves(self,
+                                                            monkeypatch):
+        # eps1 == eps2: the gap is linear in |omega|, so F = (z_i - z_j)^2
+        # has a double root at omega = 0 where plain Newton only halves
+        # its step; the doubled step takes it there in a few iterations
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(1) or eigvals(a))
+        model = twolevel.TwoLevelModel(eps1=0.5 + 0.1j, eps2=0.5 + 0.1j,
+                                       omega=0.3)
+        loc = sweep.locate_ep(model, seed=(0.3, 0.0), p1="omega_re",
+                              p2="omega_im")
+        assert abs(complex(loc.p1, loc.p2)) < 1e-12
+        assert len(calls) <= 40
 
     def test_generic_family_without_closed_form(self):
         # embedded two-level block with a spectator level; the coalescence
@@ -480,3 +497,133 @@ class TestBatchedTrack:
         assert any(not f.on_grid for f in chunked)
         assert_same_frames(chunked, whole)
         assert_same_frames(chunked, sequential_frames(fam, ts))
+
+
+# ---------------------------------------------------------------------------
+# the trapping pencil: eigenvalues alone from LAPACK, vectors in closed form
+
+def plain_trapping_values(h0, v, alphas):
+    """toy_trapping's values through the plain pencil and LAPACK vectors."""
+    v = v.reshape(len(h0), -1)
+    family = sweep._Pencil(h0, -1j * v @ v.T, linalg.COMPLEX_SYMMETRIC)
+    return np.array([f.values for f in sweep._track(family, alphas)
+                     if f.on_grid])
+
+
+def chain_with_collisions(seed):
+    # the trap fixture's chain: levels k - 10 shifted by up to 0.1 and
+    # couplings near 1; on 120 steps some steps collide in overlap
+    rng = np.random.default_rng(seed)
+    return (np.diag(np.arange(-10.0, 11.0) + rng.uniform(-0.1, 0.1, 21)),
+            rng.uniform(0.8, 1.2, 21), np.linspace(0.01, 5.0, 120))
+
+
+@st.composite
+def trapping_cases(draw):
+    """h0 diagonal, dense or with a repeated level; K = 1, 2 or 3 channels,
+    possibly one decoupled level; grids through alpha = 0, descending,
+    or the 120-step chain whose overlaps collide; and a chunk budget of
+    a few frames, so that a chunk holding alpha = 0 sits among others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = draw(st.sampled_from(["through_zero", "descending", "chain"]))
+    per_chunk = draw(st.sampled_from([None, 3, 8]))
+    if grid == "chain":
+        return (*chain_with_collisions(rng.integers(2 ** 32)), per_chunk)
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(max(4, k * k - 1), 12))   # K^2 > n: LAPACK vectors
+    kind = draw(st.sampled_from(["diagonal", "dense", "repeated"]))
+    h0 = np.diag(rng.uniform(-3.0, 3.0, n))
+    if kind == "dense":
+        h0 = h0 + 0.5 * (lambda c: c + c.T)(rng.standard_normal((n, n)))
+    elif kind == "repeated":
+        h0[1, 1] = h0[0, 0]
+    v = rng.uniform(-1.5, 1.5, (n, k))
+    if draw(st.booleans()):
+        v[draw(st.integers(0, n - 1))] = 0.0
+    steps = draw(st.integers(3, 40))
+    if grid == "descending":
+        alphas = np.linspace(draw(st.floats(0.5, 5.0)), 0.0, steps)
+    else:
+        alphas = np.concatenate([np.linspace(1.0, 0.0, steps),
+                                 np.linspace(0.0, 4.0, steps)[1:]])
+    return h0, v, alphas, per_chunk
+
+
+class TestSecularPencil:
+    @settings(max_examples=60)
+    @given(trapping_cases())
+    def test_values_bit_for_bit(self, case):
+        h0, v, alphas, per_chunk = case
+        budget = sweep._STACK_BYTES
+        try:
+            if per_chunk:
+                sweep._STACK_BYTES = per_chunk * 4 * h0.size * 16
+            got = opensys.toy_trapping(h0, v, alphas).values
+        finally:
+            sweep._STACK_BYTES = budget
+        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+
+    def test_colliding_chain_bit_for_bit(self, monkeypatch):
+        h0, v, alphas = chain_with_collisions(0)
+        collided = []
+        step = sweep._step
+
+        def spy(family, f0, f1, perm=None, depth=0):
+            collided.append(perm is None and depth == 0)
+            return step(family, f0, f1, perm, depth)
+
+        monkeypatch.setattr(sweep, "_step", spy)
+        got = opensys.toy_trapping(h0, v, alphas).values
+        assert any(collided)
+        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+
+    def test_one_eigendecomposition_with_vectors(self, monkeypatch):
+        # a clean grid takes LAPACK vectors for its first frame only
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(a.shape) or eig(a))
+        h0, v, _ = chain_with_collisions(2)
+        opensys.toy_trapping(h0, v, np.linspace(0.01, 5.0, 300))
+        assert calls == [(1, 21, 21)]
+
+    def test_decoupled_level_takes_lapack_vectors(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(len(a)) or eig(a))
+        h0, v, alphas = chain_with_collisions(2)
+        v[4] = 0.0
+        got = opensys.toy_trapping(h0, v, alphas).values
+        assert sum(calls) == len(alphas)
+        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_chunk_peak_within_budget(self, monkeypatch, channels):
+        # as for sweeps; with K^2 = n the K x K systems weigh as much as
+        # the vectors
+        monkeypatch.setattr(sweep, "_STACK_BYTES", 32 * 4 * 256 * 16)
+        rng = np.random.default_rng(3)
+        fam = sweep._SecularPencil(np.diag(rng.uniform(-3.0, 3.0, 16)),
+                                   rng.uniform(-1.0, 1.0, (16, channels)))
+        tracemalloc.start()
+        try:
+            for _ in sweep._track(fam, np.linspace(0.01, 2.0, 400)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sweep._STACK_BYTES
+
+    def test_eigenvalue_failure_retried_with_vectors(self, monkeypatch):
+        h0, v, alphas = chain_with_collisions(1)
+        want = plain_trapping_values(h0, v, alphas)
+
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        assert same_bits(opensys.toy_trapping(h0, v, alphas).values, want)
+        monkeypatch.setattr(np.linalg, "eig", no_convergence)
+        with pytest.raises(NonConvergence, match="did not converge"):
+            opensys.toy_trapping(h0, v, alphas)
