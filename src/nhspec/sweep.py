@@ -78,13 +78,11 @@ class _Pencil(MatrixFamily):
 
 
 class _SecularPencil(_Pencil):
-    """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)) with LAPACK's
-    eigenvalues alone and each vector in closed form: Q (D - z)^-1 W c for
-    H0 = Q D Q^T, W = Q^T V and c a null vector of I - i t W^T (D - z)^-1 W
-    (the secular equation of Sokolov and Zelevinsky).  A chunk where one
-    is not finite (z on a level of D) or leaves |(H - z) x| / |x| above
-    1e-8 of the largest entry takes LAPACK's vectors; zgeev gives the
-    same eigenvalue bits with or without them."""
+    """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)).  For K = 1,
+    n <= 75 (zhseqr's unblocked path, same eigenvalue bits with no vectors)
+    LAPACK gives eigenvalues alone, each vector x = Q (D - z)^-1 W for
+    H0 = Q D Q^T, W = Q^T V (Sokolov-Zelevinsky); chunks where x is not finite
+    (z on a level of D) or |(H - z) x| > 1e-8 max|H| |x| take LAPACK's."""
 
     def __init__(self, h0, v):
         super().__init__(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
@@ -92,8 +90,7 @@ class _SecularPencil(_Pencil):
         self.w = self.q.T @ v
 
     def pairs(self, ts):
-        w, k, ia = self.w, self.w.shape[1], 1j * np.asarray(ts)[:, None, None]
-        if k * k > len(w):      # the K x K systems would outweigh the vectors
+        if self.w.shape[1] > 1 or len(self.w) > 75:
             return super().pairs(ts)
         mats, _ = self.stack(ts)
         peaks = np.abs(mats).max(axis=(1, 2))
@@ -103,22 +100,15 @@ class _SecularPencil(_Pencil):
             return super().pairs(ts)
         del mats
         z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), -1)
+        w = self.w[:, 0]
         with np.errstate(all="ignore"):      # non-finite chunks fall back
-            y = np.reciprocal(self.d - z[..., None])  # row j: (D - z_j)^-1
-            c = np.ones(z.shape + (1,))
-            if k > 1:
-                a = (y @ np.einsum("bk,bl->bkl", w, w).reshape(len(w), -1))
-                a = a.reshape(*z.shape, k, k)
-                a *= -ia[..., None]
-                a += np.eye(k)
-                a[~np.isfinite(a)] = 0.0
-                c = np.linalg.svd(a)[2][..., -1, :].conj()
-            y *= c @ w.T
-            norm = np.sqrt(np.vecdot(y, y).real)[..., None]
-            y /= norm
-            r = (c / norm - ia * (y @ w)) @ w.T    # (H - z) x in the D basis
-        if not (np.vecdot(r, r).real <= (1e-8 * peaks[:, None]) ** 2).all():
-            del y, r
+            y = w / (self.d - z[..., None])  # row j: (D - z_j)^-1 W
+            norm = np.sqrt((y.real ** 2 + y.imag ** 2).sum(-1))
+            y /= norm[..., None]
+            # (H - z) x = W (1 / norm - i t W^T x) in the D basis
+            r = np.abs(1 / norm - 1j * np.asarray(ts)[:, None] * (y @ w))
+        if not (r * np.linalg.norm(w) <= 1e-8 * peaks[:, None]).all():
+            del y
             return super().pairs(ts)
         return peaks.tolist(), z, (y @ self.q.T).swapaxes(1, 2)
 

@@ -530,7 +530,7 @@ def trapping_cases(draw):
     if grid == "chain":
         return (*chain_with_collisions(rng.integers(2 ** 32)), per_chunk)
     k = draw(st.integers(1, 3))
-    n = draw(st.integers(max(4, k * k - 1), 12))   # K^2 > n: LAPACK vectors
+    n = draw(st.integers(4, 12))
     kind = draw(st.sampled_from(["diagonal", "dense", "repeated"]))
     h0 = np.diag(rng.uniform(-3.0, 3.0, n))
     if kind == "dense":
@@ -587,6 +587,22 @@ class TestSecularPencil:
         opensys.toy_trapping(h0, v, np.linspace(0.01, 5.0, 300))
         assert calls == [(1, 21, 21)]
 
+    @pytest.mark.parametrize("n, closed_form", [(75, True), (80, False)])
+    def test_blocked_lapack_sizes_take_lapack_vectors(self, monkeypatch, n,
+                                                      closed_form):
+        # above n = 75 zhseqr's blocked QR gives other eigenvalue bits when
+        # it is not asked for vectors, so those sizes keep LAPACK's vectors
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(len(a)) or eigvals(a))
+        rng = np.random.default_rng(n)
+        h0 = np.diag(np.arange(n) - n / 2 + rng.uniform(-0.1, 0.1, n))
+        v, alphas = rng.uniform(0.8, 1.2, n), np.linspace(0.01, 5.0, 30)
+        got = opensys.toy_trapping(h0, v, alphas).values
+        assert bool(calls) == closed_form
+        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+
     def test_decoupled_level_takes_lapack_vectors(self, monkeypatch):
         calls = []
         eig = np.linalg.eig
@@ -600,8 +616,7 @@ class TestSecularPencil:
 
     @pytest.mark.parametrize("channels", [1, 4])
     def test_chunk_peak_within_budget(self, monkeypatch, channels):
-        # as for sweeps; with K^2 = n the K x K systems weigh as much as
-        # the vectors
+        # as for sweeps, with closed-form vectors (K = 1) and LAPACK's
         monkeypatch.setattr(sweep, "_STACK_BYTES", 32 * 4 * 256 * 16)
         rng = np.random.default_rng(3)
         fam = sweep._SecularPencil(np.diag(rng.uniform(-3.0, 3.0, 16)),
