@@ -159,6 +159,8 @@ def _linspace_block(rec, where):
                           where))
     if points < 2:
         _fail(f"{where} needs at least 2 points")
+    if start == stop:
+        _fail(f"{where} needs start != stop")
     return np.linspace(start, stop, points)
 
 

@@ -83,7 +83,6 @@ class EigenSystem:
     norms_A: np.ndarray | None = None
     rigidity_r: np.ndarray | None = None
     ep_flag: np.ndarray = field(default=None)
-    jordan_vectors: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.ep_flag is None:
@@ -261,7 +260,8 @@ def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
 
     Records A_k = <phi_k|phi_k> (conjugated norm) and the phase rigidity
     r_k = 1/A_k.  Vectors whose c-norm vanishes before scaling are
-    flagged; their A is divergent and Jordan data is attached instead.
+    flagged, with A = inf and r = 0; linalg.jordan_chain gives their
+    Jordan pair.
     Requires a complex-symmetric source matrix.
     """
     if sys.matrix.symmetry_hint not in (COMPLEX_SYMMETRIC, HERMITIAN):
@@ -272,7 +272,6 @@ def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
     norms = np.empty(n)
     rigid = np.empty(n)
     flags = np.zeros(n, dtype=bool)
-    jordan = {}
     for k in range(n):
         v = vr[:, k]
         v = v / np.linalg.norm(v)
@@ -283,10 +282,6 @@ def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
             rigid[k] = 0.0
             vr[:, k] = v
             vl[k] = v
-            try:
-                jordan[k] = jordan_chain(sys.matrix, sys.values[k])
-            except NotDefective:
-                pass
             continue
         u = v / np.sqrt(c)
         prev_vec = None
@@ -298,7 +293,7 @@ def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
         norms[k] = (u.conj() @ u).real
         rigid[k] = 1.0 / norms[k]
     return replace(sys, right_vectors=vr, left_vectors=vl, norms_A=norms,
-                   rigidity_r=rigid, ep_flag=flags, jordan_vectors=jordan)
+                   rigidity_r=rigid, ep_flag=flags)
 
 
 def overlap_B(sys, k, l):

@@ -436,6 +436,9 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     alphas = np.asarray(alphas, float)
     if (alphas < 0).any():
         raise ValueError("alpha grid must be non-negative")
+    dal = np.diff(alphas)
+    if not ((dal > 0).all() or (dal < 0).all()):
+        raise ValueError("alpha grid must be strictly monotone")
     frames = sweep._track(sweep._SecularPencil(h0, v), alphas)
     values = np.array([f.values for f in frames if f.on_grid])
 
@@ -443,7 +446,6 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     gamma0 = widths.max(axis=1)
     order = gamma0 / n
 
-    dal = np.diff(alphas)
     deriv = np.diff(gamma0) / dal
     if len(deriv) >= 2:
         jumps = np.abs(np.diff(deriv))

@@ -15,11 +15,10 @@ from .errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
 @dataclass
 class SMatrixModel:
-    """Resonance poles z_k with channel couplings and an optional background."""
+    """Resonance poles z_k with their channel couplings."""
 
     poles: np.ndarray           # (K,)
     couplings: np.ndarray       # (K, C)
-    background: np.ndarray = None    # (C, C), subtracted smooth term
     energy_grid: np.ndarray = None
 
     def __post_init__(self):
@@ -29,8 +28,6 @@ class SMatrixModel:
             raise ValueError("one coupling row per pole required")
         if (self.poles.imag > 0).any():
             raise ValueError("resonance poles must lie in Im z <= 0")
-        if self.background is not None:
-            self.background = np.asarray(self.background, complex)
         if self.energy_grid is not None:
             self.energy_grid = np.asarray(self.energy_grid, float)
 
@@ -54,7 +51,7 @@ class SMatrixModel:
 
 
 def s_matrix_polesum(m, energy):
-    """S(E) = 1 - i sum_k gamma_k^c gamma_k^c' / (E - z_k) - background.
+    """S(E) = 1 - i sum_k gamma_k^c gamma_k^c' / (E - z_k).
 
     Raises PoleOnRealAxis only on an exact hit E == z_k (a zero-width pole).
     """
@@ -65,10 +62,8 @@ def s_matrix_polesum(m, energy):
             energy=float(energy))
     c = m.n_channels
     s = np.eye(c, dtype=complex)
-    s = s - 1j * np.einsum("kc,kd,k->cd", m.couplings, m.couplings, 1.0 / denom)
-    if m.background is not None:
-        s = s - m.background
-    return s
+    return s - 1j * np.einsum("kc,kd,k->cd", m.couplings, m.couplings,
+                              1.0 / denom)
 
 
 def _s_diag(m, energies, channel):
@@ -79,8 +74,7 @@ def _s_diag(m, energies, channel):
         raise PoleOnRealAxis("requested energy coincides with a zero-width "
                              "pole", energy=float(energies[hit][0]))
     g = m.couplings[:, channel]
-    s = 1.0 - 1j * np.einsum("k,k,ek->e", g, g, 1.0 / denom)
-    return s if m.background is None else s - m.background[channel, channel]
+    return 1.0 - 1j * np.einsum("k,k,ek->e", g, g, 1.0 / denom)
 
 
 def s_matrix_resolvent(h_b, gamma_hat, energy):

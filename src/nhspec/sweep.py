@@ -294,21 +294,20 @@ class SweepResult:
     vectors: list = field(default_factory=list, repr=False)
 
 
-def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None):
+def sweep(spec):
     """Sweep a model parameter, continuing eigenpairs by overlap matching.
 
     Events: sign changes of the energy (width) differences, interior
     local minima of the energy gap staying above tolerance, full complex
     gaps below the coalescence tolerance, and vanishing widths inside
-    the coupling window when the family declares one.
+    the coupling window when the family declares one.  The tolerances are
+    the DEFAULT_* constants times the largest matrix entry over the sweep
+    (at least 1), or times the largest width for vanishing widths.
     """
     family = spec.model if isinstance(spec.model, MatrixFamily) \
         else make_family(spec.model, spec.parameter)
     frames = list(_track(family, np.linspace(spec.start, spec.stop,
                                              spec.steps)))
-    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
-    gap_tol = DEFAULT_GAP_TOL * scale if gap_tol is None else gap_tol
-    ep_gap_tol = DEFAULT_EP_GAP_TOL * scale if ep_gap_tol is None else ep_gap_tol
 
     params = np.array([f.t for f in frames])
     values = np.array([f.values for f in frames])        # (T, n)
@@ -326,11 +325,11 @@ def sweep(spec, gap_tol=None, ep_gap_tol=None, bic_tol=None):
                      rigidity_r=r[k], min_gap=float(gaps[k]))
             for k, t in enumerate(params)]
 
-    if bic_tol is None:
-        max_width = max(-2.0 * values.imag.min(), 0.0)
-        bic_tol = DEFAULT_BIC_TOL * max(max_width, 1e-300)
-    events = _detect_events(params, values, family.window, gap_tol,
-                            ep_gap_tol, bic_tol)
+    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
+    max_width = max(-2.0 * values.imag.min(), 0.0)
+    events = _detect_events(params, values, family.window,
+                            DEFAULT_GAP_TOL * scale, DEFAULT_EP_GAP_TOL * scale,
+                            DEFAULT_BIC_TOL * max(max_width, 1e-300))
     return SweepResult(rows=rows, events=events, vectors=vectors)
 
 
@@ -562,11 +561,6 @@ class CycleReport:
     contour: list = field(default_factory=list, repr=False)
 
 
-def make_omega_family(model):
-    """Family over complex coupling for contour transport."""
-    return make_family(model, "omega")
-
-
 def encircle(spec, family):
     """Transport the eigenframe around a closed contour in the coupling plane.
 
@@ -576,7 +570,7 @@ def encircle(spec, family):
     +/-i, -1, -/+i, +1 pattern (restored after four).
     """
     if not isinstance(family, MatrixFamily):
-        family = make_omega_family(family)
+        family = make_family(family, "omega")
     steps = spec.steps_per_cycle
     total = steps * spec.cycles
 

@@ -213,48 +213,50 @@ class CrossingClassification:
     min_gap: float
 
 
-def _min_gap_over_a(model, a_grid, width_scale):
-    """Minimum over a of the full complex eigenvalue gap 2|Z|."""
-    from scipy.optimize import minimize_scalar
-
-    gaps = np.array([abs(2.0 * eigenvalues(model.model_at(a, width_scale))[2])
-                     for a in a_grid])
-    i = int(np.argmin(gaps))
-    lo = a_grid[max(i - 1, 0)]
-    hi = a_grid[min(i + 1, len(a_grid) - 1)]
-    if lo == hi:
-        return gaps[i]
-    res = minimize_scalar(
-        lambda a: abs(2.0 * eigenvalues(model.model_at(a, width_scale))[2]),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13 * max(abs(hi - lo), 1.0)})
-    return min(float(res.fun), float(gaps[i]))
+# |gamma1_0 - gamma1_cr| within this fraction of the model's scale is an EP
+_EP_REL_TOL = 1e-6
 
 
-def find_critical_width(model, a_grid, tol=1e-10):
-    """Width gamma1 (scaling both widths proportionally) where the min gap closes.
+def _min_gap(m, a_lo, a_hi):
+    """Exact minimum of the gap 2|Z| at width scale 1 over a in [a_lo, a_hi].
 
-    Bracketing bisection-style minimization of the minimum spectral gap
-    over a, as a function of the common width scale.
+    With x = e1(a) - e2(a) and p, q = i(dgamma/2 +/- 2 omega), (2Z)^2 =
+    (x - p)(x - q).  |x - p|^2 |x - q|^2 is a quartic in x, so the minimum
+    sits at an end of the x-range or at a real root of its derivative.
     """
-    from scipy.optimize import minimize_scalar
+    ends = m.e1_0 - m.e2_0 + (m.e1_slope - m.e2_slope) * np.array([a_lo, a_hi])
+    half = 0.5 * (m.gamma1_0 - m.gamma2_0)
+    p, q = 1j * (half + 2.0 * m.omega), 1j * (half - 2.0 * m.omega)
+    quartic = np.polymul([1.0, -2.0 * p.real, abs(p) ** 2],
+                         [1.0, -2.0 * q.real, abs(q) ** 2])
+    x = np.clip(np.roots(np.polyder(quartic)).real, ends.min(), ends.max())
+    x = np.append(x, ends)
+    return float(np.sqrt(np.abs(x - p) * np.abs(x - q)).min())
 
-    if model.gamma1_0 <= 0.0:
+
+def find_critical_width(model, a_grid):
+    """Width gamma1, both widths scaled by one s >= 0, where the pair coalesces.
+
+    The EP condition eps1 - eps2 = 2i sigma omega (sigma = +/-1) fixes a by
+    its real part, e1(a) - e2(a) = -2 sigma Im omega, and s by its
+    imaginary part, s (gamma1_0 - gamma2_0) = -4 sigma Re omega; sigma is
+    the sign that gives s >= 0.  Returns s * gamma1_0, or None when
+    gamma1_0 <= 0; when gamma1_0 == gamma2_0, so that no s fixes the
+    imaginary part; or when that a lies outside the a grid.
+    """
+    dgamma = model.gamma1_0 - model.gamma2_0
+    if model.gamma1_0 <= 0.0 or dgamma == 0.0:
         return None
-    s_hi = max(1.0, 8.0 * abs(model.omega) / model.gamma1_0)
-    # expand until the gap at the upper end is increasing with s
-    for _ in range(60):
-        if (_min_gap_over_a(model, a_grid, s_hi)
-                > _min_gap_over_a(model, a_grid, 0.75 * s_hi)):
-            break
-        s_hi *= 2.0
-    res = minimize_scalar(lambda s: _min_gap_over_a(model, a_grid, s),
-                          bounds=(0.0, s_hi), method="bounded",
-                          options={"xatol": tol / max(model.gamma1_0, 1e-300)})
-    return float(res.x) * model.gamma1_0
+    w = complex(model.omega)
+    for sigma in (1.0, -1.0):
+        s = -sigma * 4.0 * w.real / dgamma
+        a = model.a_cr - sigma * 2.0 * w.imag / (model.e1_slope - model.e2_slope)
+        if s >= 0.0 and np.min(a_grid) <= a <= np.max(a_grid):
+            return s * model.gamma1_0
+    return None
 
 
-def classify_crossing(m, a_grid, rel_tol=1e-6):
+def classify_crossing(m, a_grid):
     """Classify the crossing regime of the avoided-crossing model.
 
     free_crossing: energies cross at a_cr while the widths stay apart
@@ -266,13 +268,12 @@ def classify_crossing(m, a_grid, rel_tol=1e-6):
     a_cr = m.a_cr
     if not (a_grid.min() < a_cr < a_grid.max()):
         raise GridTooCoarse("a grid does not bracket the level crossing")
+    min_gap = _min_gap(m, a_grid.min(), a_grid.max())
     if m.gamma1_0 == 0.0 and m.gamma2_0 == 0.0:
-        return CrossingClassification(DISCRETE_AVOIDED, None,
-                                      _min_gap_over_a(m, a_grid, 1.0))
+        return CrossingClassification(DISCRETE_AVOIDED, None, min_gap)
     gamma1_cr = find_critical_width(m, a_grid)
-    min_gap = _min_gap_over_a(m, a_grid, 1.0)
     scale = max(abs(m.omega), m.gamma1_0, m.gamma2_0, 1e-300)
-    if gamma1_cr is not None and abs(m.gamma1_0 - gamma1_cr) <= rel_tol * scale:
+    if gamma1_cr is not None and abs(m.gamma1_0 - gamma1_cr) <= _EP_REL_TOL * scale:
         kind = EXCEPTIONAL_POINT
     elif gamma1_cr is not None and m.gamma1_0 > gamma1_cr:
         kind = FREE_CROSSING

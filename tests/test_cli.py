@@ -269,6 +269,22 @@ class TestExitCodes:
         assert run("heff", "--model", str(DATA / "open_system.json"),
                    "--out", str(tmp_path), "--pv-grid", "100") == 2
 
+    @pytest.mark.parametrize("command,model,block", [
+        ("trap", "trapping_chain.json", "alphas"),
+        ("scatter", "bic_pair.json", "grid")])
+    def test_grid_without_extent_is_input_error(self, tmp_path, capsys,
+                                                command, model, block):
+        # start == stop repeats one point: trap would fit over identical
+        # alphas, so the grid block is rejected before any numerics
+        doc = json.loads((DATA / model).read_text())
+        doc[block]["start"] = doc[block]["stop"] = 0.5
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert run(command, "--model", str(bad),
+                   "--out", str(tmp_path / "out")) == 2
+        assert "start != stop" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_eigensolver_failure_is_exit_3(self, tmp_path, monkeypatch,
                                           capsys):
         def no_convergence(a):
@@ -345,8 +361,9 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# cold start: only minimize_scalar (twolevel.find_critical_width) needs
-# scipy.optimize, and nothing outside the tests needs mpmath
+# cold start: no code outside the tests imports scipy or mpmath, neither
+# the fixture commands nor the crossing classification (whose critical
+# width is in closed form)
 
 SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
               ("trap", "trapping_chain.json"),
@@ -354,16 +371,28 @@ SCIPY_FREE = [("scatter", "bic_pair.json"), ("heff", "open_system.json"),
               ("locate", "two_level_sweep.json"),
               ("encircle", "two_level_sweep.json")]
 
+# the widths of the four classification tests in tests/test_twolevel.py
+CROSSINGS = [(0.0, 0.0), (4.0, 0.5), (0.4, 0.05),
+             (4 * 0.3 * 0.4 / 0.35, 4 * 0.3 * 0.05 / 0.35)]
+
 
 def test_commands_without_optimizer_leave_scipy_unloaded(tmp_path):
     script = f"""
 import sys
+import numpy as np
 import nhspec.cli
-print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+from nhspec import twolevel
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+print(scipy_loaded())
 for command, model in {SCIPY_FREE!r}:
     rc = nhspec.cli.main([command, "--model", {str(DATA)!r} + "/" + model,
                           "--out", {str(tmp_path)!r} + "/" + command])
-    print(command, rc, "scipy.optimize" in sys.modules)
+    print(command, rc, scipy_loaded())
+for g1, g2 in {CROSSINGS!r}:
+    m = twolevel.AvoidedCrossingModel(-1.0, 1.0, 1.0, -1.0, g1, g2, 0.3)
+    print(twolevel.classify_crossing(m, np.linspace(0.0, 2.0, 41)).kind,
+          scipy_loaded())
 print("mpmath" in sys.modules)
 """
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -371,5 +400,8 @@ print("mpmath" in sys.modules)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
     assert out[0] == "False"
-    assert out[1:-2] == [f"{c} 0 False" for c, _ in SCIPY_FREE]
+    assert out[1:7] == [f"{c} 0 False" for c, _ in SCIPY_FREE]
+    assert out[7:11] == [f"{kind} False" for kind in (
+        "discrete_avoided", "free_crossing", "avoided_crossing",
+        "exceptional_point")]
     assert out[-2] == "False"

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nhspec import cli, linalg, opensys
 from nhspec.errors import EOutsideWindow, ETooCloseToThreshold
+
+from conftest import random_complex_symmetric
 
 DATA = Path(__file__).parent / "data"
 
@@ -422,6 +424,30 @@ class TestMixing:
             opensys.mixing_coefficients([fake_state(0.0, [1.0])],
                                         basis="nope")
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           log_distance=st.floats(-8.0, 0.0))
+    def test_sum_rule_away_from_coalescence(self, seed, n, log_distance):
+        # random complex-symmetric H moved toward a matrix with an EP in its
+        # leading 2x2 block; H_B = Re H spans the bound basis
+        rng = np.random.default_rng(seed)
+        ep = np.diag(np.arange(n, dtype=complex))
+        ep[:2, :2] = [[1.0, 1j], [1j, -1.0]]
+        t = 1.0 - 10.0 ** log_distance
+        h = (1.0 - t) * random_complex_symmetric(rng, n) + t * ep
+        sys = linalg.c_normalize(linalg.eig(
+            linalg.ComplexMatrix(h, linalg.COMPLEX_SYMMETRIC)))
+        assume(not sys.ep_flag.any() and sys.rigidity_r.min() >= 1e-3)
+        states = [fake_state(complex(z), phi)
+                  for z, phi in zip(sys.values, sys.right_vectors.T)]
+        model = opensys.OpenSystemModel(
+            e_b=np.zeros(n), coupling=opensys.ConstantCoupling(np.zeros((n, 1))),
+            window=(-10.0, 10.0), v_direct=h.real)
+        for basis in (opensys.UNPERTURBED_BASIS, opensys.BOUND_BASIS):
+            res = opensys.mixing_coefficients(states, basis=basis, model=model)
+            assert not res.flagged.any()
+            assert res.sum_rule_residual <= 1e-10
+
     def test_cap_flags_large_entries(self):
         states = [fake_state(0.0 - 0.1j, [3.0, 4.0]),
                   fake_state(0.2 - 0.1j, [4.0, -3.0])]
@@ -509,3 +535,10 @@ class TestToyTrapping:
         with pytest.raises(ValueError):
             opensys.toy_trapping(np.diag([1.0, 2.0]), np.eye(2),
                                  np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("alphas", [[0.1, 0.1, 0.2, 0.3],
+                                        [0.5, 0.5, 0.5], [0.1, 0.3, 0.2]])
+    def test_grid_must_be_strictly_monotone(self, alphas):
+        h0, v = self.chain(5)
+        with pytest.raises(ValueError, match="strictly monotone"):
+            opensys.toy_trapping(h0, v, np.array(alphas))

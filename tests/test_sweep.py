@@ -350,7 +350,7 @@ class TestPencil:
                                           theta):
         # encircle moves omega on c + r exp(i theta) through the same pencil
         model = twolevel.TwoLevelModel(eps1, eps2, 0.5j)
-        omega = sweep.make_omega_family(model)
+        omega = sweep.make_family(model, "omega")
 
         def point(th):
             return center + radius * np.exp(1j * th)
@@ -368,7 +368,7 @@ class TestPencil:
         h0 = np.diag(rng.uniform(-10.0, 10.0, n))
         h0[0, -1] = h0[-1, 0] = rng.uniform(-1.0, 1.0)
         v = rng.uniform(-1.5, 1.5, n)
-        alphas = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 5)])
+        alphas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, 5))])
         seen = []
         track = sweep._track
         try:
@@ -521,11 +521,12 @@ def chain_with_collisions(seed):
 @st.composite
 def trapping_cases(draw):
     """h0 diagonal, dense or with a repeated level; K = 1, 2 or 3 channels,
-    possibly one decoupled level; grids through alpha = 0, descending,
-    or the 120-step chain whose overlaps collide; and a chunk budget of
-    a few frames, so that a chunk holding alpha = 0 sits among others."""
+    possibly one decoupled level; grids ascending from alpha = 0 or
+    descending to it (toy_trapping takes strictly monotone grids only), or
+    the 120-step chain whose overlaps collide; and a chunk budget of a few
+    frames, so that a chunk holding alpha = 0 holds others too."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    grid = draw(st.sampled_from(["through_zero", "descending", "chain"]))
+    grid = draw(st.sampled_from(["ascending", "descending", "chain"]))
     per_chunk = draw(st.sampled_from([None, 3, 8]))
     if grid == "chain":
         return (*chain_with_collisions(rng.integers(2 ** 32)), per_chunk)
@@ -544,8 +545,7 @@ def trapping_cases(draw):
     if grid == "descending":
         alphas = np.linspace(draw(st.floats(0.5, 5.0)), 0.0, steps)
     else:
-        alphas = np.concatenate([np.linspace(1.0, 0.0, steps),
-                                 np.linspace(0.0, 4.0, steps)[1:]])
+        alphas = np.linspace(0.0, 4.0, steps)
     return h0, v, alphas, per_chunk
 
 

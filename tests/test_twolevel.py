@@ -152,7 +152,7 @@ class TestClassifyCrossing:
         # both widths scale together, so the critical point sits where
         # |gamma1 - gamma2| = 4 |omega| along the ray (gamma1, gamma2)
         gamma1_cr = 4 * 0.3 * 4.0 / 3.5
-        assert abs(c.gamma1_cr - gamma1_cr) < 1e-6 * gamma1_cr
+        assert abs(c.gamma1_cr - gamma1_cr) < 1e-14 * gamma1_cr
 
     def test_avoided_crossing(self):
         m = twolevel.AvoidedCrossingModel(gamma1_0=0.4, gamma2_0=0.05,
@@ -170,6 +170,97 @@ class TestClassifyCrossing:
                                           omega=0.3, **AC_KW)
         c = twolevel.classify_crossing(m, self.a_grid)
         assert c.kind == "exceptional_point"
+
+
+@st.composite
+def crossing_models(draw):
+    """Avoided-crossing models with real or complex coupling, and an a range
+    that brackets the level crossing."""
+    unit = st.floats(-2.0, 2.0)
+    slopes = draw(st.tuples(unit, unit).filter(lambda s: abs(s[0] - s[1]) > 0.1))
+    omega = complex(draw(unit), draw(st.sampled_from([0.0, 1.0])) * draw(unit))
+    m = twolevel.AvoidedCrossingModel(
+        e1_0=draw(unit), e1_slope=slopes[0], e2_0=draw(unit),
+        e2_slope=slopes[1], gamma1_0=draw(st.floats(0.01, 4.0)),
+        gamma2_0=draw(st.floats(0.0, 4.0)), omega=omega)
+    lo, hi = draw(st.floats(0.01, 3.0)), draw(st.floats(0.01, 3.0))
+    return m, np.array([m.a_cr - lo, m.a_cr + hi])
+
+
+def dense_sq_gap(m, lo, hi, points=101, levels=8):
+    """Minimum of |2Z|^2 over [lo, hi] at width scale 1 by nested dense
+    sampling: each level resamples the brackets of the previous level's
+    three lowest local minima, so the last spacing is about 1e-14 (hi - lo)."""
+    def sq_gap(a):
+        return abs(2.0 * twolevel.eigenvalues(m.model_at(a))[2]) ** 2
+
+    best, brackets = np.inf, [(lo, hi)]
+    for _ in range(levels):
+        found = []
+        for left, right in brackets:
+            a = np.linspace(left, right, points)
+            g = np.array([sq_gap(x) for x in a])
+            best = min(best, g.min())
+            padded = np.concatenate([[np.inf], g, [np.inf]])
+            minima = np.flatnonzero((g <= padded[:-2]) & (g <= padded[2:]))
+            found += [(g[i], a[max(i - 1, 0)], a[min(i + 1, points - 1)])
+                      for i in minima]
+        brackets = [(left, right) for _, left, right in sorted(found)[:3]]
+    return best
+
+
+class TestCriticalWidthClosedForm:
+    @settings(max_examples=60)
+    @given(crossing_models())
+    def test_returned_width_is_an_ep(self, case):
+        m, a_grid = case
+        gamma1_cr = twolevel.find_critical_width(m, a_grid)
+        dgamma = m.gamma1_0 - m.gamma2_0
+        residuals = []
+        for sigma in (1.0, -1.0):
+            # eps1 - eps2 = 2i sigma omega: its real part fixes a
+            a = m.a_cr - sigma * 2.0 * m.omega.imag / (m.e1_slope - m.e2_slope)
+            if gamma1_cr is None:
+                assert dgamma == 0.0 or not (
+                    -sigma * m.omega.real / dgamma >= 0.0
+                    and a_grid[0] <= a <= a_grid[1])
+                continue
+            at = m.model_at(a, gamma1_cr / m.gamma1_0)
+            _, _, z = twolevel.eigenvalues(at)
+            # |Z| is the square root of a cancellation, about sqrt(eps) *
+            # scale at an exact EP of rounded entries; the EP condition is
+            # linear in the entries and holds to rounding
+            residuals.append((abs(at.eps1 - at.eps2 - 2j * sigma * at.omega)
+                              / at.scale, abs(z) ** 2 / at.scale ** 2))
+        if gamma1_cr is not None:
+            assert gamma1_cr >= 0.0
+            assert max(min(residuals)) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(crossing_models())
+    def test_min_gap_is_the_minimum_over_a(self, case):
+        m, (lo, hi) = case
+        got = twolevel.classify_crossing(m, np.array([lo, hi])).min_gap
+        scale = max(m.model_at(lo).scale, m.model_at(hi).scale)
+        # compared as |2Z|^2, which is smooth in a even where the gap
+        # closes; there |2Z| has a square-root cusp no sampling resolves
+        dense = dense_sq_gap(m, lo, hi)
+        assert got ** 2 <= dense + 1e-14 * scale ** 2
+        assert dense - got ** 2 <= 1e-12 * scale ** 2
+
+    def test_none_cases(self):
+        kw = dict(AC_KW, omega=0.3)
+        grid = np.linspace(0.0, 2.0, 41)
+        assert twolevel.find_critical_width(twolevel.AvoidedCrossingModel(
+            gamma1_0=0.0, gamma2_0=0.5, **kw), grid) is None
+        assert twolevel.find_critical_width(twolevel.AvoidedCrossingModel(
+            gamma1_0=0.5, gamma2_0=0.5, **kw), grid) is None
+        # e1 - e2 = -2 sigma Im omega puts the EP at a = 1 - sigma, and
+        # s >= 0 takes sigma = -1 here: a = 2 lies off a grid around a_cr = 1
+        off = dict(AC_KW, omega=0.3 + 1.0j)
+        m = twolevel.AvoidedCrossingModel(gamma1_0=1.0, gamma2_0=0.5, **off)
+        assert twolevel.find_critical_width(m, [0.8, 1.2]) is None
+        assert twolevel.find_critical_width(m, [0.0, 3.0]) == 4 * 0.3 / 0.5
 
 
 class TestDeltaDiagnostic:
