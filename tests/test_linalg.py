@@ -323,3 +323,20 @@ def twolevel_gap_point(gap):
     z = 0.5 * gap
     omega = 1j * np.sqrt(1.0 - z * z)
     return np.array([[1.0, omega], [omega, -1.0]])
+
+
+class TestHypothesisDraws:
+    def test_local_constant_pool_is_empty(self):
+        # conftest empties the pool of src/ literals hypothesis draws from,
+        # so a constant changed in the library redraws no property test
+        import importlib
+        import pkgutil
+
+        import nhspec
+        providers = pytest.importorskip(
+            "hypothesis.internal.conjecture.providers")
+        if not hasattr(providers, "_get_local_constants"):
+            pytest.skip("this hypothesis draws no local constants")
+        for info in pkgutil.iter_modules(nhspec.__path__):
+            importlib.import_module(f"nhspec.{info.name}")
+        assert len(providers._get_local_constants()) == 0
