@@ -261,7 +261,7 @@ def write_trajectory_svg(path, params, values):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _model_for_sweep(doc, pv_grid=None):
+def _model_for_sweep(doc):
     kind = doc["kind"]
     p = doc["parameters"]
     if kind == "two_level":
@@ -270,16 +270,12 @@ def _model_for_sweep(doc, pv_grid=None):
         return _build_pt(p)
     if kind == "avoided_crossing":
         return _build_avoided(p)
-    if kind == "open_system":
-        return _build_open_system(p, pv_grid)
     _fail(f"model kind {kind!r} has no sweep interpretation")
 
 
 def cmd_sweep(doc, out, config):
-    block = _require(doc, "sweep", "model file")
-    if doc["kind"] == "open_system":
-        _fail("sweep requires a matrix-model kind, not open_system")
     model = _model_for_sweep(doc)
+    block = _require(doc, "sweep", "model file")
     spec = sweep.SweepSpec(
         model=model,
         parameter=_require(block, "parameter", "sweep block"),
@@ -399,8 +395,7 @@ def cmd_scatter(doc, out, config):
         model = _build_smatrix(p)
         model.energy_grid = grid
         rep = scattering.lineshape(model, grid, channel=channel)
-        bics = scattering.detect_bic(model, channel=channel,
-                                     bic_tol=config.get("bic_tol", 1e-12))
+        bics = scattering.detect_bic(model, channel=channel)
     header = ["energy", "channel", "re_s", "im_s", "sigma", "phase"]
     rows = [[rep.grid[t], channel, rep.s_values[t].real, rep.s_values[t].imag,
              rep.sigma[t], rep.phase[t]] for t in range(len(rep.grid))]

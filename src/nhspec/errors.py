@@ -5,14 +5,6 @@ class NhspecError(Exception):
     """Base class for all errors raised by nhspec."""
 
 
-class NonConvergence(NhspecError):
-    """Dense eigensolver exhausted its iteration budget."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class AtExceptionalPoint(NhspecError):
     """Operation undefined at a spectral coalescence (c-norm vanishes)."""
 
@@ -43,7 +35,8 @@ class MatchingAmbiguous(NhspecError):
 
 
 class NoConvergence(NhspecError):
-    """Coalescence search failed; carries the best point and residual gap."""
+    """A solver failed: the dense eigensolver, an assignment, or the
+    coalescence search, which carries its best point and residual gap."""
 
     def __init__(self, message, point=None, residual=None):
         super().__init__(message)
@@ -65,10 +58,6 @@ class ETooCloseToThreshold(NhspecError):
 
 class SelfConsistencyFailure(NhspecError):
     """Per-state fixed-point iteration on the resonance energy failed."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class PoleOnRealAxis(NhspecError):

@@ -1,15 +1,16 @@
 """Complex dense linear algebra for small non-Hermitian problems.
 
-Provides the general eigendecomposition with biorthogonal left/right
-pairing, the c-normalization phi^T phi = 1 used for complex-symmetric
-matrices, and Jordan chains at defective eigenvalues.
+Provides the eigendecomposition with biorthonormal left vectors (for a
+general matrix, the rows of the inverse of the right-vector matrix, so
+one decomposition gives both), the c-normalization phi^T phi = 1 used for
+complex-symmetric matrices, and Jordan chains at defective eigenvalues.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergence, NotDefective
+from .errors import NoConvergence, NotDefective
 
 GENERAL = "general"
 COMPLEX_SYMMETRIC = "complex_symmetric"
@@ -50,20 +51,17 @@ class ComplexMatrix:
         return self.entries.shape[0]
 
 
-def as_matrix(a, symmetry_hint=None):
-    """Coerce an array or ComplexMatrix, auto-detecting symmetry if unset."""
+def as_matrix(a):
+    """Coerce an array or ComplexMatrix, auto-detecting its symmetry."""
     if isinstance(a, ComplexMatrix):
         return a
     a = np.asarray(a, dtype=complex)
-    if symmetry_hint is None:
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.conj().T).max() <= _SYMMETRY_TOL * scale:
-            symmetry_hint = HERMITIAN
-        elif np.abs(a - a.T).max() <= _SYMMETRY_TOL * scale:
-            symmetry_hint = COMPLEX_SYMMETRIC
-        else:
-            symmetry_hint = GENERAL
-    return ComplexMatrix(a, symmetry_hint)
+    scale = max(np.abs(a).max(), 1.0)
+    if np.abs(a - a.conj().T).max() <= _SYMMETRY_TOL * scale:
+        return ComplexMatrix(a, HERMITIAN)
+    if np.abs(a - a.T).max() <= _SYMMETRY_TOL * scale:
+        return ComplexMatrix(a, COMPLEX_SYMMETRIC)
+    return ComplexMatrix(a, GENERAL)
 
 
 @dataclass
@@ -80,13 +78,9 @@ class EigenSystem:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     matrix: ComplexMatrix
+    ep_flag: np.ndarray
     norms_A: np.ndarray | None = None
     rigidity_r: np.ndarray | None = None
-    ep_flag: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.ep_flag is None:
-            self.ep_flag = np.zeros(len(self.values), dtype=bool)
 
     @property
     def n(self):
@@ -113,7 +107,7 @@ def _assign(score, cost=None):
     # shortest augmenting paths with potentials u, v, adding one row at a
     # time; column 0 is the root, row_of[j] the row holding column j
     if not np.isfinite(score).all():        # the search below needs finite
-        raise NonConvergence("assignment scores must be finite")
+        raise NoConvergence("assignment scores must be finite")
     n = len(score)
     c = np.hstack([np.zeros((n, 1)), -score])
     u, v = np.zeros(n), np.zeros(n + 1)
@@ -155,7 +149,7 @@ def eig_stack(a, hermitian):
             w[rest], vr[rest] = np.linalg.eig(a[rest])
         return w, vr
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
 
 def sort_pairs(w, vr):
@@ -203,14 +197,17 @@ def coalescence_error(a):
     return float(abs(w[i] - w[j]) * s.max() / max(np.abs(a).max(), 1.0))
 
 
-def eig(H, defect_tol=DEFECT_TOL):
-    """Full eigendecomposition with biorthogonally paired left vectors.
+def eig(H):
+    """Full eigendecomposition with biorthonormal left vectors.
 
-    Eigenvalues are sorted ascending by (Re, Im).  For complex-symmetric
-    input the left vectors are the transposed right vectors; for general
-    input they come from a separate decomposition of H^T matched by
-    eigenvalue proximity.  Pairs whose left/right product is numerically
-    zero are flagged as coalesced instead of being rescaled.
+    Eigenvalues are sorted ascending by (Re, Im), right vectors x_k have
+    unit norm.  For Hermitian input the left vectors are the conjugated
+    right vectors; for complex-symmetric input the transposed ones, each
+    divided by x_k^T x_k.  For general input they are the rows y_k of
+    inv(x), biorthonormal as they come from the one decomposition, and
+    1/|y_k| is |y_k x_k| for unit left and right vectors.  A pair whose
+    product is below DEFECT_TOL is flagged as coalesced instead of being
+    rescaled; every pair is, if the right vectors are singular.
     """
     H = as_matrix(H)
     w, vr = eig_pairs(H)
@@ -220,19 +217,23 @@ def eig(H, defect_tol=DEFECT_TOL):
 
     if H.symmetry_hint == HERMITIAN:
         vl = vr.conj().T
-    else:
-        if H.symmetry_hint == COMPLEX_SYMMETRIC:
-            vl = vr.T.copy()
-        else:
-            wl, ul = np.linalg.eig(H.entries.T)
-            # pair each left vector with the nearest right eigenvalue
-            vl = ul[:, _assign(-np.abs(w[:, None] - wl[None, :]))].T
+    elif H.symmetry_hint == COMPLEX_SYMMETRIC:
+        vl = vr.T.copy()
         for k in range(n):
             c = vl[k] @ vr[:, k]
-            if abs(c) < defect_tol:
+            if abs(c) < DEFECT_TOL:
                 ep_flag[k] = True
             else:
                 vl[k] = vl[k] / c
+    else:
+        # |y_k| overflows at a coalescence; a non-finite one is flagged
+        with np.errstate(all="ignore"):
+            try:
+                vl = np.linalg.inv(vr)
+                ep_flag = ~(1.0 / np.linalg.norm(vl, axis=1) >= DEFECT_TOL)
+            except np.linalg.LinAlgError:
+                vl = np.full_like(vr, np.nan)
+                ep_flag[:] = True
 
     return EigenSystem(values=w, right_vectors=vr, left_vectors=vl,
                        matrix=H, ep_flag=ep_flag)
@@ -255,7 +256,7 @@ def _fix_residual_sign(u, prev_vec):
     return u
 
 
-def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
+def c_normalize(sys, prev=None):
     """Scale eigenvectors to the c-norm phi^T phi = 1.
 
     Records A_k = <phi_k|phi_k> (conjugated norm) and the phase rigidity
@@ -276,7 +277,7 @@ def c_normalize(sys, prev=None, defect_tol=DEFECT_TOL):
         v = vr[:, k]
         v = v / np.linalg.norm(v)
         c = v @ v
-        if abs(c) < defect_tol:
+        if abs(c) < DEFECT_TOL:
             flags[k] = True
             norms[k] = np.inf
             rigid[k] = 0.0

@@ -26,7 +26,6 @@ MAX_BISECT = 8
 _STACK_BYTES = 1 << 20
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_EP_GAP_TOL = 1e-10
-DEFAULT_BIC_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +36,6 @@ class MatrixFamily:
     """One-parameter family of matrices t -> H(t)."""
 
     fn: object
-    model: object = None
-    parameter: str = None
-    window: tuple = None
 
     def __call__(self, t):
         return linalg.as_matrix(self.fn(t))
@@ -63,9 +59,9 @@ class _Pencil(MatrixFamily):
     """Affine family t -> A + c(t) B (c the identity unless given), checked
     for the symmetry hint once and, as a stack, for finiteness."""
 
-    def __init__(self, a, b, hint, coef=None, **info):
+    def __init__(self, a, b, hint, coef=None):
         super().__init__(fn=lambda t: linalg.ComplexMatrix(
-            self.a + self.coef(t) * self.b, hint), **info)
+            self.a + self.coef(t) * self.b, hint))
         self.a, self.b = (linalg.ComplexMatrix(x, hint).entries for x in (a, b))
         self.hint, self.coef = hint, coef or (lambda t: t)
 
@@ -129,14 +125,13 @@ def _set_path(model, path, value):
     raise ValueError(f"unknown parameter path {path!r}")
 
 
-def make_family(model, parameter, window=None):
+def make_family(model, parameter):
     """Family over a named parameter path of a two-level style model.
 
     Paths: 'a' for the avoided-crossing sweep variable, 'omega_re',
     'omega_im', 'eps1_re', ... for real/imaginary parts, or any real
     dataclass field name.  'a' and TwoLevelModel fields give pencils.
     """
-    kw = dict(model=model, parameter=parameter, window=window)
     name, _, part = parameter.partition("_")
     if parameter == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
         m, b = model.matrix(0.0), np.diag([model.e1_slope, model.e2_slope])
@@ -147,8 +142,8 @@ def make_family(model, parameter, window=None):
         b = _set_path(model, parameter, 1.0).matrix().entries - m.entries
     else:
         return MatrixFamily(
-            fn=lambda t: _set_path(model, parameter, t).matrix(), **kw)
-    return _Pencil(m.entries, b, m.symmetry_hint, **kw)
+            fn=lambda t: _set_path(model, parameter, t).matrix())
+    return _Pencil(m.entries, b, m.symmetry_hint)
 
 
 @dataclass
@@ -298,11 +293,10 @@ def sweep(spec):
     """Sweep a model parameter, continuing eigenpairs by overlap matching.
 
     Events: sign changes of the energy (width) differences, interior
-    local minima of the energy gap staying above tolerance, full complex
-    gaps below the coalescence tolerance, and vanishing widths inside
-    the coupling window when the family declares one.  The tolerances are
-    the DEFAULT_* constants times the largest matrix entry over the sweep
-    (at least 1), or times the largest width for vanishing widths.
+    local minima of the energy gap staying above tolerance, and full
+    complex gaps below the coalescence tolerance.  The tolerances are the
+    DEFAULT_* constants times the largest matrix entry over the sweep (at
+    least 1).
     """
     family = spec.model if isinstance(spec.model, MatrixFamily) \
         else make_family(spec.model, spec.parameter)
@@ -326,10 +320,8 @@ def sweep(spec):
             for k, t in enumerate(params)]
 
     scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
-    max_width = max(-2.0 * values.imag.min(), 0.0)
-    events = _detect_events(params, values, family.window,
-                            DEFAULT_GAP_TOL * scale, DEFAULT_EP_GAP_TOL * scale,
-                            DEFAULT_BIC_TOL * max(max_width, 1e-300))
+    events = _detect_events(params, values, DEFAULT_GAP_TOL * scale,
+                            DEFAULT_EP_GAP_TOL * scale)
     return SweepResult(rows=rows, events=events, vectors=vectors)
 
 
@@ -365,28 +357,22 @@ def _local_minima(gap, tol):
     return found
 
 
-def _detect_events(params, zs, window, gap_tol, ep_gap_tol, bic_tol):
+def _detect_events(params, zs, gap_tol, ep_gap_tol):
     """Events over the (sample x level pair) grid of the values zs (T, n)."""
-    n = zs.shape[1]
-    i, j = np.triu_indices(n, 1)
+    i, j = np.triu_indices(zs.shape[1], 1)
     pairs = list(zip(i.tolist(), j.tolist()))
     diff = zs[:, i] - zs[:, j]                       # (T, pairs)
     found = [
-        ("energy_crossing", _crossings(diff.real, gap_tol), pairs),
-        ("width_crossing", _crossings(diff.imag, gap_tol), pairs),
-        ("avoided_crossing", _local_minima(np.abs(diff.real), gap_tol), pairs),
-        ("ep_candidate", _first_of_runs(np.abs(diff) < ep_gap_tol), pairs),
+        ("energy_crossing", _crossings(diff.real, gap_tol)),
+        ("width_crossing", _crossings(diff.imag, gap_tol)),
+        ("avoided_crossing", _local_minima(np.abs(diff.real), gap_tol)),
+        ("ep_candidate", _first_of_runs(np.abs(diff) < ep_gap_tol)),
     ]
-    if window is not None:
-        inside = (zs.real >= window[0]) & (zs.real <= window[1])
-        vanishing = (-2.0 * zs.imag < bic_tol) & inside
-        found.append(("bic", _first_of_runs(vanishing),
-                      [(k,) for k in range(n)]))
     events = []
-    for kind, count, indices in found:
+    for kind, count in found:
         ts, ks = np.nonzero(count)
         for t, k, c in zip(ts.tolist(), ks.tolist(), count[ts, ks].tolist()):
-            events += [Event(kind, float(params[t]), indices[k])
+            events += [Event(kind, float(params[t]), pairs[k])
                        for _ in range(c)]
     events.sort(key=lambda e: (e.param, e.kind, e.indices))
     return events

@@ -165,7 +165,7 @@ def pt_eigenvalues(m):
     return m.e + z, m.e - z, bool(broken)
 
 
-def nonlinear_source_residual(m, defect_tol=linalg.DEFECT_TOL):
+def nonlinear_source_residual(m):
     """Residual of the source-term expansion of the coupled two-level equation.
 
     Verifies (H0 - eps_n) phi_n = sum_k <phi_k|W|phi_n> { A_k phi_k +
@@ -176,7 +176,7 @@ def nonlinear_source_residual(m, defect_tol=linalg.DEFECT_TOL):
     (linalg.coalescence_error) is at roundoff level: the eigensolver can
     split an exact coalescence by sqrt(eps).
     """
-    sys = linalg.c_normalize(linalg.eig(m.matrix()), defect_tol=defect_tol)
+    sys = linalg.c_normalize(linalg.eig(m.matrix()))
     if sys.ep_flag.any() or linalg.coalescence_error(
             sys.matrix.entries) <= 32.0 * np.finfo(float).eps:
         raise AtExceptionalPoint("source-term expansion diverges at coalescence")

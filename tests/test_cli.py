@@ -285,6 +285,22 @@ class TestExitCodes:
         assert "start != stop" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("command,block", [
+        ("sweep", {"parameter": "grid_size", "start": 101, "stop": 201,
+                   "steps": 3}),
+        ("locate", {"p1": "grid_size", "p2": "grid_size", "seed": [101, 201]}),
+        ("encircle", {"center": [0.0, 1.0], "radius": 0.5})])
+    def test_open_system_has_no_sweep_interpretation(self, tmp_path, capsys,
+                                                     command, block):
+        doc = json.loads((DATA / "open_system.json").read_text())
+        doc[command] = block
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert "'open_system' has no sweep interpretation" \
+            in capsys.readouterr().err
+
     def test_eigensolver_failure_is_exit_3(self, tmp_path, monkeypatch,
                                           capsys):
         def no_convergence(a):

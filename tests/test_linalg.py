@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg
-from nhspec.errors import NonConvergence, NotDefective
+from nhspec.errors import NoConvergence, NotDefective
 
 from conftest import random_complex_symmetric
 
@@ -86,6 +87,36 @@ class TestEig:
         assert np.abs(sys.left_vectors @ sys.right_vectors
                       - np.eye(n)).max() <= 1e-10
 
+    @pytest.mark.parametrize("h,flags", [
+        ([[0, 1], [0, 0]], [True, True]),
+        ([[1, 1], [0, 1]], [True, True]),
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 5]], [True, True, False])])
+    def test_general_coalescence_flags(self, monkeypatch, h, flags):
+        # left vectors come from the same decomposition as the right ones:
+        # one LAPACK call, and no overflow warning where inv(x) blows up
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return eig_lapack(a)
+
+        eig_lapack = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = linalg.eig(np.array(h, dtype=float))
+        assert sys.matrix.symmetry_hint == linalg.GENERAL
+        assert sys.ep_flag.tolist() == flags
+        assert len(calls) == 1
+
+    def test_singular_right_vectors_flag_every_pair(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        sys = linalg.eig(np.array([[1.0, 1.0], [0.0, 2.0]]))
+        assert sys.ep_flag.tolist() == [True, True]
+
     def test_trace_identity_bulk(self, rng):
         for _ in range(200):
             n = int(rng.integers(1, 9))
@@ -107,7 +138,7 @@ class TestEigStack:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
-        with pytest.raises(NonConvergence, match="did not converge"):
+        with pytest.raises(NoConvergence, match="did not converge"):
             linalg.eig_stack(np.eye(2, dtype=complex)[None],
                              np.array([False]))
 
@@ -148,7 +179,7 @@ class TestAssign:
         # a numerical failure upstream, not an input error: exit 3
         score = np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [1.0, 0.5, 0.0]])
-        with pytest.raises(NonConvergence, match="finite"):
+        with pytest.raises(NoConvergence, match="finite"):
             linalg._assign(score)
 
     def test_distinct_row_maxima_are_kept(self):

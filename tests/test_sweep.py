@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, opensys, sweep, twolevel
-from nhspec.errors import (MatchingAmbiguous, NoConvergence, NonConvergence,
-                           SaddleRejected)
+from nhspec.errors import MatchingAmbiguous, NoConvergence, SaddleRejected
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
 
@@ -640,5 +639,5 @@ class TestSecularPencil:
         monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
         assert same_bits(opensys.toy_trapping(h0, v, alphas).values, want)
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
-        with pytest.raises(NonConvergence, match="did not converge"):
+        with pytest.raises(NoConvergence, match="did not converge"):
             opensys.toy_trapping(h0, v, alphas)
