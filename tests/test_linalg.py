@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+import nhspec
 from nhspec import linalg
 from nhspec.errors import NoConvergence, NotDefective
 
@@ -360,10 +363,6 @@ class TestHypothesisDraws:
     def test_local_constant_pool_is_empty(self):
         # conftest empties the pool of src/ literals hypothesis draws from,
         # so a constant changed in the library redraws no property test
-        import importlib
-        import pkgutil
-
-        import nhspec
         providers = pytest.importorskip(
             "hypothesis.internal.conjecture.providers")
         if not hasattr(providers, "_get_local_constants"):
