@@ -302,26 +302,27 @@ def overlap_B(sys, k, l):
     return sys.right_vectors[:, k].conj() @ sys.right_vectors[:, l]
 
 
-def jordan_chain(H, z0, tol=1e-8):
+def jordan_chain(H, z0):
     """Jordan pair (phi, phi_a) at a defective eigenvalue z0.
 
     phi spans the one-dimensional kernel of H - z0; phi_a is the
     minimal-norm solution of (H - z0) phi_a = phi, which is orthogonal
     to phi in the conjugated inner product.  Raises NotDefective when
-    the kernel is two-dimensional or z0 is a simple eigenvalue.
+    the kernel is two-dimensional or z0 is a simple eigenvalue, both
+    judged at 1e-8 times the largest entry of H (at least 1).
     """
     H = as_matrix(H)
     a = H.entries - z0 * np.eye(H.n)
     scale = max(np.abs(H.entries).max(), 1.0)
     u_svd, s, vh = np.linalg.svd(a)
-    null_tol = max(tol * scale, 1e3 * np.finfo(float).eps * scale)
+    null_tol = max(1e-8 * scale, 1e3 * np.finfo(float).eps * scale)
     if H.n >= 2 and s[-2] < null_tol:
         raise NotDefective("geometric multiplicity is at least 2 at z0")
     phi = vh[-1].conj()
     phi = _fix_residual_sign(phi / np.linalg.norm(phi), None)
     phi_a = np.linalg.pinv(a, rcond=1e-10) @ phi
     res = np.linalg.norm(a @ phi_a - phi)
-    if res > tol * scale:
+    if res > 1e-8 * scale:
         raise NotDefective(
             f"no associated vector: residual {res:.3e} exceeds tolerance")
     return phi, phi_a

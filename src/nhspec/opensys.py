@@ -212,10 +212,7 @@ def _plain_integral(f, grid, energy):
 
 @dataclass
 class EffectiveHamiltonian:
-    energy: float
     matrix: linalg.ComplexMatrix
-    real_shift: np.ndarray
-    width_term: np.ndarray      # 1/2 sum_c g g^T at E (zero outside window)
 
 
 def assemble_heff(m, energy):
@@ -247,9 +244,7 @@ def _heff_at(m):
             width = np.zeros((m.n_states, m.n_states))
             hint = linalg.HERMITIAN
         return EffectiveHamiltonian(
-            energy=float(energy),
-            matrix=linalg.ComplexMatrix(h_b + shift - 1j * width, hint),
-            real_shift=shift, width_term=width)
+            linalg.ComplexMatrix(h_b + shift - 1j * width, hint))
 
     return at
 
@@ -272,16 +267,16 @@ class ResonanceState:
         return -2.0 * self.z.imag
 
 
-def solve_resonances(m, tol=1e-10, max_iter=200):
+def solve_resonances(m):
     """Solve (H_eff(E) - z) phi = 0 self-consistently in the real energy.
 
     Secant steps on F(E) = Re z_k(E) - E per state, with the state
     tracked across iterations by eigenvector overlap.  The first step,
     and any whose secant is undefined, non-finite or would cross a
     threshold (a kink of H_eff), is the damped E <- (E + Re z_k(E))/2.
-    Stops when a step is below tol * scale.  States whose self-consistent
-    energy falls outside the window come out with zero width and ordinary
-    orthonormal vectors.
+    Stops at a step below 1e-10 * scale, else unconverged after 200.
+    States whose self-consistent energy falls outside the window come
+    out with zero width and ordinary orthonormal vectors.
     """
     lo, hi = m.window
     h = m.grid[1] - m.grid[0]
@@ -294,7 +289,7 @@ def solve_resonances(m, tol=1e-10, max_iter=200):
         phi_ref = eb_vecs[:, k].astype(complex)
         converged, it, resid = False, 0, np.inf
         e_prev = f_prev = np.nan    # no previous iterate: first step damped
-        for it in range(1, max_iter + 1):
+        for it in range(1, 201):
             energy = _clamp_energy(energy, lo, hi, h)
             w, u = linalg.eig_pairs(heff_at(energy).matrix)
             idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
@@ -309,7 +304,7 @@ def solve_resonances(m, tol=1e-10, max_iter=200):
             e_prev, f_prev = energy, f
             resid = abs(new_e - energy)
             energy = new_e
-            if resid < tol * scale:
+            if resid < 1e-10 * scale:
                 converged = True
                 break
         energy = _clamp_energy(energy, lo, hi, h)

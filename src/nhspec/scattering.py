@@ -187,11 +187,11 @@ class BicDetection:
     peak_resolved: bool
 
 
-def detect_bic(m, bic_tol=1e-12, channel=0, local_points=401):
+def detect_bic(m, channel=0):
     """Flag zero-width states and verify their pi phase-jump signature.
 
-    For each state with width below tolerance inside the grid span, the
-    elastic phase is unwrapped on a local grid spanning a few widths
+    For each state with width at most 1e-12 inside the grid span, the
+    elastic phase is unwrapped on 401 local energies spanning a few widths
     around the state: it must jump by pi while the cross section shows
     no feature wider than the local window.
     """
@@ -202,10 +202,10 @@ def detect_bic(m, bic_tol=1e-12, channel=0, local_points=401):
     else:
         span_lo, span_hi = -np.inf, np.inf
     for k, z in enumerate(m.poles):
-        if widths[k] > bic_tol or not (span_lo <= z.real <= span_hi):
+        if widths[k] > 1e-12 or not (span_lo <= z.real <= span_hi):
             continue
         half = max(50.0 * max(widths[k], 1e-300), 1e-14 * max(abs(z.real), 1.0))
-        local = z.real + np.linspace(-half, half, local_points)
+        local = z.real + np.linspace(-half, half, 401)
         phase = _unwrapped_phase(_s_diag(m, local, channel))
         jump = float(phase[-1] - phase[0])
         coarse = m.energy_grid if m.energy_grid is not None else local

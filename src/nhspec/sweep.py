@@ -113,37 +113,54 @@ _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}
 
 
 def _set_path(model, path, value):
-    if path in ("a", "alpha") and hasattr(model, "model_at"):
+    """The model with one parameter path set to value: 'a' of an avoided
+    crossing (its two-level model at a), a dataclass field of the model,
+    or the 're' or 'im' part of its omega, eps1 or eps2."""
+    if path == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
         return model.model_at(value)
+    fields = {f.name for f in dataclasses.fields(model)}
     name, _, part = path.partition("_")
-    if name in _COMPLEX_FIELDS and part in ("re", "im"):
+    if name in _COMPLEX_FIELDS & fields and part in ("re", "im"):
         old = complex(getattr(model, name))
-        new = complex(value, old.imag) if part == "re" else complex(old.real, value)
-        return dataclasses.replace(model, **{name: new})
-    if hasattr(model, path):
-        return dataclasses.replace(model, **{path: value})
-    raise ValueError(f"unknown parameter path {path!r}")
+        path, value = name, complex(value, old.imag) if part == "re" \
+            else complex(old.real, value)
+    elif path not in fields:
+        raise ValueError(f"unknown parameter path {path!r}")
+    return dataclasses.replace(model, **{path: value})
+
+
+def _affine(model, paths):
+    """Entries A of the model's matrix with every path at 0, the slope B_k
+    of each path there, and the symmetry hint.  Paths whose slopes do not
+    add up, as ('e1_slope', 'a'), are an input error, seen at all x_k = 1.
+    An avoided crossing's 'a' keeps its exact slope matrix; any other B_k is
+    M(x_k = 1) - A, in which the entries that do not move cancel exactly."""
+    def at(*x):
+        m = model
+        for path, value in zip(paths, x):
+            m = _set_path(m, path, value)
+        if isinstance(m, twolevel.AvoidedCrossingModel):
+            raise ValueError("an avoided_crossing model needs 'a' among its "
+                             "parameter paths")
+        return m.matrix()
+
+    base, before, slopes = at(*[0.0] * len(paths)), model, []
+    for k, path in enumerate(paths):     # before: earlier paths set to 0
+        if path == "a" and isinstance(before, twolevel.AvoidedCrossingModel):
+            slopes.append(np.diag([before.e1_slope, before.e2_slope]))
+        else:
+            slopes.append(at(*np.eye(len(paths))[k]).entries - base.entries)
+        before = _set_path(before, path, 0.0)
+    if not np.array_equal(sum(slopes, base.entries),
+                          at(*[1.0] * len(paths)).entries):
+        raise ValueError(f"parameter paths {paths} give no pencil A + x B")
+    return base.entries, slopes, base.symmetry_hint
 
 
 def make_family(model, parameter):
-    """Family over a named parameter path of a two-level style model.
-
-    Paths: 'a' for the avoided-crossing sweep variable, 'omega_re',
-    'omega_im', 'eps1_re', ... for real/imaginary parts, or any real
-    dataclass field name.  'a' and TwoLevelModel fields give pencils.
-    """
-    name, _, part = parameter.partition("_")
-    if parameter == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
-        m, b = model.matrix(0.0), np.diag([model.e1_slope, model.e2_slope])
-    elif isinstance(model, twolevel.TwoLevelModel) \
-            and name in _COMPLEX_FIELDS and part in ("", "re", "im"):
-        # entries that do not move cancel exactly, the moving one is 1 or 1j
-        m = _set_path(model, parameter, 0.0).matrix()
-        b = _set_path(model, parameter, 1.0).matrix().entries - m.entries
-    else:
-        return MatrixFamily(
-            fn=lambda t: _set_path(model, parameter, t).matrix())
-    return _Pencil(m.entries, b, m.symmetry_hint)
+    """The pencil A + t B of a model over one parameter path (_set_path)."""
+    a, (b,), hint = _affine(model, (parameter,))
+    return _Pencil(a, b, hint)
 
 
 @dataclass
@@ -151,17 +168,9 @@ class PlaneFamily:
     """Two-parameter family (p1, p2) -> H(p1, p2)."""
 
     fn: object
-    model: object = None
-    parameters: tuple = None
 
     def __call__(self, p1, p2):
         return linalg.as_matrix(self.fn(p1, p2))
-
-
-def make_plane_family(model, p1, p2):
-    return PlaneFamily(
-        fn=lambda x1, x2: _set_path(_set_path(model, p1, x1), p2, x2).matrix(),
-        model=model, parameters=(p1, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,6 @@ class Event:
 class SweepResult:
     rows: list
     events: list
-    vectors: list = field(default_factory=list, repr=False)
 
 
 def sweep(spec):
@@ -298,8 +306,12 @@ def sweep(spec):
     DEFAULT_* constants times the largest matrix entry over the sweep (at
     least 1).
     """
-    family = spec.model if isinstance(spec.model, MatrixFamily) \
-        else make_family(spec.model, spec.parameter)
+    family = spec.model
+    if not isinstance(family, MatrixFamily):
+        # the model's own checks at both ends cover the affine path between
+        for t in (spec.start, spec.stop):
+            _set_path(spec.model, spec.parameter, t)
+        family = make_family(spec.model, spec.parameter)
     frames = list(_track(family, np.linspace(spec.start, spec.stop,
                                              spec.steps)))
 
@@ -322,7 +334,7 @@ def sweep(spec):
     scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
     events = _detect_events(params, values, DEFAULT_GAP_TOL * scale,
                             DEFAULT_EP_GAP_TOL * scale)
-    return SweepResult(rows=rows, events=events, vectors=vectors)
+    return SweepResult(rows=rows, events=events)
 
 
 def _first_of_runs(mask):
@@ -415,10 +427,11 @@ def _pair_state(family, p):
     return float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
 
 
-def locate_ep(family, seed, p1=None, p2=None, tol=1e-10, maxiter=60):
+def locate_ep(family, seed, p1=None, p2=None, tol=1e-10):
     """Locate a point in two real parameters where two eigenvalues coalesce.
 
-    Accepts either a PlaneFamily or a model plus two parameter paths.
+    Accepts either a PlaneFamily or a model plus two parameter paths, for
+    the pencil A + p1 B1 + p2 B2, with the model checked at the result.
     Newton iterates from the seed on the squared gap of the closest pair,
     which is smooth through the coalescence.  For the closed-form
     two-level model in the coupling plane the exact locus nearest the
@@ -428,14 +441,19 @@ def locate_ep(family, seed, p1=None, p2=None, tol=1e-10, maxiter=60):
     eigenvalue gap; otherwise it raises SaddleRejected where Newton
     stalled with the backward error far above tol, and NoConvergence else.
     """
+    model = None
     if not isinstance(family, PlaneFamily):
-        family = make_plane_family(family, p1, p2)
+        model, (a, (b1, b2), hint) = family, _affine(family, (p1, p2))
+        family = PlaneFamily(fn=lambda x1, x2: linalg.ComplexMatrix(
+            a + x1 * b1 + x2 * b2, hint))
     p, (gap, _, z0), step, iterations, stalled = _newton_on_sq_gap(
-        family, seed, maxiter)
-    exact = _closed_form_polish(family, p)
+        family, seed)
+    exact = _closed_form_polish(model, (p1, p2), p)
     if exact is not None:
         step = float(np.hypot(*(exact[0] - p)))
         p, (gap, z0) = exact
+    if model is not None:
+        _set_path(_set_path(model, p1, p[0]), p2, p[1])
     eta = linalg.coalescence_error(family(p[0], p[1]).entries)
     if not eta <= tol:
         if stalled and eta > 1e4 * tol:
@@ -450,14 +468,12 @@ def locate_ep(family, seed, p1=None, p2=None, tol=1e-10, maxiter=60):
                       iterations=iterations)
 
 
-def _closed_form_polish(family, p):
+def _closed_form_polish(model, parameters, p):
     """The exact two-level locus nearest p in the (omega_re, omega_im)
     plane with the pair's gap and mean there, or None for any other
-    family."""
-    model = family.model
-    if not isinstance(model, twolevel.TwoLevelModel):
-        return None
-    if family.parameters != ("omega_re", "omega_im"):
+    model or plane."""
+    if not isinstance(model, twolevel.TwoLevelModel) \
+            or parameters != ("omega_re", "omega_im"):
         return None
     try:
         w_plus, w_minus = twolevel.ep_locations(model.eps1, model.eps2)
@@ -470,22 +486,22 @@ def _closed_form_polish(family, p):
             (float(abs(2.0 * z)), 0.5 * (lam_p + lam_m)))
 
 
-def _newton_on_sq_gap(family, p, maxiter):
+def _newton_on_sq_gap(family, p):
     """Newton from p on F(p) = (z_i - z_j)^2 of the closest pair.
 
     F is analytic through a coalescence, where z_i - z_j is not, and a
     dense eigensolver gives it to O(eps * scale^2).  The Jacobian is a
     central difference; a step that does not lower |F| is halved, up to
-    30 times, and the iteration has converged once a full Newton step is
-    within 4 ulp of p; where full steps halve, as at the double root of a
-    crossing, the doubled step is tried first.  Returns the point, its
-    _pair_state, the step estimate of EpLocation, the iteration count and
-    whether Newton stalled: a singular Jacobian, a non-finite step, or a
-    line search that found no lower |F|.
+    30 times, and in at most 60 iterations the search has converged once
+    a full step is within 4 ulp of p; where full steps halve, as at the
+    double root of a crossing, the doubled step is tried first.  Returns
+    the point, its _pair_state, the step estimate of EpLocation, the
+    iteration count and whether Newton stalled: a singular Jacobian, a
+    non-finite step, or a line search that found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
     state, step, last = _pair_state(family, p), 0.0, np.inf
-    for it in range(1, maxiter + 1):
+    for it in range(1, 61):
         width = max(np.abs(p).max(), 1.0)
         h, ulps = 1e-7 * width, 4.0 * np.finfo(float).eps * width
         d = [(_pair_state(family, p + dp)[1] - _pair_state(family, p - dp)[1])
@@ -510,7 +526,7 @@ def _newton_on_sq_gap(family, p, maxiter):
             if t < 2.0 ** -30 or t * full <= ulps:
                 return p, state, step, it, True
         p, state, step = p + t * s, trial, t * full
-    return p, state, step, maxiter, False
+    return p, state, step, it, False
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +563,17 @@ class CycleReport:
     contour: list = field(default_factory=list, repr=False)
 
 
-def encircle(spec, family):
-    """Transport the eigenframe around a closed contour in the coupling plane.
+def encircle(spec, model):
+    """Transport the eigenframe around a closed contour in the coupling plane
+    of a model: its omega pencil, with omega = center + radius exp(i theta).
 
     Reports the eigenvalue permutation and accumulated eigenvector phase
     after each cycle.  Around a coalescence the eigenvalues swap each
     cycle (restored after two) and the vectors pick up the
     +/-i, -1, -/+i, +1 pattern (restored after four).
     """
-    if not isinstance(family, MatrixFamily):
-        family = make_family(family, "omega")
+    family = make_family(model, "omega")
     steps = spec.steps_per_cycle
-    total = steps * spec.cycles
 
     def point(theta):
         return spec.center + spec.radius * np.exp(1j * theta)
@@ -574,10 +589,9 @@ def encircle(spec, family):
         family.stack(np.append(spec.center, probes))[0]))
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
-    thetas = 2 * np.pi * np.arange(total + 1) / steps
-    frames = _track(MatrixFamily(fn=lambda th: family(point(th)))
-                    if not isinstance(family, _Pencil) else  # linear in omega
-                    _Pencil(family.a, family.b, family.hint, coef=point), thetas)
+    thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
+    frames = _track(_Pencil(family.a, family.b, family.hint, coef=point),
+                    thetas)
     next(frames)
     cur_w, cur_s = init_w, init_s
     contour = [(0.0, sys0.values.copy())]
@@ -598,18 +612,13 @@ def encircle(spec, family):
             cycles.append(CycleRecord(permutation=tuple(int(x) for x in perm),
                                       phases=phases))
 
-    val_period = None
-    vec_period = None
-    for c, rec in enumerate(cycles, start=1):
-        ident = rec.permutation == tuple(range(n))
-        if ident and val_period is None:
-            val_period = c
-        if ident and np.allclose(rec.phases, 1.0, atol=1e-3) \
-                and vec_period is None:
-            vec_period = c
+    ident = [c for c, rec in enumerate(cycles, start=1)
+             if rec.permutation == tuple(range(n))]
+    phased = [c for c in ident if np.allclose(cycles[c - 1].phases, 1.0,
+                                              atol=1e-3)]
     return CycleReport(cycles=cycles, encloses_ep=encloses,
-                       eigenvalue_period=val_period,
-                       eigenvector_period=vec_period, contour=contour)
+                       eigenvalue_period=(ident + [None])[0],
+                       eigenvector_period=(phased + [None])[0], contour=contour)
 
 
 def _carry(w, s, u):
@@ -629,8 +638,6 @@ def _carry(w, s, u):
 
 def _compare_to_start(init_w, init_s, cur_w, cur_s):
     perm, _ = _match(cur_w, init_w)   # perm[k]: start index matching current k
-    phi0 = init_w / init_s
-    phi1 = cur_w / cur_s
-    phases = np.array([phi0[:, perm[k]] @ phi1[:, k]
-                       for k in range(len(perm))])
-    return perm, phases
+    phi0, phi1 = init_w / init_s, cur_w / cur_s
+    return perm, np.array([phi0[:, perm[k]] @ phi1[:, k]
+                           for k in range(len(perm))])

@@ -89,9 +89,6 @@ class AvoidedCrossingModel:
                                          e2, width_scale * self.gamma2_0,
                                          self.omega)
 
-    def matrix(self, a, width_scale=1.0):
-        return self.model_at(a, width_scale).matrix()
-
 
 def eigenvalues(m):
     """Eigenvalue pair and half-gap: ((eps1+eps2)/2 +/- Z, Z).
@@ -122,7 +119,7 @@ class CoalescenceReport:
     half_gap: complex
 
 
-def coalescence_relation_check(m, z_tol=None):
+def coalescence_relation_check(m):
     """Check that the two c-normalized eigenvectors merge as phi1 -> +/- i phi2.
 
     Uses the closed-form eigenvectors (omega, -d +/- Z) with d =
@@ -131,8 +128,7 @@ def coalescence_relation_check(m, z_tol=None):
     the divergent c-norm factors cancel in the ratio.
     """
     _, _, z = eigenvalues(m)
-    if z_tol is None:
-        z_tol = 0.05 * m.scale
+    z_tol = 0.05 * m.scale
     if abs(z) > z_tol:
         raise NotAtEP(f"half-gap |Z| = {abs(z):.3e} exceeds threshold {z_tol:.3e}")
     d = 0.5 * (m.eps1 - m.eps2)
@@ -291,7 +287,7 @@ class DeltaReport:
     flagged: bool
 
 
-def delta_diagnostic(m, a, cap=linalg.B_CAP):
+def delta_diagnostic(m, a):
     """Mixing of the coupled eigenvectors over the uncoupled (omega=0) basis.
 
     b_ij are the c-products of the coupled eigenvectors with the
@@ -299,12 +295,12 @@ def delta_diagnostic(m, a, cap=linalg.B_CAP):
     b_ij is simply the j-th component of the c-normalized i-th vector.
     At a coalescence the entries diverge; they are capped and flagged.
     """
-    sys = linalg.c_normalize(linalg.eig(m.matrix(a)))
+    sys = linalg.c_normalize(linalg.eig(m.model_at(a).matrix()))
     flagged = bool(sys.ep_flag.any())
     b = sys.right_vectors.T.copy()     # b[i, j] = component j of state i
-    big = np.abs(b) > cap
+    big = np.abs(b) > linalg.B_CAP
     if big.any():
-        b[big] = cap * b[big] / np.abs(b[big])
+        b[big] = linalg.B_CAP * b[big] / np.abs(b[big])
         flagged = True
     b = b[:, linalg._assign(np.abs(b))]
     diag = np.abs(b[0, 0]) ** 2

@@ -350,6 +350,40 @@ class TestExitCodes:
                        "--out", str(tmp_path)) == 3
             assert not (tmp_path / "ep.json").exists()
 
+    PT = {"e": 0.2, "gamma": 1.0, "omega": 0.3}
+    AVOIDED = json.loads((DATA / "avoided_iv.json").read_text())["parameters"]
+
+    def run_block(self, tmp_path, command, kind, parameters, block):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"version": "1", "kind": kind,
+                                     "parameters": parameters,
+                                     command: block}))
+        return run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out"))
+
+    def test_field_the_model_lacks_is_unknown_path(self, tmp_path, capsys):
+        # eps1 is a two_level field, not a pt_two_level one
+        assert self.run_block(tmp_path, "sweep", "pt_two_level", self.PT, {
+            "parameter": "eps1_re", "start": 0.1, "stop": 1.0,
+            "steps": 11}) == 2
+        assert "unknown parameter path 'eps1_re'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,block", [
+        ("sweep", {"parameter": "omega_re", "start": 0.0, "stop": 1.0,
+                   "steps": 11}),
+        ("encircle", {"center": [0.0, 1.0], "radius": 0.5})])
+    def test_avoided_crossing_needs_a(self, tmp_path, capsys, command, block):
+        assert self.run_block(tmp_path, command, "avoided_crossing",
+                              self.AVOIDED, block) == 2
+        err = capsys.readouterr().err
+        assert "'a'" in err and "missing 1 required positional" not in err
+
+    def test_pt_sweep_below_zero_gamma_is_input_error(self, tmp_path, capsys):
+        assert self.run_block(tmp_path, "sweep", "pt_two_level", self.PT, {
+            "parameter": "gamma", "start": -0.5, "stop": 1.0,
+            "steps": 11}) == 2
+        assert "gamma must be non-negative" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # determinism

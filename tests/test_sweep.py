@@ -1,8 +1,9 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, opensys, sweep, twolevel
@@ -27,8 +28,8 @@ class TestSpecValidation:
                             start=1.0, stop=1.0, steps=10)
 
     def test_unknown_parameter(self):
-        fam = sweep.make_family(canonical_model(), "no_such_field")
         with pytest.raises(ValueError):
+            fam = sweep.make_family(canonical_model(), "no_such_field")
             fam(0.3)
 
 
@@ -168,8 +169,8 @@ class TestLocateEp:
         # still finds the level crossing at omega = 0
         model = twolevel.TwoLevelModel(eps1=0.5 + 0.1j, eps2=0.5 + 0.1j,
                                        omega=0.3)
-        fam = sweep.make_plane_family(model, "omega_re", "omega_im")
-        assert sweep._closed_form_polish(fam, np.zeros(2)) is None
+        assert sweep._closed_form_polish(model, ("omega_re", "omega_im"),
+                                         np.zeros(2)) is None
         loc = sweep.locate_ep(model, seed=(0.1, 0.2), p1="omega_re",
                               p2="omega_im")
         assert abs(complex(loc.p1, loc.p2)) < 1e-12
@@ -329,6 +330,17 @@ class TestPencil:
                               sweep._set_path(model, path, t).matrix())
 
     @settings(max_examples=150)
+    @given(e=finite, gamma=st.floats(0.0, 10.0), omega=finite, t=params,
+           path=st.sampled_from(["e", "gamma", "omega", "omega_re",
+                                 "omega_im"]))
+    @example(e=0.0, gamma=1.0, omega=0.3, t=0.5, path="gamma")
+    def test_pt_paths_bit_for_bit(self, e, gamma, omega, t, path):
+        model = twolevel.PTTwoLevelModel(e, gamma, omega)
+        t = abs(t) if path == "gamma" else t     # the model needs gamma >= 0
+        assert_pencil_matches(sweep.make_family(model, path), t,
+                              sweep._set_path(model, path, t).matrix())
+
+    @settings(max_examples=150)
     @given(e=st.tuples(finite, finite, finite, finite),
            widths=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
            omega=complexes, t=params)
@@ -344,11 +356,12 @@ class TestPencil:
     @settings(max_examples=50)
     @given(eps1=complexes, eps2=complexes, center=complexes,
            radius=st.floats(0.01, 3.0),
-           theta=st.floats(0.0, 8 * np.pi, allow_nan=False))
+           theta=st.floats(0.0, 8 * np.pi, allow_nan=False), pt=st.booleans())
     def test_encircle_contour_bit_for_bit(self, eps1, eps2, center, radius,
-                                          theta):
+                                          theta, pt):
         # encircle moves omega on c + r exp(i theta) through the same pencil
-        model = twolevel.TwoLevelModel(eps1, eps2, 0.5j)
+        model = twolevel.PTTwoLevelModel(eps1.real, abs(eps2.imag), 0.3) \
+            if pt else twolevel.TwoLevelModel(eps1, eps2, 0.5j)
         omega = sweep.make_family(model, "omega")
 
         def point(th):
@@ -356,7 +369,7 @@ class TestPencil:
 
         along = sweep._Pencil(omega.a, omega.b, omega.hint, coef=point)
         theta = np.float64(theta)
-        reference = twolevel.TwoLevelModel(eps1, eps2, point(theta)).matrix()
+        reference = dataclasses.replace(model, omega=point(theta)).matrix()
         assert_pencil_matches(along, theta, reference)
         assert same_bits(omega(point(theta)).entries, reference.entries)
 
@@ -380,13 +393,6 @@ class TestPencil:
             reference = linalg.ComplexMatrix(h0 - 1j * alpha * vvt,
                                              linalg.COMPLEX_SYMMETRIC)
             assert_pencil_matches(seen[0], alpha, reference)
-
-    def test_unknown_paths_stay_lazy(self):
-        pt = twolevel.PTTwoLevelModel(e=0.0, gamma=1.0, omega=0.3)
-        fam = sweep.make_family(pt, "gamma")
-        assert not isinstance(fam, sweep._Pencil)
-        assert same_bits(fam(0.5).entries,
-                         twolevel.PTTwoLevelModel(0.0, 0.5, 0.3).matrix().entries)
 
     def test_non_finite_stack_rejected(self):
         fam = sweep.make_family(canonical_model(), "omega_re")
