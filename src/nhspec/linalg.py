@@ -267,34 +267,32 @@ def c_normalize(sys, prev=None):
     """
     if sys.matrix.symmetry_hint not in (COMPLEX_SYMMETRIC, HERMITIAN):
         raise ValueError("c_normalize requires a complex-symmetric matrix")
-    n = sys.n
-    vr = sys.right_vectors.copy()
-    vl = np.empty_like(sys.left_vectors)
-    norms = np.empty(n)
-    rigid = np.empty(n)
-    flags = np.zeros(n, dtype=bool)
-    for k in range(n):
+    vr, norms = c_columns(sys.right_vectors, prev)
+    return replace(sys, right_vectors=vr, left_vectors=vr.T.copy(),
+                   norms_A=norms, rigidity_r=1.0 / norms,
+                   ep_flag=np.isinf(norms))
+
+
+def c_columns(vr, prev=None):
+    """The columns of vr at unit c-norm, as a C-ordered copy, and their
+    conjugated norms A_k; a column whose c-norm vanishes is left at unit
+    norm with A = inf.  Signs follow prev's unflagged vectors, if given."""
+    vr = vr.copy()
+    norms = np.full(vr.shape[1], np.inf)
+    for k in range(len(norms)):
         v = vr[:, k]
         v = v / np.linalg.norm(v)
         c = v @ v
         if abs(c) < DEFECT_TOL:
-            flags[k] = True
-            norms[k] = np.inf
-            rigid[k] = 0.0
             vr[:, k] = v
-            vl[k] = v
             continue
-        u = v / np.sqrt(c)
         prev_vec = None
         if prev is not None and k < prev.n and not prev.ep_flag[k]:
             prev_vec = prev.right_vectors[:, k]
-        u = _fix_residual_sign(u, prev_vec)
+        u = _fix_residual_sign(v / np.sqrt(c), prev_vec)
         vr[:, k] = u
-        vl[k] = u
         norms[k] = (u.conj() @ u).real
-        rigid[k] = 1.0 / norms[k]
-    return replace(sys, right_vectors=vr, left_vectors=vl, norms_A=norms,
-                   rigidity_r=rigid, ep_flag=flags)
+    return vr, norms
 
 
 def overlap_B(sys, k, l):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, sweep
-from .errors import EOutsideWindow, ETooCloseToThreshold
+from .errors import (EOutsideWindow, ETooCloseToThreshold,
+                     SelfConsistencyFailure)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def pv_integral(f, grid, energy):
     rule is linear in f, so it is applied as one weight vector.
     """
     grid = np.asarray(grid, float)
-    k, c_e, a = _pv_weights(grid, energy)
+    (k,), (c_e,), (a,) = _pv_weights(grid, np.array([energy], float))
     if callable(f):
         # exact f(E): interpolating it is second order in h, but within
         # ~h^2 of a node its error is amplified by 1/(E - E')
@@ -155,56 +156,44 @@ def pv_integral(f, grid, energy):
     return np.tensordot(k + c_e * a, np.asarray(f), axes=1)[()]  # 1-D f: scalar
 
 
-def _pv_weights(grid, energy):
-    """Weights (k, c_e, a) with PV int f/(E - E') = k.f + c_e f(E).
+def _pv_weights(grid, energies):
+    """Weights (k, c_e, a) with PV int f/(E - E') = k.f + c_e f(E), one
+    row per energy.
 
     `a` holds np.interp's two node weights, f(E) ~ a.f.  The derivative
     limit at a near node takes f'(E) ~ a.np.gradient(f), whose stencil
     is central inside the grid and one-sided at its ends.
     """
-    lo, hi = grid[0], grid[-1]
+    lo, hi = float(grid[0]), float(grid[-1])
     h = grid[1] - grid[0]
-    if not (lo < energy < hi):
-        raise EOutsideWindow(f"E = {energy!r} outside ({lo!r}, {hi!r})")
-    if energy - lo < 0.5 * h or hi - energy < 0.5 * h:
-        raise ETooCloseToThreshold(
-            f"E = {energy!r} within half a grid cell of a threshold")
-    m = len(grid)
-    j = int(np.searchsorted(grid, energy, side="right")) - 1
-    t = (energy - grid[j]) / (grid[j + 1] - grid[j])
-    a = np.zeros(m)
-    a[j], a[j + 1] = 1.0 - t, t
-    denom = energy - grid
+    for energy in energies.tolist():
+        if not (lo < energy < hi):
+            raise EOutsideWindow(f"E = {energy!r} outside ({lo!r}, {hi!r})")
+        if energy - lo < 0.5 * h or hi - energy < 0.5 * h:
+            raise ETooCloseToThreshold(
+                f"E = {energy!r} within half a grid cell of a threshold")
+    m, rows = len(grid), np.arange(len(energies))
+    j = np.searchsorted(grid, energies, side="right") - 1
+    t = (energies - grid[j]) / (grid[j + 1] - grid[j])
+    a = np.zeros((len(energies), m))
+    a[rows, j], a[rows, j + 1] = 1.0 - t, t
+    denom = energies[:, None] - grid
     # nodes closer than the cancellation noise floor of f(E') - f(E) get
     # the derivative limit; anything tighter than this amplifies roundoff
-    scale = max(abs(lo), abs(hi), abs(energy))
-    near_tol = min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale),
-                   0.45 * h)
-    near = np.abs(denom) < near_tol
-    w = np.full(m, h)
-    w[[0, -1]] = 0.5 * h
+    scale = np.maximum(max(abs(lo), abs(hi)), np.abs(energies))
+    near_tol = np.minimum(np.maximum(1e-12 * h, np.sqrt(np.finfo(float).eps)
+                                     * scale), 0.45 * h)
+    near = np.abs(denom) < near_tol[:, None]
+    w = h * np.r_[0.5, np.ones(m - 2), 0.5]     # trapezoid rule
     k = w / np.where(near, np.inf, denom)
-    c_e = np.log((energy - lo) / (hi - energy)) - k.sum()
-    w_near = w[near].sum()
+    c_e = np.log((energies - lo) / (hi - energies)) - k.sum(axis=1)
+    w_near = (w * near).sum(axis=1)     # at most one node is near
     for i in (j, j + 1):
-        lo_i, hi_i = max(i - 1, 0), min(i + 1, m - 1)
-        step = w_near * a[i] / ((hi_i - lo_i) * h)
-        k[lo_i] += step
-        k[hi_i] -= step
+        lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, m - 1)
+        step = w_near * a[rows, i] / ((hi_i - lo_i) * h)
+        k[rows, lo_i] += step
+        k[rows, hi_i] -= step
     return k, c_e, a
-
-
-def _plain_integral(f, grid, energy):
-    """Ordinary int f(E')/(E - E') dE' for E outside the grid span."""
-    grid = np.asarray(grid, float)
-    h = grid[1] - grid[0]
-    denom = energy - grid
-    if np.abs(denom).min() < 1e-12 * h:
-        raise ETooCloseToThreshold(
-            f"E = {energy!r} coincides with a continuum grid node")
-    w = np.full(len(grid), h)
-    w[[0, -1]] = 0.5 * h
-    return np.tensordot(w / denom, np.asarray(f), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +211,49 @@ def assemble_heff(m, energy):
     Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window, zero outside,
     making the matrix complex symmetric (Hermitian outside the window).
     """
-    return _heff_at(m)(energy)
+    (heff,), (inside,), _ = _heff_stack(m, _coupling_products(m),
+                                        np.array([energy], float))
+    return EffectiveHamiltonian(linalg.ComplexMatrix(
+        heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN))
 
 
-def _heff_at(m):
-    """energy -> EffectiveHamiltonian, with g g^T on the grid built once."""
-    grid = m.grid
+def _coupling_products(m):
+    """g g^T on the continuum grid, (M, N, N)."""
+    g_grid = m.coupling.on_grid(m.grid, m.window)        # (M, N, C)
+    return np.einsum("mic,mjc->mij", g_grid, g_grid)
+
+
+def _heff_stack(m, prod, energies):
+    """(R, N, N) H_eff at real energies, the mask of those inside the window
+    and the couplings g(E) (R, N, C), zero outside; checked as ComplexMatrix
+    checks one matrix, but raising SelfConsistencyFailure."""
     lo, hi = m.window
-    g_grid = m.coupling.on_grid(grid, m.window)          # (M, N, C)
-    prod = np.einsum("mic,mjc->mij", g_grid, g_grid)     # (M, N, N)
-    h_b = m.h_bound()
-
-    def at(energy):
-        if lo < energy < hi:
-            shift = pv_integral(prod, grid, energy) / (2.0 * np.pi)
-            g_e = m.coupling.at(energy, m.window)        # (N, C)
-            width = 0.5 * g_e @ g_e.T
-            hint = linalg.COMPLEX_SYMMETRIC
-        else:
-            shift = _plain_integral(prod, grid, energy) / (2.0 * np.pi)
-            width = np.zeros((m.n_states, m.n_states))
-            hint = linalg.HERMITIAN
-        return EffectiveHamiltonian(
-            linalg.ComplexMatrix(h_b + shift - 1j * width, hint))
-
-    return at
+    grid, n = m.grid, m.n_states
+    inside = (lo < energies) & (energies < hi)
+    weights = np.empty((len(energies), len(grid)))
+    g = np.zeros((len(energies), n, m.n_channels))
+    with np.errstate(all="ignore"):     # non-finite entries raise below
+        k, c_e, a = _pv_weights(grid, energies[inside])
+        weights[inside] = k + c_e[:, None] * a
+        g[inside] = m.coupling.on_grid(energies[inside], m.window)
+        # outside the window the integrand is regular: plain trapezoid
+        h, denom = grid[1] - grid[0], energies[~inside, None] - grid
+        if (np.abs(denom) < 1e-12 * h).any():
+            raise ETooCloseToThreshold("E on a continuum grid node")
+        weights[~inside] = h * np.r_[0.5, np.ones(len(grid) - 2), 0.5] / denom
+        flat = prod.reshape(len(grid), n * n)
+        shift = np.array([np.dot(w, flat) for w in weights])
+        heff = m.h_bound() + shift.reshape(-1, n, n) / (2.0 * np.pi) \
+            - 1j * (0.5 * g @ g.swapaxes(1, 2))
+        ok = np.isfinite(heff.view(float)).all(axis=(1, 2))
+        partner = np.where(inside[:, None, None], heff, heff.conj())
+        scale = np.maximum(np.abs(heff).max(axis=(1, 2)), 1.0)
+        ok &= np.abs(heff - partner.swapaxes(1, 2)).max(axis=(1, 2)) \
+            <= linalg._SYMMETRY_TOL * scale
+    if not ok.all():
+        raise SelfConsistencyFailure("H_eff is not finite or not symmetric at "
+                                     f"E = {energies[~ok].tolist()[0]!r}")
+    return heff, inside, g
 
 
 # ---------------------------------------------------------------------------
@@ -277,65 +284,67 @@ def solve_resonances(m):
     Stops at a step below 1e-10 * scale, else unconverged after 200.
     States whose self-consistent energy falls outside the window come
     out with zero width and ordinary orthonormal vectors.
+
+    The unconverged states advance together, one round per step: one
+    (R, N, N) H_eff stack and one stacked eigensolve, each state's iterates
+    as when solved alone; `iterations` is the round a state converged in.
+    One more stacked round solves every state at its final energy.
     """
     lo, hi = m.window
     h = m.grid[1] - m.grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
-    eb_vals, eb_vecs = np.linalg.eigh(m.h_bound())
-    heff_at = _heff_at(m)
+    energy, phi_ref = np.linalg.eigh(m.h_bound())
+    phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
+    prod, n = _coupling_products(m), m.n_states
+    e_prev, f_prev = np.full((2, n), np.nan)    # no previous iterate: damped
+    resid, iterations = np.full(n, np.inf), np.zeros(n, int)
+    converged = np.zeros(n, bool)
+    for it in range(1, 201):
+        act = np.flatnonzero(~converged)
+        if not len(act):
+            break
+        e = _clamp_energy(energy[act], lo, hi, h)
+        heff, inside, _ = _heff_stack(m, prod, e)
+        w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
+        rows = np.arange(len(act))
+        idx = np.abs(phi_ref[act].conj()[:, None] @ u)[:, 0].argmax(axis=1)
+        z, phi_ref[act] = w[rows, idx], u[rows, :, idx]
+        f = z.real - e
+        with np.errstate(all="ignore"):     # masked where f == f_prev
+            sec = e - f * (e - e_prev[act]) / (f - f_prev[act])
+        new_e = np.where((f != f_prev[act]) & np.isfinite(sec)
+                         & ((sec - lo) * (e - lo) > 0)
+                         & ((sec - hi) * (e - hi) > 0),
+                         sec, 0.5 * e + 0.5 * z.real)
+        e_prev[act], f_prev[act] = e, f
+        resid[act] = np.abs(new_e - e)
+        energy[act], iterations[act] = new_e, it
+        converged[act] = resid[act] < 1e-10 * scale
+    energy = _clamp_energy(energy, lo, hi, h)
+    heff, inside, g = _heff_stack(m, prod, energy)
+    values, vectors = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
     states = []
-    for k in range(m.n_states):
-        energy = float(eb_vals[k])
-        phi_ref = eb_vecs[:, k].astype(complex)
-        converged, it, resid = False, 0, np.inf
-        e_prev = f_prev = np.nan    # no previous iterate: first step damped
-        for it in range(1, 201):
-            energy = _clamp_energy(energy, lo, hi, h)
-            w, u = linalg.eig_pairs(heff_at(energy).matrix)
-            idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
-            z, phi_ref = w[idx], u[:, idx]
-            f = z.real - energy
-            new_e = 0.5 * energy + 0.5 * z.real
-            if f != f_prev:
-                sec = energy - f * (energy - e_prev) / (f - f_prev)
-                if np.isfinite(sec) and (sec - lo) * (energy - lo) > 0 \
-                        and (sec - hi) * (energy - hi) > 0:
-                    new_e = sec
-            e_prev, f_prev = energy, f
-            resid = abs(new_e - energy)
-            energy = new_e
-            if resid < 1e-10 * scale:
-                converged = True
-                break
-        energy = _clamp_energy(energy, lo, hi, h)
-        sys = linalg.eig(heff_at(energy).matrix)
-        if lo < energy < hi:
-            sys = linalg.c_normalize(sys)
-        u = sys.right_vectors
-        idx = int(np.argmax(np.abs(phi_ref.conj()
+    for k in range(n):
+        u = linalg.c_columns(vectors[k])[0] if inside[k] else vectors[k]
+        idx = int(np.argmax(np.abs(phi_ref[k].conj()
                                    @ (u / np.linalg.norm(u, axis=0)))))
-        z, phi = sys.values[idx], u[:, idx]
-        if not (lo < energy < hi):
+        z, phi = values[k, idx], u[:, idx]
+        if not inside[k]:
             z = complex(z.real, 0.0)
             phi = phi.real / np.linalg.norm(phi.real) if np.abs(phi.imag).max() \
                 < 1e-12 else phi / np.linalg.norm(phi)
-        g_e = m.coupling.at(energy, m.window) if lo < energy < hi \
-            else np.zeros((m.n_states, m.n_channels))
-        gamma_c = phi @ g_e
-        states.append(ResonanceState(z=complex(z), phi=phi,
-                                     gamma_c=np.asarray(gamma_c, complex),
-                                     energy=float(energy), converged=converged,
-                                     iterations=it, residual=float(resid)))
+        states.append(ResonanceState(
+            z=complex(z), phi=phi, gamma_c=np.asarray(phi @ g[k], complex),
+            energy=float(energy[k]), converged=bool(converged[k]),
+            iterations=int(iterations[k]), residual=float(resid[k])))
     return states
 
 
 def _clamp_energy(energy, lo, hi, h):
-    """Keep the iterate clear of the half-cell exclusion at the thresholds."""
-    if lo < energy < lo + 0.51 * h:
-        return lo + 0.51 * h
-    if hi - 0.51 * h < energy < hi:
-        return hi - 0.51 * h
-    return energy
+    """Keep the iterates clear of the half-cell exclusion at the thresholds."""
+    return np.where((lo < energy) & (energy < lo + 0.51 * h), lo + 0.51 * h,
+                    np.where((hi - 0.51 * h < energy) & (energy < hi),
+                             hi - 0.51 * h, energy))
 
 
 # ---------------------------------------------------------------------------

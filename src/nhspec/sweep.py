@@ -133,10 +133,10 @@ def _affine(model, paths):
     """Entries A of the model's matrix with every path at 0, the slope B_k
     of each path there, and the symmetry hint.  Paths whose slopes do not
     add up, as ('e1_slope', 'a'), are an input error, seen at all x_k = 1.
-    An avoided crossing's 'a' keeps its exact slope matrix; any other B_k is
-    M(x_k = 1) - A, in which the entries that do not move cancel exactly."""
-    def at(*x):
-        m = model
+    An avoided crossing's 'a' keeps its exact slope in the entries it moves
+    (not those a later path overwrites); any other B_k is M(x_k = 1) - A,
+    in which the entries that do not move cancel exactly."""
+    def at(*x, m=model):
         for path, value in zip(paths, x):
             m = _set_path(m, path, value)
         if isinstance(m, twolevel.AvoidedCrossingModel):
@@ -146,10 +146,15 @@ def _affine(model, paths):
 
     base, before, slopes = at(*[0.0] * len(paths)), model, []
     for k, path in enumerate(paths):     # before: earlier paths set to 0
+        x = np.eye(len(paths))[k]
         if path == "a" and isinstance(before, twolevel.AvoidedCrossingModel):
-            slopes.append(np.diag([before.e1_slope, before.e2_slope]))
+            # at zero offsets e_k(0) = 0 a move is the slope, never rounded off
+            flat = dataclasses.replace(before, e1_0=0.0, e2_0=0.0)
+            moves = at(*x, m=flat).entries != at(*0 * x, m=flat).entries
+            exact = np.diag([before.e1_slope, before.e2_slope])
+            slopes.append(np.where(moves, exact, 0))
         else:
-            slopes.append(at(*np.eye(len(paths))[k]).entries - base.entries)
+            slopes.append(at(*x).entries - base.entries)
         before = _set_path(before, path, 0.0)
     if not np.array_equal(sum(slopes, base.entries),
                           at(*[1.0] * len(paths)).entries):

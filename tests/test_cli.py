@@ -321,6 +321,21 @@ class TestExitCodes:
         assert "numerical failure" in err and "ep.json" in err
         assert not (tmp_path / "ep.json").exists()
 
+    def test_overflow_in_heff_is_exit_3(self, tmp_path, capsys):
+        # every input finite, but g g^T = 1e400 overflows in H_eff: a
+        # numerical failure naming the energy, not an input error
+        model = tmp_path / "overflow.json"
+        model.write_text(json.dumps({
+            "version": "1", "kind": "open_system",
+            "parameters": {"e_b": [0.0, 1e308],
+                           "coupling": {"profile": "constant",
+                                        "values": [[1e200], [1e200]]},
+                           "window": [-10, 10], "grid_size": 201}}))
+        assert run("heff", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "E = 0.0" in err
+
     def test_reversed_omega_plane_is_located(self, tmp_path):
         # (omega_im, omega_re) has no closed form: Newton alone finds the
         # EP omega = i (eps1 - eps2)/2 = 0.05 + 1i

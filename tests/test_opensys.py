@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nhspec import cli, linalg, opensys
-from nhspec.errors import EOutsideWindow, ETooCloseToThreshold
+from nhspec.errors import (EOutsideWindow, ETooCloseToThreshold, NhspecError,
+                           SelfConsistencyFailure)
 
 from conftest import random_complex_symmetric
 
@@ -352,16 +353,33 @@ class TestSolveResonances:
         assert [s.converged for s in states] == [True, True]
         assert max(s.iterations for s in states) <= 5
 
-    def test_iterates_skip_the_left_vectors(self, monkeypatch):
-        # the secant iterates need values and right vectors only; the full
-        # linalg.eig (with paired left vectors) is for the final solve
-        calls = []
-        eig = linalg.eig
+    def test_one_stacked_eigensolve_per_round(self, monkeypatch):
+        # every round diagonalizes the unconverged states' H_eff as one
+        # stack, and the final solve is one more; no left vectors are built
+        stacks, eig = [], linalg.eig_stack
         monkeypatch.setattr(linalg, "eig",
-                            lambda h, **kw: calls.append(1) or eig(h, **kw))
+                            lambda *a, **k: pytest.fail("linalg.eig called"))
+        monkeypatch.setattr(linalg, "eig_stack",
+                            lambda a, herm: stacks.append(len(a)) or eig(a, herm))
         states = opensys.solve_resonances(standard_model())
-        assert len(calls) == len(states)
+        assert len(stacks) == max(s.iterations for s in states) + 1
+        assert stacks[0] == stacks[-1] == len(states)
         assert all(s.iterations > 1 for s in states)
+
+    def test_converged_states_leave_the_rounds(self, monkeypatch):
+        # states that converge early drop out of the later rounds
+        m = opensys.OpenSystemModel(
+            e_b=[-0.5, 0.5, 9.5],
+            coupling=opensys.ConstantCoupling(
+                [[1.0, 0.6], [0.8, -0.9], [0.7, 1.2]]),
+            window=(-10.0, 10.0), grid_size=2001)
+        stacks, eig = [], linalg.eig_stack
+        monkeypatch.setattr(linalg, "eig_stack",
+                            lambda a, herm: stacks.append(len(a)) or eig(a, herm))
+        its = [s.iterations for s in opensys.solve_resonances(m)]
+        assert stacks[:-1] == [sum(i >= r for i in its)
+                               for r in range(1, max(its) + 1)]
+        assert len(set(its)) > 1
 
     def test_strong_coupling_is_self_consistent(self):
         m = opensys.OpenSystemModel(
@@ -386,6 +404,202 @@ class TestSolveResonances:
         states = sorted(opensys.solve_resonances(m), key=lambda s: s.z.real)
         assert states[0].z.imag == 0.0
         assert states[1].width > 0.0
+
+
+def _scalar_pv_weights(grid, energy):
+    """The PV weights (k, c_e, a) of a single energy in scalar arithmetic:
+    the per-energy reference for the stacked _pv_weights."""
+    lo, hi = grid[0], grid[-1]
+    h = grid[1] - grid[0]
+    m = len(grid)
+    j = int(np.searchsorted(grid, energy, side="right")) - 1
+    t = (energy - grid[j]) / (grid[j + 1] - grid[j])
+    a = np.zeros(m)
+    a[j], a[j + 1] = 1.0 - t, t
+    denom = energy - grid
+    scale = max(abs(lo), abs(hi), abs(energy))
+    near_tol = min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale),
+                   0.45 * h)
+    near = np.abs(denom) < near_tol
+    w = np.full(m, h)
+    w[[0, -1]] = 0.5 * h
+    k = w / np.where(near, np.inf, denom)
+    c_e = np.log((energy - lo) / (hi - energy)) - k.sum()
+    w_near = w[near].sum()
+    for i in (j, j + 1):
+        lo_i, hi_i = max(i - 1, 0), min(i + 1, m - 1)
+        step = w_near * a[i] / ((hi_i - lo_i) * h)
+        k[lo_i] += step
+        k[hi_i] -= step
+    return k, c_e, a
+
+
+def _scalar_heff(m, prod, energy):
+    """H_eff at one energy as a ComplexMatrix, in the per-energy form."""
+    grid = m.grid
+    lo, hi = m.window
+    if lo < energy < hi:
+        k, c_e, a = _scalar_pv_weights(grid, energy)
+        shift = np.tensordot(k + c_e * a, prod, axes=1) / (2.0 * np.pi)
+        g_e = m.coupling.at(energy, m.window)
+        width = 0.5 * g_e @ g_e.T
+        hint = linalg.COMPLEX_SYMMETRIC
+    else:
+        h = grid[1] - grid[0]
+        w = np.full(len(grid), h)
+        w[[0, -1]] = 0.5 * h
+        shift = np.tensordot(w / (energy - grid), prod, axes=1) / (2.0 * np.pi)
+        width = np.zeros((m.n_states, m.n_states))
+        hint = linalg.HERMITIAN
+    return linalg.ComplexMatrix(m.h_bound() + shift - 1j * width, hint)
+
+
+def _scalar_clamp(energy, lo, hi, h):
+    if lo < energy < lo + 0.51 * h:
+        return lo + 0.51 * h
+    if hi - 0.51 * h < energy < hi:
+        return hi - 0.51 * h
+    return energy
+
+
+def per_state_resonances(m):
+    """solve_resonances one state at a time: each state iterates alone,
+    with one H_eff and one eigensolve per step, then linalg.eig and
+    linalg.c_normalize at its final energy."""
+    lo, hi = m.window
+    h = m.grid[1] - m.grid[0]
+    scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
+    eb_vals, eb_vecs = np.linalg.eigh(m.h_bound())
+    g_grid = m.coupling.on_grid(m.grid, m.window)
+    prod = np.einsum("mic,mjc->mij", g_grid, g_grid)
+    states = []
+    for k in range(m.n_states):
+        energy = float(eb_vals[k])
+        phi_ref = eb_vecs[:, k].astype(complex)
+        converged, it, resid = False, 0, np.inf
+        e_prev = f_prev = np.nan
+        for it in range(1, 201):
+            energy = _scalar_clamp(energy, lo, hi, h)
+            w, u = linalg.eig_pairs(_scalar_heff(m, prod, energy))
+            idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
+            z, phi_ref = w[idx], u[:, idx]
+            f = z.real - energy
+            new_e = 0.5 * energy + 0.5 * z.real
+            if f != f_prev:
+                with np.errstate(all="ignore"):
+                    sec = energy - f * (energy - e_prev) / (f - f_prev)
+                if np.isfinite(sec) and (sec - lo) * (energy - lo) > 0 \
+                        and (sec - hi) * (energy - hi) > 0:
+                    new_e = sec
+            e_prev, f_prev = energy, f
+            resid = abs(new_e - energy)
+            energy = new_e
+            if resid < 1e-10 * scale:
+                converged = True
+                break
+        energy = _scalar_clamp(energy, lo, hi, h)
+        sys = linalg.eig(_scalar_heff(m, prod, energy))
+        if lo < energy < hi:
+            sys = linalg.c_normalize(sys)
+        u = sys.right_vectors
+        idx = int(np.argmax(np.abs(phi_ref.conj()
+                                   @ (u / np.linalg.norm(u, axis=0)))))
+        z, phi = sys.values[idx], u[:, idx]
+        if not (lo < energy < hi):
+            z = complex(z.real, 0.0)
+            phi = phi.real / np.linalg.norm(phi.real) \
+                if np.abs(phi.imag).max() < 1e-12 else phi / np.linalg.norm(phi)
+        g_e = m.coupling.at(energy, m.window) if lo < energy < hi \
+            else np.zeros((m.n_states, m.n_channels))
+        states.append(opensys.ResonanceState(
+            z=complex(z), phi=phi, gamma_c=np.asarray(phi @ g_e, complex),
+            energy=float(energy), converged=converged, iterations=it,
+            residual=float(resid)))
+    return states
+
+
+def same_state(a, b):
+    """Every ResonanceState field equal to the bit, and of the same type."""
+    def fields(s):
+        return ([type(getattr(s, f)) for f in ("z", "energy", "converged",
+                                               "iterations", "residual")],
+                [float(x).hex() for x in (s.z.real, s.z.imag, s.energy,
+                                          s.residual)],
+                (s.converged, s.iterations),
+                [(x.dtype, x.shape, x.tobytes()) for x in (s.phi, s.gamma_c)])
+    return fields(a) == fields(b)
+
+
+@st.composite
+def open_models(draw):
+    """Models with N <= 8 states and C <= 3 channels, constant or
+    semicircle couplings over four decades, bound energies inside and
+    outside the window (-10, 10), with and without a direct interaction."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    e_b = draw(st.lists(st.floats(-14.0, 14.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amplitudes = rng.uniform(-1.0, 1.0, (n, c)) * 10.0 ** draw(
+        st.floats(-3.0, 0.5))
+    profile = draw(st.sampled_from([opensys.ConstantCoupling,
+                                    opensys.SemicircleCoupling]))
+    v_direct = None
+    if draw(st.booleans()):
+        v = rng.uniform(-0.5, 0.5, (n, n))
+        v_direct = v + v.T
+    return opensys.OpenSystemModel(
+        e_b=e_b, coupling=profile(amplitudes), window=(-10.0, 10.0),
+        grid_size=2 * draw(st.integers(10, 200)) + 1, v_direct=v_direct)
+
+
+class TestRoundsAgainstPerState:
+    @settings(max_examples=80)
+    @given(open_models())
+    def test_rounds_change_no_iterate(self, m):
+        try:
+            want = per_state_resonances(m)
+        except NhspecError as exc:
+            with pytest.raises(type(exc)):
+                opensys.solve_resonances(m)
+            return
+        got = opensys.solve_resonances(m)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert same_state(a, b), (a, b)
+
+    @pytest.mark.parametrize("name", ["fixture", "standard", "strong",
+                                      "outside"])
+    def test_named_models(self, name):
+        models = {
+            "fixture": cli._build_open_system(json.loads(
+                (DATA / "open_system.json").read_text())["parameters"]),
+            "standard": standard_model(),
+            "strong": opensys.OpenSystemModel(
+                e_b=[-0.5, 0.5, 9.5], coupling=opensys.ConstantCoupling(
+                    [[1.0, 0.6], [0.8, -0.9], [0.7, 1.2]]),
+                window=(-10.0, 10.0), grid_size=2001),
+            "outside": opensys.OpenSystemModel(
+                e_b=[-20.0, 0.0],
+                coupling=opensys.ConstantCoupling([[0.1], [0.1]]),
+                window=(-10.0, 10.0), grid_size=401)}
+        m = models[name]
+        for a, b in zip(opensys.solve_resonances(m), per_state_resonances(m)):
+            assert same_state(a, b)
+
+
+class TestNonFiniteHeff:
+    # e_b and g finite, g g^T overflows: a numerical failure naming the
+    # energy, not an input error
+    model = opensys.OpenSystemModel(
+        e_b=[0.0, 1e308], coupling=opensys.ConstantCoupling([[1e200], [1e200]]),
+        window=(-10.0, 10.0), grid_size=201)
+
+    def test_solver_raises_self_consistency_failure(self):
+        with pytest.raises(SelfConsistencyFailure, match="E = 0.0"):
+            opensys.solve_resonances(self.model)
+
+    def test_assemble_heff_raises_self_consistency_failure(self):
+        with pytest.raises(SelfConsistencyFailure, match="not finite"):
+            opensys.assemble_heff(self.model, 1e308)
 
 
 # ---------------------------------------------------------------------------

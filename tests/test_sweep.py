@@ -226,6 +226,34 @@ class TestLocateEp:
         assert loc.backward_error <= 1e-14
         assert len(calls) <= 100
 
+    def test_a_with_overwritten_level_is_a_plane(self):
+        # eps1_re overwrites the level that a moves, so a moves e2 alone and
+        # the pencil takes a's exact slope in the (2, 2) entry only.  With
+        # gamma2 - gamma1 = 4 omega the pair coalesces on the line
+        # eps1_re = e2(a) = 1 - a
+        model = twolevel.AvoidedCrossingModel(-1.0, 1.0, 1.0, -1.0,
+                                              gamma1_0=0.0, gamma2_0=1.2,
+                                              omega=0.3)
+        paths = ("a", "eps1_re")
+        a, (b1, b2), _ = sweep._affine(model, paths)
+        assert same_bits(b1, np.diag([0.0, -1.0]))
+        for p in [(0.0, 0.0), (0.3, -0.7), (1.7, 2.5), (-3.0, 0.1)]:
+            rebuilt = sweep._set_path(sweep._set_path(model, "a", p[0]),
+                                      "eps1_re", p[1]).matrix().entries
+            assert np.abs(a + p[0] * b1 + p[1] * b2 - rebuilt).max() <= 1e-13
+        loc = sweep.locate_ep(model, seed=(0.5, 0.5001), p1="a", p2="eps1_re")
+        assert loc.backward_error <= 1e-10
+        assert abs(loc.p2 - (1.0 - loc.p1)) <= 1e-12 * max(abs(loc.p1), 1.0)
+
+    def test_a_slope_is_not_rounded_off(self):
+        # e1(1) - e1(0) rounds to 0 next to e1_0 = 1e17, but a still moves
+        # the level: the exact slope stays in the pencil
+        model = twolevel.AvoidedCrossingModel(1e17, 1.0, 1.0, -1.0,
+                                              0.0, 0.0, 0.3)
+        family = sweep.make_family(model, "a")
+        assert same_bits(family.b, np.diag([1.0, -1.0]).astype(complex))
+        assert_pencil_matches(family, 1e3, model.model_at(1e3).matrix())
+
     def test_non_finite_eigenvalues_end_in_no_convergence(self):
         # finite entries whose largest eigenvalue overflows to inf
         fam = sweep.PlaneFamily(fn=lambda p1, p2: 1e308 * np.array(
