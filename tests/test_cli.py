@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhspec import cli, opensys, sweep
+from nhspec import cli, opensys, scattering, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,6 +398,123 @@ class TestExitCodes:
             "parameter": "gamma", "start": -0.5, "stop": 1.0,
             "steps": 11}) == 2
         assert "gamma must be non-negative" in capsys.readouterr().err
+
+    def test_locate_plane_without_pencil_is_input_error(self, tmp_path,
+                                                        capsys):
+        # e1_slope scales the a that follows it: the plane is not affine
+        assert self.run_block(tmp_path, "locate", "avoided_crossing",
+                              self.AVOIDED, {"p1": "e1_slope", "p2": "a",
+                                             "seed": [0.5, 0.5]}) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "give no pencil A + x B" in err
+        assert not (tmp_path / "out" / "ep.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# model-file ingestion: every profile and field shape the reader accepts
+# reaches the library as that object, and each malformed field is named
+
+OPEN = {"e_b": [-0.5, 0.5], "window": [-2.0, 2.0], "grid_size": 401,
+        "coupling": {"profile": "constant", "values": [[0.1], [0.08]]}}
+
+
+def write_model(tmp_path, kind, parameters, **blocks):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"version": "1", "kind": kind,
+                                 "parameters": parameters, **blocks}))
+    return model
+
+
+def csv_rows(path):
+    return [[float(x) for x in line.split(",")]
+            for line in path.read_text().splitlines()[1:]]
+
+
+class TestIngestion:
+    @pytest.mark.parametrize("changes,coupling", [
+        ({"coupling": {"profile": "semicircle",
+                       "strengths": [[0.3], [0.2]]}},
+         opensys.SemicircleCoupling(np.array([[0.3], [0.2]]))),
+        ({"coupling": {"profile": "tabulated", "energies": [-2.0, 0.0, 2.0],
+                       "values": [[[0.1], [0.0]], [[0.2], [0.1]],
+                                  [[0.1], [0.3]]]}},
+         opensys.TabulatedCoupling(
+             grid=np.array([-2.0, 0.0, 2.0]),
+             values=np.array([[[0.1], [0.0]], [[0.2], [0.1]],
+                              [[0.1], [0.3]]]))),
+        ({"v_direct": [[0.0, 0.05], [0.05, 0.0]]},
+         opensys.ConstantCoupling(np.array([[0.1], [0.08]])))])
+    def test_open_system_fields(self, tmp_path, changes, coupling):
+        model = write_model(tmp_path, "open_system", {**OPEN, **changes})
+        assert run("heff", "--model", str(model), "--out", str(tmp_path)) == 0
+        direct = opensys.OpenSystemModel(
+            e_b=np.array(OPEN["e_b"]), coupling=coupling, window=(-2.0, 2.0),
+            grid_size=401, v_direct=changes.get("v_direct"))
+        expected = [[k, s.z.real, s.z.imag, s.width, s.energy, s.converged,
+                     s.iterations, s.residual]
+                    for k, s in enumerate(opensys.solve_resonances(direct))]
+        assert csv_rows(tmp_path / "resonances.csv") == expected
+
+    def test_pole_list_smatrix(self, tmp_path):
+        model = write_model(
+            tmp_path, "smatrix",
+            {"poles": [[-0.5, -0.1], [0.5, -0.2]],
+             "couplings": [[0.3, [0.0, 0.1]], [[0.2, 0.05], 0.4]],
+             "channel": 1},
+            grid={"start": -2.0, "stop": 2.0, "points": 401})
+        assert run("scatter", "--model", str(model),
+                   "--out", str(tmp_path)) == 0
+        grid = np.linspace(-2.0, 2.0, 401)
+        rep = scattering.lineshape(scattering.SMatrixModel(
+            poles=[-0.5 - 0.1j, 0.5 - 0.2j],
+            couplings=[[0.3, 0.1j], [0.2 + 0.05j, 0.4]]), grid, channel=1)
+        assert csv_rows(tmp_path / "smatrix.csv") == [
+            [rep.grid[t], 1, rep.s_values[t].real, rep.s_values[t].imag,
+             rep.sigma[t], rep.phase[t]] for t in range(len(grid))]
+
+    TWO = {"eps1": [1.0, 0.0], "eps2": [-1.0, 0.0], "omega": [0.0, 0.5]}
+    SWEEP = {"parameter": "omega_im", "start": 0.5, "stop": 1.5, "steps": 11}
+
+    @pytest.mark.parametrize("kind,parameters,message", [
+        ("two_level", {**TWO, "eps1": "one"},
+         "field 'eps1' must be a number or a [re, im] pair"),
+        ("two_level", {**TWO, "eps1": ["one", 0.0]},
+         "field 'eps1' is not a number"),
+        ("two_level", {**TWO, "omega": [0.0, 0.5, 0.0]},
+         "field 'omega' must be a number or a [re, im] pair"),
+        ("avoided_crossing", {"e1_0": -1.0, "e1_slope": 1.0, "e2_0": 1.0,
+                              "e2_slope": -1.0, "gamma1_0": 0.0,
+                              "gamma2_0": 0.0, "omega": [0.3]},
+         "field 'omega' is not a number"),
+        ("open_system", {**OPEN, "e_b": [[-0.5, 0.5]]},
+         "field 'e_b' must be a finite 1-d array"),
+        ("open_system", {**OPEN, "window": [-2.0, 0.0, 2.0]},
+         "field 'window' must be a [lo, hi] pair"),
+        ("open_system", {**OPEN, "coupling": {"profile": "gaussian"}},
+         "unknown coupling profile 'gaussian'"),
+        ("three_level", TWO, "unknown model kind 'three_level'")])
+    def test_malformed_field(self, tmp_path, capsys, kind, parameters,
+                             message):
+        command = "heff" if kind == "open_system" else "sweep"
+        model = write_model(tmp_path, kind, parameters, sweep=self.SWEEP)
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("text,message", [
+        # json reads 1e400 as inf: finite in the file, not as a float
+        ('{"version": "1", "kind": "pt_two_level", "parameters": '
+         '{"e": 0.2, "gamma": 1e400, "omega": 0.3}, "sweep": {"parameter": '
+         '"e", "start": 0.0, "stop": 1.0, "steps": 11}}',
+         "field 'gamma' is not finite"),
+        ('[{"version": "1"}]', "model file must contain a JSON object")])
+    def test_malformed_text(self, tmp_path, capsys, text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert run("sweep", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
