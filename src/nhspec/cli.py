@@ -6,6 +6,7 @@ success, 2 on a model or input error, 3 on a numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -82,25 +83,12 @@ def load_model_file(path):
     return doc
 
 
-def _build_two_level(p):
-    return twolevel.TwoLevelModel(
-        eps1=_as_complex(_require(p, "eps1", "parameters"), "eps1"),
-        eps2=_as_complex(_require(p, "eps2", "parameters"), "eps2"),
-        omega=_as_complex(_require(p, "omega", "parameters"), "omega"))
-
-
-def _build_pt(p):
-    return twolevel.PTTwoLevelModel(
-        e=_as_float(_require(p, "e", "parameters"), "e"),
-        gamma=_as_float(_require(p, "gamma", "parameters"), "gamma"),
-        omega=_as_float(_require(p, "omega", "parameters"), "omega"))
-
-
-def _build_avoided(p):
-    names = ("e1_0", "e1_slope", "e2_0", "e2_slope",
-             "gamma1_0", "gamma2_0", "omega")
-    vals = {n: _as_float(_require(p, n, "parameters"), n) for n in names}
-    return twolevel.AvoidedCrossingModel(**vals)
+# model class and field parser of each kind that sweep, locate and encircle
+# take; fields are read, and a missing one named, in declared order
+_SWEEP_MODELS = {
+    "two_level": (twolevel.TwoLevelModel, _as_complex),
+    "pt_two_level": (twolevel.PTTwoLevelModel, _as_float),
+    "avoided_crossing": (twolevel.AvoidedCrossingModel, _as_float)}
 
 
 def _build_coupling(rec):
@@ -119,13 +107,11 @@ def _build_coupling(rec):
     _fail(f"unknown coupling profile {profile!r}")
 
 
-def _build_open_system(p, pv_grid=None):
+def _build_open_system(p):
     window = _as_array(_require(p, "window", "parameters"), "window", 1)
     if len(window) != 2:
         _fail("field 'window' must be a [lo, hi] pair")
     grid_size = int(p.get("grid_size", 201))
-    if pv_grid is not None:
-        grid_size = pv_grid
     v_direct = p.get("v_direct")
     if v_direct is not None:
         v_direct = _as_array(v_direct, "v_direct", 2)
@@ -181,29 +167,22 @@ def write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (complex, np.complexfloating)):
+def _plain(obj):
+    """What json cannot encode itself: a complex value as [re, im], numpy
+    scalars and arrays as Python values (np.float64 is a float already)."""
+    if isinstance(obj, complex):        # np.complex128 too
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
 
 
 def _dumps(path, obj, indent=None):
     # NaN and inf have no JSON spelling; emitting one is a numerical failure
     try:
-        return json.dumps(_jsonable(obj), sort_keys=True, indent=indent,
-                          allow_nan=False)
+        return json.dumps(obj, sort_keys=True, indent=indent,
+                          allow_nan=False, default=_plain)
     except ValueError as exc:
         raise NhspecError(f"non-finite value for {path}: {exc}") from exc
 
@@ -263,17 +242,15 @@ def write_trajectory_svg(path, params, values):
 
 def _model_for_sweep(doc):
     kind = doc["kind"]
+    if kind not in _SWEEP_MODELS:
+        _fail(f"model kind {kind!r} has no sweep interpretation")
+    cls, parse = _SWEEP_MODELS[kind]
     p = doc["parameters"]
-    if kind == "two_level":
-        return _build_two_level(p)
-    if kind == "pt_two_level":
-        return _build_pt(p)
-    if kind == "avoided_crossing":
-        return _build_avoided(p)
-    _fail(f"model kind {kind!r} has no sweep interpretation")
+    return cls(**{f.name: parse(_require(p, f.name, "parameters"), f.name)
+                  for f in dataclasses.fields(cls)})
 
 
-def cmd_sweep(doc, out, config):
+def cmd_sweep(doc, out, emit):
     model = _model_for_sweep(doc)
     block = _require(doc, "sweep", "model file")
     spec = sweep.SweepSpec(
@@ -285,7 +262,6 @@ def cmd_sweep(doc, out, config):
     result = sweep.sweep(spec)
 
     n = len(result.rows[0].values)
-    emit = config.get("emit", ("csv", "json"))
     if "csv" in emit:
         header = ["param", "k", "re_z", "im_z", "A", "r", "gap"]
         rows = []
@@ -305,19 +281,14 @@ def cmd_sweep(doc, out, config):
     return 0
 
 
-def cmd_locate(doc, out, config):
+def cmd_locate(doc, out, emit):
     model = _model_for_sweep(doc)
     block = _require(doc, "locate", "model file")
     p1 = _require(block, "p1", "locate block")
     p2 = _require(block, "p2", "locate block")
     seed = _require(block, "seed", "locate block")
     seed = (_as_float(seed[0], "seed"), _as_float(seed[1], "seed"))
-    if config.get("seed_p1") is not None:
-        seed = (config["seed_p1"], seed[1])
-    if config.get("seed_p2") is not None:
-        seed = (seed[0], config["seed_p2"])
-    loc = sweep.locate_ep(model, seed, p1=p1, p2=p2,
-                          tol=config.get("tol_ep", 1e-10))
+    loc = sweep.locate_ep(model, seed, p1=p1, p2=p2)
     write_json(out / "ep.json", {
         "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
         "residual": loc.gap, "backward_error": loc.backward_error,
@@ -325,7 +296,7 @@ def cmd_locate(doc, out, config):
     return 0
 
 
-def cmd_encircle(doc, out, config):
+def cmd_encircle(doc, out, emit):
     model = _model_for_sweep(doc)
     block = _require(doc, "encircle", "model file")
     spec = sweep.EncircleSpec(
@@ -352,7 +323,7 @@ def cmd_encircle(doc, out, config):
     return 0
 
 
-def cmd_trap(doc, out, config):
+def cmd_trap(doc, out, emit):
     if doc["kind"] != "toy_trapping":
         _fail("trap requires a toy_trapping model")
     p = doc["parameters"]
@@ -378,7 +349,7 @@ def cmd_trap(doc, out, config):
     return 0
 
 
-def cmd_scatter(doc, out, config):
+def cmd_scatter(doc, out, emit):
     if doc["kind"] != "smatrix":
         _fail("scatter requires an smatrix model")
     p = doc["parameters"]
@@ -412,10 +383,10 @@ def cmd_scatter(doc, out, config):
     return 0
 
 
-def cmd_heff(doc, out, config):
+def cmd_heff(doc, out, emit):
     if doc["kind"] != "open_system":
         _fail("heff requires an open_system model")
-    model = _build_open_system(doc["parameters"], config.get("pv_grid"))
+    model = _build_open_system(doc["parameters"])
     states = opensys.solve_resonances(model)
     header = ["index", "re_z", "im_z", "width", "energy", "converged",
               "iterations", "residual"]
@@ -450,11 +421,6 @@ def build_parser():
         # accepted and validated for compatibility; nothing uses it since
         # sweeps diagonalize stacked grids instead of a thread pool
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--tol-ep", type=float, default=1e-10)
-        p.add_argument("--pv-grid", type=int, default=None)
-        if name == "locate":
-            p.add_argument("--seed-p1", type=float, default=None)
-            p.add_argument("--seed-p2", type=float, default=None)
     return parser
 
 
@@ -467,21 +433,11 @@ def main(argv=None):
     if args.workers < 1:
         print("nhspec: workers must be >= 1", file=sys.stderr)
         return 2
-    if args.tol_ep <= 0:
-        print("nhspec: --tol-ep must be positive", file=sys.stderr)
-        return 2
-    if args.pv_grid is not None and (args.pv_grid < 3 or args.pv_grid % 2 == 0):
-        print("nhspec: --pv-grid must be odd and >= 3", file=sys.stderr)
-        return 2
-    config = {"emit": emit, "tol_ep": args.tol_ep,
-              "pv_grid": args.pv_grid,
-              "seed_p1": getattr(args, "seed_p1", None),
-              "seed_p2": getattr(args, "seed_p2", None)}
     try:
         doc = load_model_file(args.model)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](doc, out, config)
+        return COMMANDS[args.command](doc, out, emit)
     except (ModelFileError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"nhspec: input error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,8 @@ MAX_BISECT = 8
 _STACK_BYTES = 1 << 20
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_EP_GAP_TOL = 1e-10
+# locate_ep's bound on the backward error of the pair at a returned point
+EP_BACKWARD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +434,7 @@ def _pair_state(family, p):
     return float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
 
 
-def locate_ep(family, seed, p1=None, p2=None, tol=1e-10):
+def locate_ep(family, seed, p1=None, p2=None):
     """Locate a point in two real parameters where two eigenvalues coalesce.
 
     Accepts either a PlaneFamily or a model plus two parameter paths, for
@@ -441,10 +443,10 @@ def locate_ep(family, seed, p1=None, p2=None, tol=1e-10):
     which is smooth through the coalescence.  For the closed-form
     two-level model in the coupling plane the exact locus nearest the
     Newton point is the final step.  The search succeeds when the
-    backward error at the returned point is at most tol, a bound on
-    distance to a coalescence relative to the matrix scale, not on the
-    eigenvalue gap; otherwise it raises SaddleRejected where Newton
-    stalled with the backward error far above tol, and NoConvergence else.
+    backward error at the returned point is at most EP_BACKWARD_TOL, a
+    bound on distance to a coalescence relative to the matrix scale, not
+    on the eigenvalue gap; otherwise it raises SaddleRejected where Newton
+    stalled with the backward error far above it, and NoConvergence else.
     """
     model = None
     if not isinstance(family, PlaneFamily):
@@ -460,14 +462,14 @@ def locate_ep(family, seed, p1=None, p2=None, tol=1e-10):
     if model is not None:
         _set_path(_set_path(model, p1, p[0]), p2, p[1])
     eta = linalg.coalescence_error(family(p[0], p[1]).entries)
-    if not eta <= tol:
-        if stalled and eta > 1e4 * tol:
+    if not eta <= EP_BACKWARD_TOL:
+        if stalled and eta > 1e4 * EP_BACKWARD_TOL:
             raise SaddleRejected(
                 f"local minimum with gap {gap:.3e} above tolerance",
                 point=tuple(p), residual=gap)
         raise NoConvergence(f"backward error {eta:.3e} (gap {gap:.3e}) above "
-                            f"tolerance {tol:.3e}", point=tuple(p),
-                            residual=gap)
+                            f"tolerance {EP_BACKWARD_TOL:.3e}",
+                            point=tuple(p), residual=gap)
     return EpLocation(p1=float(p[0]), p2=float(p[1]), z0=complex(z0),
                       gap=gap, backward_error=eta, step=step,
                       iterations=iterations)
@@ -495,14 +497,19 @@ def _newton_on_sq_gap(family, p):
     """Newton from p on F(p) = (z_i - z_j)^2 of the closest pair.
 
     F is analytic through a coalescence, where z_i - z_j is not, and a
-    dense eigensolver gives it to O(eps * scale^2).  The Jacobian is a
-    central difference; a step that does not lower |F| is halved, up to
-    30 times, and in at most 60 iterations the search has converged once
-    a full step is within 4 ulp of p; where full steps halve, as at the
-    double root of a crossing, the doubled step is tried first.  Returns
-    the point, its _pair_state, the step estimate of EpLocation, the
-    iteration count and whether Newton stalled: a singular Jacobian, a
-    non-finite step, or a line search that found no lower |F|.
+    dense eigensolver gives it to O(eps * scale^2).  The Jacobian J is a
+    central difference.  Where F depends on one combination of the two
+    parameters only, sigma2 / sigma1 of J is difference noise (1e-10 to
+    4e-9, against at least 1e-6 on regular planes); below 1e-7 the step
+    is the minimum-norm one, which ends near the seed's projection onto
+    the EP set instead of dividing |F| by that noise.  A step that does
+    not lower |F| is halved, up to 30 times, and in at most 60 iterations
+    the search has converged once a full step is within 4 ulp of p; where
+    full steps halve, as at the double root of a crossing, the doubled
+    step is tried first.  Returns the point, its _pair_state, the step
+    estimate of EpLocation, the iteration count and whether Newton
+    stalled: a singular Jacobian, a non-finite step, or a line search
+    that found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
     state, step, last = _pair_state(family, p), 0.0, np.inf
@@ -512,9 +519,13 @@ def _newton_on_sq_gap(family, p):
         d = [(_pair_state(family, p + dp)[1] - _pair_state(family, p - dp)[1])
              / (2.0 * h) for dp in (np.array([h, 0.0]), np.array([0.0, h]))]
         f = state[1]
+        jac = [[d[0].real, d[1].real], [d[0].imag, d[1].imag]]
         try:
-            s = np.linalg.solve([[d[0].real, d[1].real],
-                                 [d[0].imag, d[1].imag]], [-f.real, -f.imag])
+            sv = np.linalg.svd(jac, compute_uv=False)
+            if sv[1] < 1e-7 * sv[0]:
+                s = np.linalg.lstsq(jac, [-f.real, -f.imag], rcond=1e-7)[0]
+            else:
+                s = np.linalg.solve(jac, [-f.real, -f.imag])
         except np.linalg.LinAlgError:
             return p, state, step, it, True
         full = float(np.hypot(*s))
@@ -583,12 +594,6 @@ def encircle(spec, model):
     def point(theta):
         return spec.center + spec.radius * np.exp(1j * theta)
 
-    sys0 = linalg.c_normalize(linalg.eig(family(point(0.0))))
-    n = sys0.n
-    h0 = np.linalg.norm(sys0.right_vectors, axis=0)
-    init_w = sys0.right_vectors / h0
-    init_s = (1.0 / h0).astype(complex)
-
     probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     gaps = _min_pair_gap(np.linalg.eigvals(
         family.stack(np.append(spec.center, probes))[0]))
@@ -597,9 +602,14 @@ def encircle(spec, model):
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
     frames = _track(_Pencil(family.a, family.b, family.hint, coef=point),
                     thetas)
-    next(frames)
+    first = next(frames)
+    n = len(first.values)
+    start, _ = linalg.c_columns(first.vectors)
+    h0 = np.linalg.norm(start, axis=0)
+    init_w = start / h0
+    init_s = (1.0 / h0).astype(complex)
     cur_w, cur_s = init_w, init_s
-    contour = [(0.0, sys0.values.copy())]
+    contour = [(0.0, first.values)]
     cycles = []
     for f in frames:
         cur_w, cur_s = _carry(cur_w, cur_s, f.vectors)

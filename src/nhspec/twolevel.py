@@ -82,11 +82,10 @@ class AvoidedCrossingModel:
     def a_cr(self):
         return (self.e2_0 - self.e1_0) / (self.e1_slope - self.e2_slope)
 
-    def model_at(self, a, width_scale=1.0):
+    def model_at(self, a):
         e1 = self.e1_0 + self.e1_slope * a
         e2 = self.e2_0 + self.e2_slope * a
-        return TwoLevelModel.from_widths(e1, width_scale * self.gamma1_0,
-                                         e2, width_scale * self.gamma2_0,
+        return TwoLevelModel.from_widths(e1, self.gamma1_0, e2, self.gamma2_0,
                                          self.omega)
 
 

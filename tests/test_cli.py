@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -123,9 +125,12 @@ class TestLocateCommand:
         assert doc["residual"] < 1e-10
 
     def test_seed_override(self, tmp_path):
-        assert run("locate", "--model", str(DATA / "two_level_sweep.json"),
-                   "--out", str(tmp_path), "--seed-p1", "-0.1",
-                   "--seed-p2", "-0.8") == 0
+        doc = json.loads((DATA / "two_level_sweep.json").read_text())
+        doc["locate"]["seed"] = [-0.1, -0.8]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("locate", "--model", str(model),
+                   "--out", str(tmp_path)) == 0
         doc = validated_json(tmp_path / "ep.json", "ep")
         assert abs(doc["p2"] + 1.0) < 1e-8
 
@@ -260,14 +265,6 @@ class TestExitCodes:
     def test_bad_workers(self, tmp_path):
         assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
                    "--out", str(tmp_path), "--workers", "0") == 2
-
-    def test_bad_tol(self, tmp_path):
-        assert run("locate", "--model", str(DATA / "two_level_sweep.json"),
-                   "--out", str(tmp_path), "--tol-ep", "-1.0") == 2
-
-    def test_bad_pv_grid(self, tmp_path):
-        assert run("heff", "--model", str(DATA / "open_system.json"),
-                   "--out", str(tmp_path), "--pv-grid", "100") == 2
 
     @pytest.mark.parametrize("command,model,block", [
         ("trap", "trapping_chain.json", "alphas"),
@@ -515,6 +512,20 @@ class TestIngestion:
         assert run("sweep", "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+
+
+def test_readme_flags_are_the_parsers_options():
+    # every setting but these four comes from the model file alone
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    assert named == {"--model", "--out", "--emit", "--workers"}
+    commands, = [a.choices for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(cli.COMMANDS)
+    for parser in commands.values():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert options - {"-h", "--help"} == named
 
 
 # ---------------------------------------------------------------------------

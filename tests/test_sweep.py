@@ -245,6 +245,20 @@ class TestLocateEp:
         assert loc.backward_error <= 1e-10
         assert abs(loc.p2 - (1.0 - loc.p1)) <= 1e-12 * max(abs(loc.p1), 1.0)
 
+    @pytest.mark.parametrize("seed", [(0.5, 0.5001), (0.25, 0.8), (0.5, 0.6)])
+    def test_rank_one_jacobian_takes_minimum_norm_steps(self, seed):
+        # F = (z_i - z_j)^2 depends on a + eps1_re alone, so the Jacobian
+        # has rank one; Newton moves along (1, 1) only and ends at the
+        # seed's orthogonal projection onto the EP line a + eps1_re = 1
+        model = twolevel.AvoidedCrossingModel(-1.0, 1.0, 1.0, -1.0,
+                                              gamma1_0=0.0, gamma2_0=1.2,
+                                              omega=0.3)
+        loc = sweep.locate_ep(model, seed=seed, p1="a", p2="eps1_re")
+        shift = 0.5 * (seed[0] + seed[1] - 1.0)
+        assert loc.backward_error <= 1e-10
+        assert abs(loc.p1 - (seed[0] - shift)) <= 1e-9
+        assert abs(loc.p2 - (seed[1] - shift)) <= 1e-9
+
     def test_a_slope_is_not_rounded_off(self):
         # e1(1) - e1(0) rounds to 0 next to e1_0 = 1e17, but a still moves
         # the level: the exact slope stays in the pencil

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,7 +227,9 @@ class TestCriticalWidthClosedForm:
                     -sigma * m.omega.real / dgamma >= 0.0
                     and a_grid[0] <= a <= a_grid[1])
                 continue
-            at = m.model_at(a, gamma1_cr / m.gamma1_0)
+            scale = gamma1_cr / m.gamma1_0
+            at = dataclasses.replace(m, gamma1_0=scale * m.gamma1_0,
+                                     gamma2_0=scale * m.gamma2_0).model_at(a)
             _, _, z = twolevel.eigenvalues(at)
             # |Z| is the square root of a cancellation, about sqrt(eps) *
             # scale at an exact EP of rounded entries; the EP condition is
