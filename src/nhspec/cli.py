@@ -79,7 +79,8 @@ def load_model_file(path):
     kind = _require(doc, "kind", "model file")
     if kind not in KINDS:
         _fail(f"unknown model kind {kind!r}")
-    _require(doc, "parameters", "model file")
+    if not isinstance(_require(doc, "parameters", "model file"), dict):
+        _fail("field 'parameters' must be a JSON object")
     return doc
 
 
@@ -286,9 +287,10 @@ def cmd_locate(doc, out, emit):
     block = _require(doc, "locate", "model file")
     p1 = _require(block, "p1", "locate block")
     p2 = _require(block, "p2", "locate block")
-    seed = _require(block, "seed", "locate block")
-    seed = (_as_float(seed[0], "seed"), _as_float(seed[1], "seed"))
-    loc = sweep.locate_ep(model, seed, p1=p1, p2=p2)
+    seed = _as_array(_require(block, "seed", "locate block"), "seed", 1)
+    if len(seed) != 2:
+        _fail("field 'seed' must be a [p1, p2] pair")
+    loc = sweep.locate_ep(model, tuple(seed.tolist()), p1=p1, p2=p2)
     write_json(out / "ep.json", {
         "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
         "residual": loc.gap, "backward_error": loc.backward_error,

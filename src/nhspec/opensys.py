@@ -38,9 +38,6 @@ class _Amplitudes:
 class ConstantCoupling(_Amplitudes):
     """Energy-independent amplitudes, one column per channel."""
 
-    def at(self, energy, window):
-        return self.amplitudes
-
     def on_grid(self, grid, window):
         return np.broadcast_to(self.amplitudes,
                                (len(grid),) + self.amplitudes.shape)
@@ -50,17 +47,11 @@ class ConstantCoupling(_Amplitudes):
 class SemicircleCoupling(_Amplitudes):
     """Amplitudes modulated by a semicircular profile over the window."""
 
-    def _shape(self, energy, window):
-        lo, hi = window
-        x = (2.0 * np.asarray(energy, float) - (lo + hi)) / (hi - lo)
-        return np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-
-    def at(self, energy, window):
-        return self.amplitudes * self._shape(energy, window)
-
     def on_grid(self, grid, window):
-        s = self._shape(grid, window)
-        return s[:, None, None] * self.amplitudes
+        lo, hi = window
+        x = (2.0 * np.asarray(grid, float) - (lo + hi)) / (hi - lo)
+        return np.sqrt(np.clip(1.0 - x * x, 0.0, None))[:, None, None] \
+            * self.amplitudes
 
 
 @dataclass(frozen=True)
@@ -81,9 +72,6 @@ class TabulatedCoupling:
     @property
     def n_channels(self):
         return self.values.shape[2]
-
-    def at(self, energy, window):
-        return self.on_grid(np.array([energy], float), window)[0]
 
     def on_grid(self, grid, window):
         flat = self.values.reshape(len(self.grid), -1)
@@ -147,23 +135,20 @@ def pv_integral(f, grid, energy):
     rule is linear in f, so it is applied as one weight vector.
     """
     grid = np.asarray(grid, float)
-    (k,), (c_e,), (a,) = _pv_weights(grid, np.array([energy], float))
+    (k,), (c_e,), (v,) = _pv_weights(grid, np.array([energy], float))
     if callable(f):
         # exact f(E): interpolating it is second order in h, but within
         # ~h^2 of a node its error is amplified by 1/(E - E')
         return np.tensordot(k, np.asarray(f(grid)), axes=1) \
             + c_e * np.asarray(f(energy))
-    return np.tensordot(k + c_e * a, np.asarray(f), axes=1)[()]  # 1-D f: scalar
+    return np.tensordot(v, np.asarray(f), axes=1)[()]  # 1-D f: scalar
 
 
 def _pv_weights(grid, energies):
-    """Weights (k, c_e, a) with PV int f/(E - E') = k.f + c_e f(E), one
-    row per energy.
-
-    `a` holds np.interp's two node weights, f(E) ~ a.f.  The derivative
-    limit at a near node takes f'(E) ~ a.np.gradient(f), whose stencil
-    is central inside the grid and one-sided at its ends.
-    """
+    """Weights (k, c_e, v) with PV int f/(E - E') = k.f + c_e f(E) = v.f,
+    one row per energy, f(E) being np.interp of f on the grid.  The
+    derivative limit at a near node takes f'(E) ~ the interpolated
+    np.gradient(f), central inside the grid and one-sided at its ends."""
     lo, hi = float(grid[0]), float(grid[-1])
     h = grid[1] - grid[0]
     for energy in energies.tolist():
@@ -175,25 +160,35 @@ def _pv_weights(grid, energies):
     m, rows = len(grid), np.arange(len(energies))
     j = np.searchsorted(grid, energies, side="right") - 1
     t = (energies - grid[j]) / (grid[j + 1] - grid[j])
-    a = np.zeros((len(energies), m))
-    a[rows, j], a[rows, j + 1] = 1.0 - t, t
+    a = np.stack([1.0 - t, t], axis=1)      # np.interp's weights on the
+    at = (rows[:, None], np.stack([j, j + 1], axis=1))  # nodes beside E
     denom = energies[:, None] - grid
     # nodes closer than the cancellation noise floor of f(E') - f(E) get
     # the derivative limit; anything tighter than this amplifies roundoff
     scale = np.maximum(max(abs(lo), abs(hi)), np.abs(energies))
     near_tol = np.minimum(np.maximum(1e-12 * h, np.sqrt(np.finfo(float).eps)
                                      * scale), 0.45 * h)
-    near = np.abs(denom) < near_tol[:, None]
+    d, denom[at] = denom[at], np.inf
+    near = np.abs(d) < near_tol[:, None]    # no other node is within 0.45 h
     w = h * np.r_[0.5, np.ones(m - 2), 0.5]     # trapezoid rule
-    k = w / np.where(near, np.inf, denom)
-    c_e = np.log((energies - lo) / (hi - energies)) - k.sum(axis=1)
-    w_near = (w * near).sum(axis=1)     # at most one node is near
-    for i in (j, j + 1):
-        lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, m - 1)
-        step = w_near * a[rows, i] / ((hi_i - lo_i) * h)
+    k = w / denom
+    log = np.log((energies - lo) / (hi - energies))
+    rest = log - k.sum(axis=1)          # all nodes but the two beside E
+    k[at] = w[at[1]] / np.where(near, np.inf, d)
+    c_e = log - k.sum(axis=1)
+    w_near = (w[at[1]] * near).sum(axis=1)      # at most one node is near
+    for i in (0, 1):
+        lo_i, hi_i = np.maximum(j + i - 1, 0), np.minimum(j + i + 1, m - 1)
+        step = w_near * a[:, i] / ((hi_i - lo_i) * h)
         k[rows, lo_i] += step
         k[rows, hi_i] -= step
-    return k, c_e, a
+    # without a near node k_j, k_j+1 and c_e ~ h/|E - E_j| cancel in k + c_e a,
+    # but t k_j = w_j / (E_j+1 - E_j), (t - 1) k_j+1 = w_j+1 / (E_j+1 - E_j)
+    r = w[at[1]].sum(axis=1) / (grid[j + 1] - grid[j])
+    v = k.copy()
+    v[at] = np.where(near.any(axis=1)[:, None], k[at] + c_e[:, None] * a,
+                     np.stack([r + (1.0 - t) * rest, t * rest - r], axis=1))
+    return k, c_e, v
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,8 @@ def assemble_heff(m, energy):
 def _coupling_products(m):
     """g g^T on the continuum grid, (M, N, N)."""
     g_grid = m.coupling.on_grid(m.grid, m.window)        # (M, N, C)
-    return np.einsum("mic,mjc->mij", g_grid, g_grid)
+    with np.errstate(all="ignore"):     # _heff_stack raises if not finite
+        return g_grid @ g_grid.swapaxes(1, 2)
 
 
 def _heff_stack(m, prod, energies):
@@ -233,8 +229,7 @@ def _heff_stack(m, prod, energies):
     weights = np.empty((len(energies), len(grid)))
     g = np.zeros((len(energies), n, m.n_channels))
     with np.errstate(all="ignore"):     # non-finite entries raise below
-        k, c_e, a = _pv_weights(grid, energies[inside])
-        weights[inside] = k + c_e[:, None] * a
+        weights[inside] = _pv_weights(grid, energies[inside])[2]
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
         # outside the window the integrand is regular: plain trapezoid
         h, denom = grid[1] - grid[0], energies[~inside, None] - grid
@@ -305,10 +300,7 @@ def solve_resonances(m):
             break
         e = _clamp_energy(energy[act], lo, hi, h)
         heff, inside, _ = _heff_stack(m, prod, e)
-        w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
-        rows = np.arange(len(act))
-        idx = np.abs(phi_ref[act].conj()[:, None] @ u)[:, 0].argmax(axis=1)
-        z, phi_ref[act] = w[rows, idx], u[rows, :, idx]
+        z, phi_ref[act] = _follow(phi_ref[act], heff, inside)
         f = z.real - e
         with np.errstate(all="ignore"):     # masked where f == f_prev
             sec = e - f * (e - e_prev[act]) / (f - f_prev[act])
@@ -322,14 +314,11 @@ def solve_resonances(m):
         converged[act] = resid[act] < 1e-10 * scale
     energy = _clamp_energy(energy, lo, hi, h)
     heff, inside, g = _heff_stack(m, prod, energy)
-    values, vectors = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
     states = []
-    for k in range(n):
-        u = linalg.c_columns(vectors[k])[0] if inside[k] else vectors[k]
-        idx = int(np.argmax(np.abs(phi_ref[k].conj()
-                                   @ (u / np.linalg.norm(u, axis=0)))))
-        z, phi = values[k, idx], u[:, idx]
-        if not inside[k]:
+    for k, (z, phi) in enumerate(zip(*_follow(phi_ref, heff, inside))):
+        if inside[k]:
+            phi = linalg.c_columns(phi[:, None])[0][:, 0]
+        else:
             z = complex(z.real, 0.0)
             phi = phi.real / np.linalg.norm(phi.real) if np.abs(phi.imag).max() \
                 < 1e-12 else phi / np.linalg.norm(phi)
@@ -338,6 +327,14 @@ def solve_resonances(m):
             energy=float(energy[k]), converged=bool(converged[k]),
             iterations=int(iterations[k]), residual=float(resid[k])))
     return states
+
+
+def _follow(phi_ref, heff, inside):
+    """Each row's eigenpair of largest |phi_ref^H u|, u at unit norm."""
+    w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
+    rows = np.arange(len(w))
+    idx = np.abs(phi_ref.conj()[:, None] @ u)[:, 0].argmax(axis=1)
+    return w[rows, idx], u[rows, :, idx]
 
 
 def _clamp_energy(energy, lo, hi, h):

@@ -489,7 +489,10 @@ class TestIngestion:
          "field 'window' must be a [lo, hi] pair"),
         ("open_system", {**OPEN, "coupling": {"profile": "gaussian"}},
          "unknown coupling profile 'gaussian'"),
-        ("three_level", TWO, "unknown model kind 'three_level'")])
+        ("three_level", TWO, "unknown model kind 'three_level'"),
+        ("two_level", None, "field 'parameters' must be a JSON object"),
+        ("two_level", "eps1 eps2",
+         "field 'parameters' must be a JSON object")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
         command = "heff" if kind == "open_system" else "sweep"
@@ -512,6 +515,20 @@ class TestIngestion:
         assert run("sweep", "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+
+    @pytest.mark.parametrize("seed,message", [
+        ([0.1], "must be a [p1, p2] pair"),
+        ([0.1, 0.9, 0.0], "must be a [p1, p2] pair"),
+        (0.1, "must be a finite 1-d array"),
+        ("0.1 0.9", "is not a numeric array")])
+    def test_locate_seed_is_a_pair(self, tmp_path, capsys, seed, message):
+        model = write_model(tmp_path, "two_level", self.TWO, locate={
+            "p1": "omega_re", "p2": "omega_im", "seed": seed})
+        assert run("locate", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err \
+            == f"nhspec: input error: field 'seed' {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
 
 
 def test_readme_flags_are_the_parsers_options():

@@ -62,14 +62,16 @@ class TestTabulatedCoupling:
                 .reshape((len(energies),) + tab.values.shape[1:])
             got = tab.on_grid(energies, None)
             assert np.abs(got - want).max() <= tol
-            at = np.array([tab.at(e, None) for e in energies])
+            at = np.array([tab.on_grid(np.array([e]), None)[0]
+                           for e in energies])
             assert np.abs(at - want).max() <= tol
 
     def test_single_node_is_constant(self):
         tab = opensys.TabulatedCoupling(grid=[0.0], values=[[[0.3, -0.2]]])
         got = tab.on_grid(np.array([-5.0, 0.0, 7.0]), None)
         assert np.array_equal(got, np.tile([[[0.3, -0.2]]], (3, 1, 1)))
-        assert np.array_equal(tab.at(1.0, None), [[0.3, -0.2]])
+        assert np.array_equal(tab.on_grid(np.array([1.0]), None)[0],
+                              [[0.3, -0.2]])
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
     def test_non_increasing_grid_rejected(self, grid):
@@ -133,21 +135,15 @@ def _exact_subtraction_rule(f, grid, energy):
     return out
 
 
-@st.composite
-def pv_cases(draw):
-    """A grid, an energy on it and a seed for matrix-valued samples.
-
-    Energies are drawn anywhere inside the window, within the derivative-
-    limit tolerance of an interior node, or in the first or last cell
-    next to the node beside the edge, where np.gradient is one-sided."""
-    m = 2 * draw(st.integers(2, 200)) + 1
-    lo = draw(st.sampled_from([-2.0, 0.0, 1e5]))
-    grid = np.linspace(lo, lo + draw(st.floats(0.5, 20.0)), m)
-    h = grid[1] - grid[0]
+def _draw_energy(draw, grid):
+    """An energy anywhere inside the window, within the derivative-limit
+    tolerance of an interior node, or in the first or last cell next to
+    the node beside the edge, where np.gradient is one-sided."""
+    m, h = len(grid), grid[1] - grid[0]
     u = draw(st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["generic", "near", "edge"]))
     if kind == "generic":
-        energy = lo + h * (0.51 + u * (m - 2.02))
+        energy = grid[0] + h * (0.51 + u * (m - 2.02))
     elif kind == "near":
         node = grid[draw(st.integers(1, m - 2))]
         energy = node + (2.0 * u - 1.0) * 0.99 * _near_tol(grid, node)
@@ -155,7 +151,16 @@ def pv_cases(draw):
         energy = grid[1] - 0.49 * u * h
     else:
         energy = grid[-2] + 0.49 * u * h
-    return grid, float(energy), draw(st.integers(0, 2 ** 32 - 1))
+    return float(energy)
+
+
+@st.composite
+def pv_cases(draw):
+    """A grid, an energy on it and a seed for matrix-valued samples."""
+    m = 2 * draw(st.integers(2, 200)) + 1
+    lo = draw(st.sampled_from([-2.0, 0.0, 1e5]))
+    grid = np.linspace(lo, lo + draw(st.floats(0.5, 20.0)), m)
+    return grid, _draw_energy(draw, grid), draw(st.integers(0, 2 ** 32 - 1))
 
 class TestPvIntegral:
     window = (-2.0, 3.0)
@@ -224,17 +229,23 @@ class TestPvIntegral:
         got = opensys.pv_integral(f, grid, energy)
         h, d = grid[1] - grid[0], np.abs(energy - grid)
         d = d[d >= _near_tol(grid, energy)].min()
-        if h / d <= 1e3:
-            want = _subtraction_rule(f, grid, energy)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(f).max()
-        else:
-            # E closer than h / 1000 to a node outside the derivative
-            # limit: any float evaluation of the rule, the weights or the
-            # in-test terms, rounds to eps h / d, so the exact rule decides
-            want = _exact_subtraction_rule(f, grid, energy)
-            eps = np.finfo(float).eps
-            assert np.abs(got - want).max() \
-                <= (1e-12 + 4 * eps * h / d) * np.abs(f).max()
+        # E closer than h / 1000 to a node outside the derivative limit:
+        # the in-test terms round to eps h / d, so the exact rule decides
+        want = _subtraction_rule(f, grid, energy) if h / d <= 1e3 \
+            else _exact_subtraction_rule(f, grid, energy)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(f).max()
+
+    @settings(max_examples=100)
+    @given(pv_cases(), st.data())
+    def test_stacked_weights_are_the_scalar_ones(self, case, data):
+        # rows of any kind, near nodes among them, stacked in one call
+        grid = case[0]
+        energies = [case[1]] + [_draw_energy(data.draw, grid)
+                                for _ in range(data.draw(st.integers(0, 5)))]
+        got = opensys._pv_weights(grid, np.array(energies))
+        for row, energy in enumerate(energies):
+            for x, y in zip(got, _scalar_pv_weights(grid, energy)):
+                assert np.array_equal(x[row], y)
 
     def test_outside_window_rejected(self):
         with pytest.raises(EOutsideWindow):
@@ -407,7 +418,7 @@ class TestSolveResonances:
 
 
 def _scalar_pv_weights(grid, energy):
-    """The PV weights (k, c_e, a) of a single energy in scalar arithmetic:
+    """The PV weights (k, c_e, v) of a single energy in scalar arithmetic:
     the per-energy reference for the stacked _pv_weights."""
     lo, hi = grid[0], grid[-1]
     h = grid[1] - grid[0]
@@ -424,14 +435,21 @@ def _scalar_pv_weights(grid, energy):
     w = np.full(m, h)
     w[[0, -1]] = 0.5 * h
     k = w / np.where(near, np.inf, denom)
-    c_e = np.log((energy - lo) / (hi - energy)) - k.sum()
+    log = np.log((energy - lo) / (hi - energy))
+    c_e = log - k.sum()
     w_near = w[near].sum()
     for i in (j, j + 1):
         lo_i, hi_i = max(i - 1, 0), min(i + 1, m - 1)
         step = w_near * a[i] / ((hi_i - lo_i) * h)
         k[lo_i] += step
         k[hi_i] -= step
-    return k, c_e, a
+    v = k + c_e * a
+    if not near.any():
+        # the two nodes beside E in closed form, the rest summed apart
+        rest = log - np.where(a > 0.0, 0.0, k).sum()
+        r = (w[j] + w[j + 1]) / (grid[j + 1] - grid[j])
+        v[j], v[j + 1] = r + (1.0 - t) * rest, t * rest - r
+    return k, c_e, v
 
 
 def _scalar_heff(m, prod, energy):
@@ -439,9 +457,9 @@ def _scalar_heff(m, prod, energy):
     grid = m.grid
     lo, hi = m.window
     if lo < energy < hi:
-        k, c_e, a = _scalar_pv_weights(grid, energy)
-        shift = np.tensordot(k + c_e * a, prod, axes=1) / (2.0 * np.pi)
-        g_e = m.coupling.at(energy, m.window)
+        shift = np.tensordot(_scalar_pv_weights(grid, energy)[2], prod,
+                             axes=1) / (2.0 * np.pi)
+        g_e = m.coupling.on_grid(np.array([energy]), m.window)[0]
         width = 0.5 * g_e @ g_e.T
         hint = linalg.COMPLEX_SYMMETRIC
     else:
@@ -464,14 +482,14 @@ def _scalar_clamp(energy, lo, hi, h):
 
 def per_state_resonances(m):
     """solve_resonances one state at a time: each state iterates alone,
-    with one H_eff and one eigensolve per step, then linalg.eig and
-    linalg.c_normalize at its final energy."""
+    with one H_eff and one eigensolve per step, then one more eigensolve
+    at its final energy, where the state's vector is picked by overlap and
+    then c-normalized alone."""
     lo, hi = m.window
     h = m.grid[1] - m.grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
     eb_vals, eb_vecs = np.linalg.eigh(m.h_bound())
-    g_grid = m.coupling.on_grid(m.grid, m.window)
-    prod = np.einsum("mic,mjc->mij", g_grid, g_grid)
+    prod = opensys._coupling_products(m)
     states = []
     for k in range(m.n_states):
         energy = float(eb_vals[k])
@@ -498,19 +516,17 @@ def per_state_resonances(m):
                 converged = True
                 break
         energy = _scalar_clamp(energy, lo, hi, h)
-        sys = linalg.eig(_scalar_heff(m, prod, energy))
+        w, u = linalg.eig_pairs(_scalar_heff(m, prod, energy))
+        idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
+        z, phi = w[idx], u[:, idx]
         if lo < energy < hi:
-            sys = linalg.c_normalize(sys)
-        u = sys.right_vectors
-        idx = int(np.argmax(np.abs(phi_ref.conj()
-                                   @ (u / np.linalg.norm(u, axis=0)))))
-        z, phi = sys.values[idx], u[:, idx]
-        if not (lo < energy < hi):
+            phi = linalg.c_columns(u[:, [idx]])[0][:, 0]
+        else:
             z = complex(z.real, 0.0)
             phi = phi.real / np.linalg.norm(phi.real) \
                 if np.abs(phi.imag).max() < 1e-12 else phi / np.linalg.norm(phi)
-        g_e = m.coupling.at(energy, m.window) if lo < energy < hi \
-            else np.zeros((m.n_states, m.n_channels))
+        g_e = m.coupling.on_grid(np.array([energy]), m.window)[0] \
+            if lo < energy < hi else np.zeros((m.n_states, m.n_channels))
         states.append(opensys.ResonanceState(
             z=complex(z), phi=phi, gamma_c=np.asarray(phi @ g_e, complex),
             energy=float(energy), converged=converged, iterations=it,
