@@ -29,6 +29,8 @@ def _fail(msg):
 
 
 def _require(record, field, where):
+    if not isinstance(record, dict):
+        _fail(f"{where} must be a JSON object")
     if field not in record:
         _fail(f"missing field {field!r} in {where}")
     return record[field]
@@ -154,17 +156,14 @@ def _linspace_block(rec, where):
 # ---------------------------------------------------------------------------
 # deterministic emission
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """CSV of one 1-D array per column: bools as 1/0, integers by str, floats
+    by repr (bit-exact round trip); columns of unequal length raise."""
+    cells = [map(str, col.astype(int).tolist()) if col.dtype.kind in "biu"
+             else map(repr, col.astype(float).tolist())
+             for col in map(np.asarray, columns)]
     lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += [",".join(row) for row in zip(*cells, strict=True)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -204,36 +203,29 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 
 
 def _panel(x, ys, y_off, label):
-    lo_x, hi_x = float(x.min()), float(x.max())
-    lo_y = float(min(y.min() for y in ys))
-    hi_y = float(max(y.max() for y in ys))
-    span_x = hi_x - lo_x or 1.0
-    span_y = hi_y - lo_y or 1.0
+    """A framed panel with one polyline per row of ys (k, T) over x (T)."""
+    lo_x, lo_y = float(x.min()), float(ys.min())
+    span_x = float(x.max()) - lo_x or 1.0
+    span_y = float(ys.max()) - lo_y or 1.0
     parts = [f'<rect x="{_SVG_PAD}" y="{y_off + 10}" '
              f'width="{_SVG_W - 2 * _SVG_PAD}" height="{_SVG_H - 50}" '
              'fill="none" stroke="#000000"/>',
              f'<text x="{_SVG_PAD}" y="{y_off + 8}" '
              f'font-size="12">{label}</text>']
-    for k, y in enumerate(ys):
-        pts = []
-        for xv, yv in zip(x, y):
-            px = _SVG_PAD + (xv - lo_x) / span_x * (_SVG_W - 2 * _SVG_PAD)
-            py = y_off + 10 + (_SVG_H - 50) * (1.0 - (yv - lo_y) / span_y)
-            pts.append(f"{px:.3f},{py:.3f}")
-        color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                     f'stroke="{color}"/>')
+    px = (_SVG_PAD + (x - lo_x) / span_x * (_SVG_W - 2 * _SVG_PAD)).tolist()
+    py = y_off + 10 + (_SVG_H - 50) * (1.0 - (ys - lo_y) / span_y)
+    for k, y in enumerate(py.tolist()):
+        pts = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(px, y))
+        parts.append(f'<polyline points="{pts}" fill="none" '
+                     f'stroke="{_SVG_COLORS[k % len(_SVG_COLORS)]}"/>')
     return parts
 
 
 def write_trajectory_svg(path, params, values):
-    x = np.asarray(params, float)
-    re = [values[:, k].real for k in range(values.shape[1])]
-    im = [values[:, k].imag for k in range(values.shape[1])]
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
             f'height="{2 * _SVG_H}">']
-    body += _panel(x, re, 0, "Re z")
-    body += _panel(x, im, _SVG_H, "Im z")
+    body += _panel(params, values.real.T, 0, "Re z")
+    body += _panel(params, values.imag.T, _SVG_H, "Im z")
     body.append("</svg>")
     Path(path).write_text("\n".join(body) + "\n")
 
@@ -251,6 +243,18 @@ def _model_for_sweep(doc):
                   for f in dataclasses.fields(cls)})
 
 
+def _columns(records, *names):
+    """One array per named attribute over a list of records."""
+    return [np.array([getattr(r, name) for r in records]) for name in names]
+
+
+def _long_form(x, values, *tables):
+    """Columns x, k, Re z, Im z, *tables of one row per (x, state k)."""
+    t, n = values.shape
+    return [np.repeat(x, n), np.tile(np.arange(n), t), values.real.ravel(),
+            values.imag.ravel(), *(a.ravel() for a in tables)]
+
+
 def cmd_sweep(doc, out, emit):
     model = _model_for_sweep(doc)
     block = _require(doc, "sweep", "model file")
@@ -261,23 +265,17 @@ def cmd_sweep(doc, out, emit):
         stop=_as_float(_require(block, "stop", "sweep block"), "stop"),
         steps=int(_require(block, "steps", "sweep block")))
     result = sweep.sweep(spec)
-
-    n = len(result.rows[0].values)
+    params, values, norms, rigidity, gaps = _columns(
+        result.rows, "param", "values", "norms_A", "rigidity_r", "min_gap")
     if "csv" in emit:
-        header = ["param", "k", "re_z", "im_z", "A", "r", "gap"]
-        rows = []
-        for r in result.rows:
-            for k in range(n):
-                rows.append([r.param, k, r.values[k].real, r.values[k].imag,
-                             r.norms_A[k], r.rigidity_r[k], r.min_gap])
-        write_csv(out / "sweep.csv", header, rows)
+        write_csv(out / "sweep.csv", "param k re_z im_z A r gap".split(),
+                  _long_form(params, values, norms, rigidity,
+                             np.repeat(gaps, values.shape[1])))
     if "json" in emit:
         write_jsonl(out / "events.jsonl",
                     [{"kind": e.kind, "param": e.param,
                       "indices": list(e.indices)} for e in result.events])
     if "svg" in emit:
-        params = np.array([r.param for r in result.rows])
-        values = np.array([r.values for r in result.rows])
         write_trajectory_svg(out / "trajectories.svg", params, values)
     return 0
 
@@ -291,10 +289,11 @@ def cmd_locate(doc, out, emit):
     if len(seed) != 2:
         _fail("field 'seed' must be a [p1, p2] pair")
     loc = sweep.locate_ep(model, tuple(seed.tolist()), p1=p1, p2=p2)
-    write_json(out / "ep.json", {
-        "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
-        "residual": loc.gap, "backward_error": loc.backward_error,
-        "step": loc.step, "iterations": loc.iterations})
+    if "json" in emit:
+        write_json(out / "ep.json", {
+            "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
+            "residual": loc.gap, "backward_error": loc.backward_error,
+            "step": loc.step, "iterations": loc.iterations})
     return 0
 
 
@@ -309,19 +308,20 @@ def cmd_encircle(doc, out, emit):
         steps_per_cycle=int(block.get("steps_per_cycle", 256)),
         cycles=int(block.get("cycles", 4)))
     rep = sweep.encircle(spec, model)
-    write_json(out / "cycles.json", {
-        "encloses_ep": rep.encloses_ep,
-        "eigenvalue_period": rep.eigenvalue_period,
-        "eigenvector_period": rep.eigenvector_period,
-        "cycles": [{"permutation": list(c.permutation),
-                    "phases": [complex(p) for p in c.phases]}
-                   for c in rep.cycles]})
-    n = len(rep.contour[0][1])
-    header = ["theta"] + [f"{part}_z{k}" for k in range(n)
-                          for part in ("re", "im")]
-    rows = [[theta] + [x for z in vals[:n] for x in (z.real, z.imag)]
-            for theta, vals in rep.contour]
-    write_csv(out / "contour.csv", header, rows)
+    if "json" in emit:
+        write_json(out / "cycles.json", {
+            "encloses_ep": rep.encloses_ep,
+            "eigenvalue_period": rep.eigenvalue_period,
+            "eigenvector_period": rep.eigenvector_period,
+            "cycles": [{"permutation": list(c.permutation),
+                        "phases": [complex(p) for p in c.phases]}
+                       for c in rep.cycles]})
+    if "csv" in emit:
+        theta, values = map(np.array, zip(*rep.contour))
+        header = ["theta"] + [f"{part}_z{k}" for k in range(values.shape[1])
+                              for part in ("re", "im")]
+        # a complex row viewed as floats is re_z0, im_z0, re_z1, ...
+        write_csv(out / "contour.csv", header, [theta, *values.view(float).T])
     return 0
 
 
@@ -335,19 +335,16 @@ def cmd_trap(doc, out, emit):
                              "alphas block")
     fraction = p.get("trapped_fraction", 0.1)
     rep = opensys.toy_trapping(h0, v, alphas, trapped_fraction=fraction)
-    n = rep.widths.shape[1]
-    own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
-    header = ["alpha", "k", "re_z", "im_z", "gamma", "trapped_flag"]
-    rows = []
-    for t in range(len(rep.alphas)):
-        for k in range(n):
-            rows.append([rep.alphas[t], k, rep.values[t, k].real,
-                         rep.values[t, k].imag, rep.widths[t, k],
-                         bool(rep.widths[t, k] < fraction * own_max[k])])
-    write_csv(out / "trapping.csv", header, rows)
-    write_json(out / "summary.json", {
-        "alpha_cr": rep.alpha_cr, "slope": rep.slope,
-        "fit_residual": rep.fit_residual, "n_trapped": rep.n_trapped})
+    if "csv" in emit:
+        own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
+        write_csv(out / "trapping.csv",
+                  "alpha k re_z im_z gamma trapped_flag".split(),
+                  _long_form(rep.alphas, rep.values, rep.widths,
+                             rep.widths < fraction * own_max))
+    if "json" in emit:
+        write_json(out / "summary.json", {
+            "alpha_cr": rep.alpha_cr, "slope": rep.slope,
+            "fit_residual": rep.fit_residual, "n_trapped": rep.n_trapped})
     return 0
 
 
@@ -369,19 +366,21 @@ def cmd_scatter(doc, out, emit):
         model.energy_grid = grid
         rep = scattering.lineshape(model, grid, channel=channel)
         bics = scattering.detect_bic(model, channel=channel)
-    header = ["energy", "channel", "re_s", "im_s", "sigma", "phase"]
-    rows = [[rep.grid[t], channel, rep.s_values[t].real, rep.s_values[t].imag,
-             rep.sigma[t], rep.phase[t]] for t in range(len(rep.grid))]
-    write_csv(out / "smatrix.csv", header, rows)
-    write_json(out / "features.json", {
-        "total_phase_change": rep.total_phase_change,
-        "sigma_at_center": rep.sigma_at_center,
-        "halfmax_span": rep.halfmax_span,
-        "breit_wigner_span": rep.breit_wigner_span,
-        "minima": rep.minima, "maxima": rep.maxima,
-        "bic": [{"index": b.index, "energy": b.energy,
-                 "phase_jump": b.phase_jump,
-                 "peak_resolved": b.peak_resolved} for b in bics]})
+    if "csv" in emit:
+        write_csv(out / "smatrix.csv",
+                  "energy channel re_s im_s sigma phase".split(),
+                  [rep.grid, np.full(len(rep.grid), channel),
+                   rep.s_values.real, rep.s_values.imag, rep.sigma, rep.phase])
+    if "json" in emit:
+        write_json(out / "features.json", {
+            "total_phase_change": rep.total_phase_change,
+            "sigma_at_center": rep.sigma_at_center,
+            "halfmax_span": rep.halfmax_span,
+            "breit_wigner_span": rep.breit_wigner_span,
+            "minima": rep.minima, "maxima": rep.maxima,
+            "bic": [{"index": b.index, "energy": b.energy,
+                     "phase_jump": b.phase_jump,
+                     "peak_resolved": b.peak_resolved} for b in bics]})
     return 0
 
 
@@ -390,12 +389,14 @@ def cmd_heff(doc, out, emit):
         _fail("heff requires an open_system model")
     model = _build_open_system(doc["parameters"])
     states = opensys.solve_resonances(model)
-    header = ["index", "re_z", "im_z", "width", "energy", "converged",
-              "iterations", "residual"]
-    rows = [[k, s.z.real, s.z.imag, s.width, s.energy, s.converged,
-             s.iterations, s.residual] for k, s in enumerate(states)]
-    write_csv(out / "resonances.csv", header, rows)
-    failed = [k for k, s in enumerate(states) if not s.converged]
+    z, width, energy, converged, iterations, residual = _columns(
+        states, "z", "width", "energy", "converged", "iterations", "residual")
+    if "csv" in emit:
+        write_csv(out / "resonances.csv", "index re_z im_z width energy "
+                  "converged iterations residual".split(),
+                  [np.arange(len(states)), z.real, z.imag, width, energy,
+                   converged, iterations, residual])
+    failed = np.flatnonzero(~converged).tolist()
     if failed:
         raise SelfConsistencyFailure(f"states {failed} did not converge")
     return 0

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, twolevel
-from .errors import (DegenerateInput, MatchingAmbiguous, NoConvergence,
-                     SaddleRejected)
+from .errors import (DegenerateInput, MatchingAmbiguous, NhspecError,
+                     NoConvergence, SaddleRejected)
 
 MATCH_THRESHOLD = 0.5
 # an interval whose best overlap stays below MATCH_THRESHOLD is bisected
@@ -118,6 +118,8 @@ def _set_path(model, path, value):
     """The model with one parameter path set to value: 'a' of an avoided
     crossing (its two-level model at a), a dataclass field of the model,
     or the 're' or 'im' part of its omega, eps1 or eps2."""
+    if not isinstance(path, str):
+        raise ValueError(f"parameter path {path!r} is not a string")
     if path == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
         return model.model_at(value)
     fields = {f.name for f in dataclasses.fields(model)}
@@ -192,12 +194,13 @@ def _match(u_prev, u_new, z0=None, z1=None):
     return cols, float(chosen.min())
 
 
-def _min_pair_gap(values):
-    """Smallest distance between two eigenvalues along the last axis."""
-    n = values.shape[-1]
-    d = np.abs(values[..., :, None] - values[..., None, :])
-    d[..., np.arange(n), np.arange(n)] = np.inf
-    return d.min(axis=(-2, -1))
+def _pair_gaps(values):
+    """Differences z_i - z_j of the pairs i < j along the last axis, their
+    moduli (inf, without a warning, where they overflow) and the pairs."""
+    i, j = np.triu_indices(values.shape[-1], 1)
+    with np.errstate(over="ignore"):
+        diff = values[..., i] - values[..., j]
+        return diff, np.abs(diff), list(zip(i.tolist(), j.tolist()))
 
 
 class _Frame(NamedTuple):
@@ -333,14 +336,20 @@ def sweep(spec):
     r[r < linalg.DEFECT_TOL] = 0.0
     with np.errstate(divide="ignore"):
         norms = 1.0 / r
-    gaps = _min_pair_gap(values)
+    diff, gap, pairs = _pair_gaps(values)
+    finite = np.isfinite(gap).all(axis=1)
+    if not finite.all():
+        raise NhspecError("eigenvalue pair gap overflows at param "
+                          f"{float(params[~finite][0])!r}")
+    gaps = gap.min(axis=1, initial=np.inf)
     rows = [SweepRow(param=float(t), values=values[k], norms_A=norms[k],
                      rigidity_r=r[k], min_gap=float(gaps[k]))
             for k, t in enumerate(params)]
 
     scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
-    events = _detect_events(params, values, DEFAULT_GAP_TOL * scale,
-                            DEFAULT_EP_GAP_TOL * scale)
+    near = gap < DEFAULT_EP_GAP_TOL * scale
+    del gap                 # the (T, pairs) moduli are not needed for events
+    events = _detect_events(params, pairs, diff, near, DEFAULT_GAP_TOL * scale)
     return SweepResult(rows=rows, events=events)
 
 
@@ -376,16 +385,13 @@ def _local_minima(gap, tol):
     return found
 
 
-def _detect_events(params, zs, gap_tol, ep_gap_tol):
-    """Events over the (sample x level pair) grid of the values zs (T, n)."""
-    i, j = np.triu_indices(zs.shape[1], 1)
-    pairs = list(zip(i.tolist(), j.tolist()))
-    diff = zs[:, i] - zs[:, j]                       # (T, pairs)
+def _detect_events(params, pairs, diff, near, gap_tol):
+    """Events on the (T, pairs) grid of _pair_gaps; near: the EP gap test."""
     found = [
         ("energy_crossing", _crossings(diff.real, gap_tol)),
         ("width_crossing", _crossings(diff.imag, gap_tol)),
         ("avoided_crossing", _local_minima(np.abs(diff.real), gap_tol)),
-        ("ep_candidate", _first_of_runs(np.abs(diff) < ep_gap_tol)),
+        ("ep_candidate", _first_of_runs(near)),
     ]
     events = []
     for kind, count in found:
@@ -450,6 +456,8 @@ def locate_ep(family, seed, p1=None, p2=None):
     """
     model = None
     if not isinstance(family, PlaneFamily):
+        if p1 == p2:
+            raise ValueError(f"p1 and p2 are the same parameter path {p1!r}")
         model, (a, (b1, b2), hint) = family, _affine(family, (p1, p2))
         family = PlaneFamily(fn=lambda x1, x2: linalg.ComplexMatrix(
             a + x1 * b1 + x2 * b2, hint))
@@ -595,8 +603,8 @@ def encircle(spec, model):
         return spec.center + spec.radius * np.exp(1j * theta)
 
     probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    gaps = _min_pair_gap(np.linalg.eigvals(
-        family.stack(np.append(spec.center, probes))[0]))
+    gaps = _pair_gaps(np.linalg.eigvals(family.stack(
+        np.append(spec.center, probes))[0]))[1].min(axis=1)
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps

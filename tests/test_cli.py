@@ -159,17 +159,21 @@ class TestTrapCommand:
             ["alpha", "k", "re_z", "im_z", "gamma", "trapped_flag"]
 
     def test_flags_agree_with_summary(self, tmp_path):
+        # at the default fraction 0.1 and a smaller one, the flags at the
+        # last alpha in trapping.csv sum to summary.json's n_trapped
         doc = json.loads((DATA / "trapping_chain.json").read_text())
-        doc["parameters"]["trapped_fraction"] = 0.01
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        assert run("trap", "--model", str(model), "--out", str(tmp_path)) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        rows = [line.split(",") for line in
-                (tmp_path / "trapping.csv").read_text().splitlines()[1:]]
-        last = rows[-1][0]
-        flags = sum(int(r[5]) for r in rows if r[0] == last)
-        assert flags == summary["n_trapped"]
+        for fraction in (0.1, 0.01):
+            doc["parameters"]["trapped_fraction"] = fraction
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(doc))
+            assert run("trap", "--model", str(model),
+                       "--out", str(tmp_path)) == 0
+            summary = json.loads((tmp_path / "summary.json").read_text())
+            rows = [line.split(",") for line in
+                    (tmp_path / "trapping.csv").read_text().splitlines()[1:]]
+            last = rows[-1][0]
+            flags = sum(int(r[5]) for r in rows if r[0] == last)
+            assert flags == summary["n_trapped"]
 
 
 class TestScatterCommand:
@@ -396,6 +400,29 @@ class TestExitCodes:
             "steps": 11}) == 2
         assert "gamma must be non-negative" in capsys.readouterr().err
 
+    def test_sweep_gap_overflow_is_exit_3(self, tmp_path, capsys):
+        # finite eigenvalues near +-1.5e308 whose difference overflows: a
+        # numerical failure naming the parameter, with nothing written
+        assert self.run_block(tmp_path, "sweep", "two_level", {
+            "eps1": 1.5e308, "eps2": -1.5e308, "omega": [0.0, 1e307]}, {
+            "parameter": "omega_im", "start": 1e307, "stop": 1.5e307,
+            "steps": 11}) == 3
+        err = capsys.readouterr().err
+        assert err == ("nhspec: numerical failure: eigenvalue pair gap "
+                       "overflows at param 1e+307\n")
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_locate_same_path_twice_is_input_error(self, tmp_path, capsys):
+        # both slopes on one path: Newton would move p2 alone onto the EP
+        # at omega_re = -0.15 and report p1 = 0.1 for the same parameter
+        assert self.run_block(tmp_path, "locate", "two_level", {
+            "eps1": [0.7, 0.1], "eps2": [-0.3, -0.2], "omega": [0.0, 0.5]}, {
+            "p1": "omega_re", "p2": "omega_re", "seed": [0.1, 0.2]}) == 2
+        assert capsys.readouterr().err == ("nhspec: input error: p1 and p2 "
+                                           "are the same parameter path "
+                                           "'omega_re'\n")
+        assert not (tmp_path / "out" / "ep.json").exists()
+
     def test_locate_plane_without_pencil_is_input_error(self, tmp_path,
                                                         capsys):
         # e1_slope scales the a that follows it: the plane is not affine
@@ -516,6 +543,31 @@ class TestIngestion:
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
 
+    @pytest.mark.parametrize("command,kind,parameters,blocks,message", [
+        ("locate", "two_level", TWO, {"locate": None},
+         "locate block must be a JSON object"),
+        ("sweep", "two_level", TWO, {"sweep": [1, 2]},
+         "sweep block must be a JSON object"),
+        ("heff", "open_system", {**OPEN, "coupling": None}, {},
+         "coupling must be a JSON object")])
+    def test_block_not_an_object(self, tmp_path, capsys, command, kind,
+                                 parameters, blocks, message):
+        model = write_model(tmp_path, kind, parameters, **blocks)
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+
+    @pytest.mark.parametrize("command,block,path", [
+        ("sweep", {"parameter": 7, "start": 0.5, "stop": 1.5, "steps": 11}, 7),
+        ("locate", {"p1": 5, "p2": "omega_im", "seed": [0.1, 0.8]}, 5)])
+    def test_parameter_path_not_a_string(self, tmp_path, capsys, command,
+                                         block, path):
+        model = write_model(tmp_path, "two_level", self.TWO, **{command: block})
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            f"nhspec: input error: parameter path {path} is not a string\n"
+
     @pytest.mark.parametrize("seed,message", [
         ([0.1], "must be a [p1, p2] pair"),
         ([0.1, 0.9, 0.0], "must be a [p1, p2] pair"),
@@ -529,6 +581,83 @@ class TestIngestion:
         assert capsys.readouterr().err \
             == f"nhspec: input error: field 'seed' {message}\n"
         assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("command,model,emit,written", [
+    ("trap", "trapping_chain.json", "json", ["summary.json"]),
+    ("scatter", "bic_pair.json", "csv", ["smatrix.csv"]),
+    ("encircle", "two_level_sweep.json", "csv", ["contour.csv"]),
+    ("locate", "two_level_sweep.json", "csv", []),
+    ("heff", "open_system.json", "json", [])])
+def test_every_command_honours_emit(tmp_path, command, model, emit, written):
+    assert run(command, "--model", str(DATA / model), "--out", str(tmp_path),
+               "--emit", emit) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+
+# ---------------------------------------------------------------------------
+# the CSV column contract: cells by dtype, and each table agrees with the
+# JSON summary written next to it
+
+class TestCsvColumns:
+    def test_cells_by_dtype(self, tmp_path):
+        floats = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1e300])
+        k = np.arange(len(floats))
+        cli.write_csv(tmp_path / "t.csv", ["flag", "k", "x"],
+                      [k % 2 == 0, k - 3, floats])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "flag,k,x"
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[0] for c in cells] == ["1", "0", "1", "0", "1", "0", "1"]
+        assert [c[1] for c in cells] == ["-3", "-2", "-1", "0", "1", "2", "3"]
+        assert [c[2] for c in cells] == [repr(x) for x in floats.tolist()] \
+            == ["-0.0", "inf", "-inf", "nan", "5e-324", "0.1", "1e+300"]
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"],
+                          [np.zeros(3), np.zeros(2)])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_columns_are_the_per_row_tables(self, tmp_path):
+        # the tables the CLI once built row by row, from the library
+        two = json.loads((DATA / "two_level_sweep.json").read_text())
+        model = cli._model_for_sweep(two)
+        res = sweep.sweep(sweep.SweepSpec(model, **two["sweep"]))
+        rep = sweep.encircle(sweep.EncircleSpec(**{
+            **two["encircle"], "center": 1j}), model)
+        chain = json.loads((DATA / "trapping_chain.json").read_text())
+        alphas = chain["alphas"]
+        trap = opensys.toy_trapping(
+            chain["parameters"]["h0"], chain["parameters"]["v"],
+            np.linspace(alphas["start"], alphas["stop"], alphas["steps"]))
+        own_max = np.maximum(trap.widths.max(axis=0), 1e-300)
+        expected = {
+            "sweep.csv": [
+                [r.param, k, z.real, z.imag, r.norms_A[k], r.rigidity_r[k],
+                 r.min_gap] for r in res.rows for k, z in enumerate(r.values)],
+            "contour.csv": [
+                [theta] + [x for z in values for x in (z.real, z.imag)]
+                for theta, values in rep.contour],
+            "trapping.csv": [
+                [alpha, k, z.real, z.imag, w, w < 0.1 * own_max[k]]
+                for alpha, zs, ws in zip(trap.alphas, trap.values, trap.widths)
+                for k, (z, w) in enumerate(zip(zs, ws))]}
+        for command, model_file in [("sweep", "two_level_sweep.json"),
+                                    ("encircle", "two_level_sweep.json"),
+                                    ("trap", "trapping_chain.json")]:
+            assert run(command, "--model", str(DATA / model_file),
+                       "--out", str(tmp_path)) == 0
+        for name, rows in expected.items():
+            assert csv_rows(tmp_path / name) == rows
+
+    @pytest.mark.parametrize("model", ["double_pole.json", "bic_pair.json"])
+    def test_phase_column_spans_total_phase_change(self, tmp_path, model):
+        assert run("scatter", "--model", str(DATA / model),
+                   "--out", str(tmp_path)) == 0
+        features = json.loads((tmp_path / "features.json").read_text())
+        phase = [r[5] for r in csv_rows(tmp_path / "smatrix.csv")]
+        assert phase[-1] - phase[0] == features["total_phase_change"]
 
 
 def test_readme_flags_are_the_parsers_options():

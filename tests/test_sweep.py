@@ -112,6 +112,12 @@ class TestSweep:
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() < 1e-10 * scale
 
+    def test_one_level_family_has_no_pair_gap(self):
+        fam = sweep.MatrixFamily(fn=lambda t: np.array([[t + 0.5j]]))
+        res = sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 5))
+        assert [r.min_gap for r in res.rows] == [np.inf] * 5
+        assert res.events == []
+
     def test_discontinuous_family_is_ambiguous(self):
         # every eigenvector of H D H^T overlaps every unit vector by 8^-1/2
         h = np.array([[1.0]])
