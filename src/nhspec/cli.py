@@ -6,7 +6,6 @@ success, 2 on a model or input error, 3 on a numerical failure.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -125,20 +124,21 @@ def _build_open_system(p):
         grid_size=grid_size, v_direct=v_direct)
 
 
-def _build_smatrix(p):
+def _build_smatrix(p, grid):
     if "h_b" in p:
         h_b = np.asarray(p["h_b"], float)
         if h_b.ndim == 1:
             h_b = np.diag(h_b)
         return scattering.SMatrixModel.from_effective_hamiltonian(
             h_b, _as_array(_require(p, "gamma_hat", "parameters"),
-                           "gamma_hat", 2))
+                           "gamma_hat", 2), energy_grid=grid)
     poles = [_as_complex(z, "poles") for z in _require(p, "poles",
                                                        "parameters")]
     return scattering.SMatrixModel(
         poles=np.array(poles),
         couplings=np.array([[_as_complex(c, "couplings") for c in row]
-                            for row in _require(p, "couplings", "parameters")]))
+                            for row in _require(p, "couplings", "parameters")]),
+        energy_grid=grid)
 
 
 def _linspace_block(rec, where):
@@ -239,8 +239,8 @@ def _model_for_sweep(doc):
         _fail(f"model kind {kind!r} has no sweep interpretation")
     cls, parse = _SWEEP_MODELS[kind]
     p = doc["parameters"]
-    return cls(**{f.name: parse(_require(p, f.name, "parameters"), f.name)
-                  for f in dataclasses.fields(cls)})
+    return cls(**{name: parse(_require(p, name, "parameters"), name)
+                  for name in cls._fields})
 
 
 def _columns(records, *names):
@@ -362,8 +362,7 @@ def cmd_scatter(doc, out, emit):
             grid)
         bics = []
     else:
-        model = _build_smatrix(p)
-        model.energy_grid = grid
+        model = _build_smatrix(p, grid)
         rep = scattering.lineshape(model, grid, channel=channel)
         bics = scattering.detect_bic(model, channel=channel)
     if "csv" in emit:
@@ -421,9 +420,6 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--emit", default="csv,json",
                        help="comma-separated subset of csv,json,svg")
-        # accepted and validated for compatibility; nothing uses it since
-        # sweeps diagonalize stacked grids instead of a thread pool
-        p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -432,9 +428,6 @@ def main(argv=None):
     emit = tuple(s for s in args.emit.split(",") if s)
     if not set(emit) <= {"csv", "json", "svg"}:
         print("nhspec: unknown emit format in " + args.emit, file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("nhspec: workers must be >= 1", file=sys.stderr)
         return 2
     try:
         doc = load_model_file(args.model)

@@ -6,7 +6,7 @@ one decomposition gives both), the c-normalization phi^T phi = 1 used for
 complex-symmetric matrices, and Jordan chains at defective eigenvalues.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,29 +22,28 @@ DEFECT_TOL = 1e-12
 B_CAP = 1e12
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
+class ComplexMatrix(NamedTuple("ComplexMatrix", [("entries", np.ndarray),
+                                                  ("symmetry_hint", str)])):
     """Dense square complex matrix with an optional symmetry hint."""
 
-    entries: np.ndarray
-    symmetry_hint: str = GENERAL
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
+    def __new__(cls, entries, symmetry_hint=GENERAL):
+        a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("entries must be a square matrix with n >= 1")
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("entries must be finite")
-        object.__setattr__(self, "entries", a)
         scale = max(np.abs(a).max(), 1.0)
-        if self.symmetry_hint == COMPLEX_SYMMETRIC:
+        if symmetry_hint == COMPLEX_SYMMETRIC:
             if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
                 raise ValueError("matrix is not complex symmetric")
-        elif self.symmetry_hint == HERMITIAN:
+        elif symmetry_hint == HERMITIAN:
             if np.abs(a - a.conj().T).max() > _SYMMETRY_TOL * scale:
                 raise ValueError("matrix is not Hermitian")
-        elif self.symmetry_hint != GENERAL:
-            raise ValueError(f"unknown symmetry hint {self.symmetry_hint!r}")
+        elif symmetry_hint != GENERAL:
+            raise ValueError(f"unknown symmetry hint {symmetry_hint!r}")
+        return super().__new__(cls, a, symmetry_hint)
 
     @property
     def n(self):
@@ -64,8 +63,7 @@ def as_matrix(a):
     return ComplexMatrix(a, GENERAL)
 
 
-@dataclass
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Eigenvalues with paired right/left eigenvectors and diagnostics.
 
     right_vectors holds eigenvectors as columns; left_vectors holds the
@@ -268,9 +266,9 @@ def c_normalize(sys, prev=None):
     if sys.matrix.symmetry_hint not in (COMPLEX_SYMMETRIC, HERMITIAN):
         raise ValueError("c_normalize requires a complex-symmetric matrix")
     vr, norms = c_columns(sys.right_vectors, prev)
-    return replace(sys, right_vectors=vr, left_vectors=vr.T.copy(),
-                   norms_A=norms, rigidity_r=1.0 / norms,
-                   ep_flag=np.isinf(norms))
+    return sys._replace(right_vectors=vr, left_vectors=vr.T.copy(),
+                        norms_A=norms, rigidity_r=1.0 / norms,
+                        ep_flag=np.isinf(norms))
 
 
 def c_columns(vr, prev=None):

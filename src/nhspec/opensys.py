@@ -9,7 +9,7 @@ interior-wavefunction phase rigidity, and the width-bifurcation toy
 model H0 - i alpha V V^T.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,31 +21,34 @@ from .errors import (EOutsideWindow, ETooCloseToThreshold,
 # ---------------------------------------------------------------------------
 # channel coupling profiles
 
-@dataclass(frozen=True)
-class _Amplitudes:
-    amplitudes: np.ndarray      # (N, C), one column per channel
+class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
+    """Channel amplitudes (N, C), one column per channel."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes",
-                           np.atleast_2d(np.asarray(self.amplitudes, float)))
+    __slots__ = ()
+
+    def __new__(cls, amplitudes):
+        amplitudes = np.atleast_2d(np.asarray(amplitudes, float))
+        return super().__new__(cls, amplitudes)
 
     @property
     def n_channels(self):
         return self.amplitudes.shape[1]
 
 
-@dataclass(frozen=True)
 class ConstantCoupling(_Amplitudes):
     """Energy-independent amplitudes, one column per channel."""
+
+    __slots__ = ()
 
     def on_grid(self, grid, window):
         return np.broadcast_to(self.amplitudes,
                                (len(grid),) + self.amplitudes.shape)
 
 
-@dataclass(frozen=True)
 class SemicircleCoupling(_Amplitudes):
     """Amplitudes modulated by a semicircular profile over the window."""
+
+    __slots__ = ()
 
     def on_grid(self, grid, window):
         lo, hi = window
@@ -54,20 +57,19 @@ class SemicircleCoupling(_Amplitudes):
             * self.amplitudes
 
 
-@dataclass(frozen=True)
-class TabulatedCoupling:
+class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
+        ("grid", np.ndarray), ("values", np.ndarray)])):
     """Amplitudes tabulated on the continuum grid, linear in between."""
 
-    grid: np.ndarray            # (M,)
-    values: np.ndarray          # (M, N, C)
+    __slots__ = ()      # grid: (M,), values: (M, N, C)
 
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, float))
-        object.__setattr__(self, "values", np.asarray(self.values, float))
-        if self.values.shape[0] != len(self.grid):
+    def __new__(cls, grid, values):
+        grid, values = np.asarray(grid, float), np.asarray(values, float)
+        if values.shape[0] != len(grid):
             raise ValueError("values must be tabulated on the grid")
-        if np.any(np.diff(self.grid) <= 0):
+        if np.any(np.diff(grid) <= 0):
             raise ValueError("tabulation grid must be strictly increasing")
+        return super().__new__(cls, grid, values)
 
     @property
     def n_channels(self):
@@ -80,28 +82,28 @@ class TabulatedCoupling:
         return out.reshape((len(grid),) + self.values.shape[1:])
 
 
-@dataclass(frozen=True)
-class OpenSystemModel:
-    """Bound basis energies, direct interaction, channel coupling, window."""
+class OpenSystemModel(NamedTuple("OpenSystemModel", [
+        ("e_b", np.ndarray), ("coupling", object), ("window", tuple),
+        ("grid_size", int), ("v_direct", np.ndarray)])):
+    """Bound basis energies, direct interaction, channel coupling, window.
 
-    e_b: np.ndarray             # (N,)
-    coupling: object            # coupling profile
-    window: tuple               # (E_lo, E_hi)
-    grid_size: int = 201
-    v_direct: np.ndarray = None  # (N, N) real symmetric, optional
+    e_b (N,), a coupling profile, the window (E_lo, E_hi), the continuum
+    grid size and an optional real symmetric (N, N) v_direct."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "e_b", np.asarray(self.e_b, float))
-        lo, hi = self.window
+    __slots__ = ()
+
+    def __new__(cls, e_b, coupling, window, grid_size=201, v_direct=None):
+        e_b = np.asarray(e_b, float)
+        lo, hi = window
         if not lo < hi:
             raise ValueError("window thresholds must satisfy lo < hi")
-        if self.grid_size < 3 or self.grid_size % 2 == 0:
+        if grid_size < 3 or grid_size % 2 == 0:
             raise ValueError("grid_size must be odd and >= 3")
-        if self.v_direct is not None:
-            v = np.asarray(self.v_direct, float)
-            if v.shape != (self.n_states, self.n_states):
+        if v_direct is not None:
+            v_direct = np.asarray(v_direct, float)
+            if v_direct.shape != (len(e_b), len(e_b)):
                 raise ValueError("v_direct must be N x N")
-            object.__setattr__(self, "v_direct", v)
+        return super().__new__(cls, e_b, coupling, window, grid_size, v_direct)
 
     @property
     def n_states(self):
@@ -194,8 +196,7 @@ def _pv_weights(grid, energies):
 # ---------------------------------------------------------------------------
 # effective Hamiltonian assembly
 
-@dataclass
-class EffectiveHamiltonian:
+class EffectiveHamiltonian(NamedTuple):
     matrix: linalg.ComplexMatrix
 
 
@@ -254,8 +255,7 @@ def _heff_stack(m, prod, energies):
 # ---------------------------------------------------------------------------
 # self-consistent resonances
 
-@dataclass
-class ResonanceState:
+class ResonanceState(NamedTuple):
     z: complex
     phi: np.ndarray
     gamma_c: np.ndarray
@@ -351,8 +351,7 @@ UNPERTURBED_BASIS = "unperturbed_noncoupled"
 BOUND_BASIS = "bound_basis"
 
 
-@dataclass
-class MixingResult:
+class MixingResult(NamedTuple):
     matrix: np.ndarray
     sum_rule_residual: float
     flagged: np.ndarray
@@ -403,8 +402,7 @@ def interior_rigidity(states, energy, channel=0):
 # ---------------------------------------------------------------------------
 # width-bifurcation toy model
 
-@dataclass
-class TrappingReport:
+class TrappingReport(NamedTuple):
     alphas: np.ndarray
     values: np.ndarray          # (T, N) matched trajectories
     widths: np.ndarray          # (T, N)

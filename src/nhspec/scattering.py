@@ -6,30 +6,30 @@ with its vanishing cross section and 2 pi phase sweep, and detection of
 zero-width states through their pi phase jump.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
 
-@dataclass
-class SMatrixModel:
-    """Resonance poles z_k with their channel couplings."""
+class SMatrixModel(NamedTuple("SMatrixModel", [
+        ("poles", np.ndarray), ("couplings", np.ndarray),
+        ("energy_grid", np.ndarray)])):
+    """Resonance poles z_k (K,) with their channel couplings (K, C)."""
 
-    poles: np.ndarray           # (K,)
-    couplings: np.ndarray       # (K, C)
-    energy_grid: np.ndarray = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.poles = np.asarray(self.poles, complex)
-        self.couplings = np.atleast_2d(np.asarray(self.couplings, complex))
-        if self.couplings.shape[0] != len(self.poles):
+    def __new__(cls, poles, couplings, energy_grid=None):
+        poles = np.asarray(poles, complex)
+        couplings = np.atleast_2d(np.asarray(couplings, complex))
+        if couplings.shape[0] != len(poles):
             raise ValueError("one coupling row per pole required")
-        if (self.poles.imag > 0).any():
+        if (poles.imag > 0).any():
             raise ValueError("resonance poles must lie in Im z <= 0")
-        if self.energy_grid is not None:
-            self.energy_grid = np.asarray(self.energy_grid, float)
+        if energy_grid is not None:
+            energy_grid = np.asarray(energy_grid, float)
+        return super().__new__(cls, poles, couplings, energy_grid)
 
     @property
     def n_channels(self):
@@ -93,8 +93,7 @@ def s_matrix_resolvent(h_b, gamma_hat, energy):
 # ---------------------------------------------------------------------------
 # lineshapes
 
-@dataclass
-class LineshapeReport:
+class LineshapeReport(NamedTuple):
     grid: np.ndarray
     s_values: np.ndarray
     sigma: np.ndarray
@@ -103,8 +102,8 @@ class LineshapeReport:
     sigma_at_center: float
     halfmax_span: float
     breit_wigner_span: float
-    minima: list = field(default_factory=list)
-    maxima: list = field(default_factory=list)
+    minima: list
+    maxima: list
 
 
 def _unwrapped_phase(s_values):
@@ -179,8 +178,7 @@ def lineshape(m, grid, channel=0):
 # ---------------------------------------------------------------------------
 # zero-width states
 
-@dataclass
-class BicDetection:
+class BicDetection(NamedTuple):
     index: int
     energy: float
     phase_jump: float

@@ -7,8 +7,6 @@ gap, and closed contours transport the eigenframe to read off the
 swap/phase pattern of the branch point.
 """
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,11 +31,11 @@ EP_BACKWARD_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # parameter families
 
-@dataclass
 class MatrixFamily:
     """One-parameter family of matrices t -> H(t)."""
 
-    fn: object
+    def __init__(self, fn):
+        self.fn = fn
 
     def __call__(self, t):
         return linalg.as_matrix(self.fn(t))
@@ -116,21 +114,21 @@ _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}
 
 def _set_path(model, path, value):
     """The model with one parameter path set to value: 'a' of an avoided
-    crossing (its two-level model at a), a dataclass field of the model,
-    or the 're' or 'im' part of its omega, eps1 or eps2."""
+    crossing (its two-level model at a), a field of the model, or the 're'
+    or 'im' part of its omega, eps1 or eps2; the copy is checked again."""
     if not isinstance(path, str):
         raise ValueError(f"parameter path {path!r} is not a string")
     if path == "a" and isinstance(model, twolevel.AvoidedCrossingModel):
         return model.model_at(value)
-    fields = {f.name for f in dataclasses.fields(model)}
+    fields = model._fields
     name, _, part = path.partition("_")
-    if name in _COMPLEX_FIELDS & fields and part in ("re", "im"):
+    if name in _COMPLEX_FIELDS.intersection(fields) and part in ("re", "im"):
         old = complex(getattr(model, name))
         path, value = name, complex(value, old.imag) if part == "re" \
             else complex(old.real, value)
     elif path not in fields:
         raise ValueError(f"unknown parameter path {path!r}")
-    return dataclasses.replace(model, **{path: value})
+    return type(model)(**{**model._asdict(), path: value})
 
 
 def _affine(model, paths):
@@ -153,7 +151,7 @@ def _affine(model, paths):
         x = np.eye(len(paths))[k]
         if path == "a" and isinstance(before, twolevel.AvoidedCrossingModel):
             # at zero offsets e_k(0) = 0 a move is the slope, never rounded off
-            flat = dataclasses.replace(before, e1_0=0.0, e2_0=0.0)
+            flat = _set_path(_set_path(before, "e1_0", 0.0), "e2_0", 0.0)
             moves = at(*x, m=flat).entries != at(*0 * x, m=flat).entries
             exact = np.diag([before.e1_slope, before.e2_slope])
             slopes.append(np.where(moves, exact, 0))
@@ -172,11 +170,11 @@ def make_family(model, parameter):
     return _Pencil(a, b, hint)
 
 
-@dataclass
 class PlaneFamily:
     """Two-parameter family (p1, p2) -> H(p1, p2)."""
 
-    fn: object
+    def __init__(self, fn):
+        self.fn = fn
 
     def __call__(self, p1, p2):
         return linalg.as_matrix(self.fn(p1, p2))
@@ -270,23 +268,20 @@ def _track(family, ts):
 # ---------------------------------------------------------------------------
 # sweeps
 
-@dataclass(frozen=True)
-class SweepSpec:
-    model: object
-    parameter: str
-    start: float
-    stop: float
-    steps: int
+class SweepSpec(NamedTuple("SweepSpec", [
+        ("model", object), ("parameter", str), ("start", float),
+        ("stop", float), ("steps", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.steps < 2:
+    def __new__(cls, model, parameter, start, stop, steps):
+        if steps < 2:
             raise ValueError("steps must be >= 2")
-        if self.start == self.stop:
+        if start == stop:
             raise ValueError("start and stop must differ")
+        return super().__new__(cls, model, parameter, start, stop, steps)
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     param: float
     values: np.ndarray
     norms_A: np.ndarray
@@ -294,15 +289,13 @@ class SweepRow:
     min_gap: float
 
 
-@dataclass
-class Event:
+class Event(NamedTuple):
     kind: str
     param: float
     indices: tuple
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list
     events: list
 
@@ -367,11 +360,12 @@ def _crossings(gap, tol):
     sign changes are only counted between samples clearly off zero, at
     the sample nearer to zero.
     """
-    zero = np.abs(gap) <= tol
-    count = _first_of_runs(zero).astype(int)
-    sgn = np.where(zero, 0.0, np.sign(gap))
-    flip = sgn[:-1] * sgn[1:] < 0.0
-    left = np.abs(gap[:-1]) <= np.abs(gap[1:])
+    mag = np.abs(gap)
+    zero = mag <= tol
+    count = _first_of_runs(zero).view(np.int8)     # at most 2 per sample
+    pos = gap > 0.0
+    flip = (pos[:-1] != pos[1:]) & ~zero[:-1] & ~zero[1:]
+    left = mag[:-1] <= mag[1:]
     count[:-1] += flip & left
     count[1:] += flip & ~left
     return count
@@ -406,8 +400,7 @@ def _detect_events(params, pairs, diff, near, gap_tol):
 # ---------------------------------------------------------------------------
 # coalescence localization
 
-@dataclass
-class EpLocation:
+class EpLocation(NamedTuple):
     """A located coalescence (p1, p2) with eigenvalue z0 and its certificate.
 
     gap is the eigenvalue gap |z_i - z_j| there; from a dense eigensolver
@@ -496,7 +489,7 @@ def _closed_form_polish(model, parameters, p):
         return None
     cur = complex(p[0], p[1])
     w = w_plus if abs(w_plus - cur) <= abs(w_minus - cur) else w_minus
-    lam_p, lam_m, z = twolevel.eigenvalues(dataclasses.replace(model, omega=w))
+    lam_p, lam_m, z = twolevel.eigenvalues(model._replace(omega=w))
     return (np.array([w.real, w.imag]),
             (float(abs(2.0 * z)), 0.5 * (lam_p + lam_m)))
 
@@ -556,35 +549,32 @@ def _newton_on_sq_gap(family, p):
 # ---------------------------------------------------------------------------
 # contour encircling
 
-@dataclass(frozen=True)
-class EncircleSpec:
-    center: complex
-    radius: float
-    steps_per_cycle: int = 256
-    cycles: int = 4
+class EncircleSpec(NamedTuple("EncircleSpec", [
+        ("center", complex), ("radius", float), ("steps_per_cycle", int),
+        ("cycles", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radius <= 0:
+    def __new__(cls, center, radius, steps_per_cycle=256, cycles=4):
+        if radius <= 0:
             raise ValueError("radius must be positive")
-        if self.steps_per_cycle < 64:
+        if steps_per_cycle < 64:
             raise ValueError("steps_per_cycle must be >= 64")
-        if self.cycles < 1:
+        if cycles < 1:
             raise ValueError("cycles must be >= 1")
+        return super().__new__(cls, center, radius, steps_per_cycle, cycles)
 
 
-@dataclass
-class CycleRecord:
+class CycleRecord(NamedTuple):
     permutation: tuple
     phases: np.ndarray
 
 
-@dataclass
-class CycleReport:
+class CycleReport(NamedTuple):
     cycles: list
     encloses_ep: bool
     eigenvalue_period: int | None
     eigenvector_period: int | None
-    contour: list = field(default_factory=list, repr=False)
+    contour: list               # (theta, eigenvalues) at every grid point
 
 
 def encircle(spec, model):

@@ -6,7 +6,7 @@ four regimes, the basis-mixing diagnostic, and the source-term identity
 that turns the coupled problem into a nonlinear Schroedinger equation.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from . import linalg
 from .errors import AtExceptionalPoint, DegenerateInput, GridTooCoarse, NotAtEP
 
 
-@dataclass(frozen=True)
-class TwoLevelModel:
+class TwoLevelModel(NamedTuple):
     """Two levels eps1, eps2 coupled through the continuum by omega."""
 
     eps1: complex
@@ -38,17 +37,16 @@ class TwoLevelModel:
         return max(abs(self.eps1), abs(self.eps2), abs(self.omega), 1.0)
 
 
-@dataclass(frozen=True)
-class PTTwoLevelModel:
+class PTTwoLevelModel(NamedTuple("PTTwoLevelModel", [
+        ("e", float), ("gamma", float), ("omega", float)])):
     """Balanced gain/loss pair: common energy e, rate gamma, real coupling."""
 
-    e: float
-    gamma: float
-    omega: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gamma < 0:
+    def __new__(cls, e, gamma, omega):
+        if gamma < 0:
             raise ValueError("gamma must be non-negative")
+        return super().__new__(cls, e, gamma, omega)
 
     def matrix(self):
         h = np.array([[self.e - 0.5j * self.gamma, self.omega],
@@ -56,27 +54,26 @@ class PTTwoLevelModel:
         return linalg.ComplexMatrix(h, linalg.COMPLEX_SYMMETRIC)
 
 
-@dataclass(frozen=True)
-class AvoidedCrossingModel:
+class AvoidedCrossingModel(NamedTuple("AvoidedCrossingModel", [
+        ("e1_0", float), ("e1_slope", float), ("e2_0", float),
+        ("e2_slope", float), ("gamma1_0", float), ("gamma2_0", float),
+        ("omega", complex)])):
     """Two affine energy levels e_k(a) with fixed widths and coupling.
 
     e1(a) = e1_0 + e1_slope * a and likewise for level 2; the level
     energies must intersect at exactly one a (non-parallel slopes).
     """
 
-    e1_0: float
-    e1_slope: float
-    e2_0: float
-    e2_slope: float
-    gamma1_0: float
-    gamma2_0: float
-    omega: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e1_slope == self.e2_slope:
+    def __new__(cls, e1_0, e1_slope, e2_0, e2_slope, gamma1_0, gamma2_0,
+                omega):
+        if e1_slope == e2_slope:
             raise ValueError("level energies must be non-parallel in a")
-        if self.gamma1_0 < 0 or self.gamma2_0 < 0:
+        if gamma1_0 < 0 or gamma2_0 < 0:
             raise ValueError("widths must be non-negative")
+        return super().__new__(cls, e1_0, e1_slope, e2_0, e2_slope, gamma1_0,
+                               gamma2_0, omega)
 
     @property
     def a_cr(self):
@@ -108,8 +105,7 @@ def ep_locations(eps1, eps2):
     return w, -w
 
 
-@dataclass
-class CoalescenceReport:
+class CoalescenceReport(NamedTuple):
     """Componentwise eigenvector ratio at (or near) a coalescence."""
 
     ratio: np.ndarray
@@ -201,8 +197,7 @@ AVOIDED_CROSSING = "avoided_crossing"
 DISCRETE_AVOIDED = "discrete_avoided"
 
 
-@dataclass
-class CrossingClassification:
+class CrossingClassification(NamedTuple):
     kind: str
     gamma1_cr: float | None
     min_gap: float
@@ -277,8 +272,7 @@ def classify_crossing(m, a_grid):
     return CrossingClassification(kind, gamma1_cr, min_gap)
 
 
-@dataclass
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Basis-mixing diagnostic |b_ii|^2 - |b_ij|^2 with the full b matrix."""
 
     delta: float

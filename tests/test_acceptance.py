@@ -279,7 +279,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             dirs = (tmp_path / f"{idx}a", tmp_path / f"{idx}b")
             for out in dirs:
                 code = cli.main([command, "--model", str(DATA / model),
-                                 "--out", str(out), "--workers", "1"])
+                                 "--out", str(out)])
                 assert code == 0, f"{command} on {model} exited {code}"
             a = {p.name: p.read_bytes() for p in sorted(dirs[0].iterdir())}
             b = {p.name: p.read_bytes() for p in sorted(dirs[1].iterdir())}

@@ -214,7 +214,7 @@ class TestHeffCommand:
 
         def second_unconverged(model):
             states = solve(model)
-            states[1].converged = False
+            states[1] = states[1]._replace(converged=False)
             return states
 
         monkeypatch.setattr(opensys, "solve_resonances", second_unconverged)
@@ -265,10 +265,6 @@ class TestExitCodes:
     def test_unknown_emit(self, tmp_path):
         assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
                    "--out", str(tmp_path), "--emit", "csv,png") == 2
-
-    def test_bad_workers(self, tmp_path):
-        assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
-                   "--out", str(tmp_path), "--workers", "0") == 2
 
     @pytest.mark.parametrize("command,model,block", [
         ("trap", "trapping_chain.json", "alphas"),
@@ -661,11 +657,11 @@ class TestCsvColumns:
 
 
 def test_readme_flags_are_the_parsers_options():
-    # every setting but these four comes from the model file alone
+    # every setting but these three comes from the model file alone
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     paragraph = readme.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
     named = set(re.findall(r"`(--[a-z-]+)", paragraph))
-    assert named == {"--model", "--out", "--emit", "--workers"}
+    assert named == {"--model", "--out", "--emit"}
     commands, = [a.choices for a in cli.build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)]
     assert set(commands) == set(cli.COMMANDS)
@@ -695,7 +691,7 @@ class TestDeterminism:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run(command, "--model", str(DATA / model),
-                       "--out", str(out), "--workers", "1") == 0
+                       "--out", str(out)) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -129,6 +128,42 @@ class TestSweep:
         with pytest.raises(MatchingAmbiguous) as info:
             sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 11))
         assert abs(info.value.best_overlap - 8 ** -0.5) < 1e-6
+
+
+def crossings_oracle(gap, tol):
+    """Reference form of _crossings: float sign products, int64 counts."""
+    zero = np.abs(gap) <= tol
+    count = sweep._first_of_runs(zero).astype(int)
+    sgn = np.where(zero, 0.0, np.sign(gap))
+    flip = sgn[:-1] * sgn[1:] < 0.0
+    left = np.abs(gap[:-1]) <= np.abs(gap[1:])
+    count[:-1] += flip & left
+    count[1:] += flip & ~left
+    return count
+
+
+class TestCrossings:
+    @settings(max_examples=200)
+    @given(data=st.data(), t=st.integers(1, 40), p=st.integers(1, 4),
+           tol=st.sampled_from([0.0, 1e-12, 1e-3, 0.5]))
+    def test_counts_match_the_oracle(self, data, t, p, tol):
+        # exact zeros, runs within tol of zero and sign changes of both sizes
+        cell = st.one_of(st.sampled_from([0.0, -0.0, tol, -tol]),
+                         st.floats(-tol, tol),
+                         st.floats(-1e3, 1e3, allow_subnormal=False))
+        gap = np.array(data.draw(st.lists(cell, min_size=t * p,
+                                          max_size=t * p))).reshape(t, p)
+        got = sweep._crossings(gap, tol)
+        assert np.array_equal(got, crossings_oracle(gap, tol))
+
+    def test_random_gaps_with_zero_runs(self):
+        rng = np.random.default_rng(5)
+        gap = rng.standard_normal((201, 96))
+        gap[rng.random(gap.shape) < 0.05] = 0.0
+        gap[40:60, :10] = 1e-9 * rng.standard_normal((20, 10))
+        got = sweep._crossings(gap, 1e-8)
+        assert got.max() == 2
+        assert np.array_equal(got, crossings_oracle(gap, 1e-8))
 
 
 class TestLocateEp:
@@ -417,7 +452,7 @@ class TestPencil:
 
         along = sweep._Pencil(omega.a, omega.b, omega.hint, coef=point)
         theta = np.float64(theta)
-        reference = dataclasses.replace(model, omega=point(theta)).matrix()
+        reference = sweep._set_path(model, "omega", point(theta)).matrix()
         assert_pencil_matches(along, theta, reference)
         assert same_bits(omega(point(theta)).entries, reference.entries)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,8 +226,8 @@ class TestCriticalWidthClosedForm:
                     and a_grid[0] <= a <= a_grid[1])
                 continue
             scale = gamma1_cr / m.gamma1_0
-            at = dataclasses.replace(m, gamma1_0=scale * m.gamma1_0,
-                                     gamma2_0=scale * m.gamma2_0).model_at(a)
+            at = type(m)(**dict(m._asdict(), gamma1_0=scale * m.gamma1_0,
+                                gamma2_0=scale * m.gamma2_0)).model_at(a)
             _, _, z = twolevel.eigenvalues(at)
             # |Z| is the square root of a cancellation, about sqrt(eps) *
             # scale at an exact EP of rounded entries; the EP condition is
