@@ -45,6 +45,12 @@ def _as_float(value, name):
     return x
 
 
+def _as_int(value, name):
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)       # bool is not an int here
+    _fail(f"field {name!r} is not an integer")
+
+
 def _as_complex(value, name):
     if isinstance(value, (int, float)):
         return complex(_as_float(value, name))
@@ -113,7 +119,7 @@ def _build_open_system(p):
     window = _as_array(_require(p, "window", "parameters"), "window", 1)
     if len(window) != 2:
         _fail("field 'window' must be a [lo, hi] pair")
-    grid_size = int(p.get("grid_size", 201))
+    grid_size = _as_int(p.get("grid_size", 201), "grid_size")
     v_direct = p.get("v_direct")
     if v_direct is not None:
         v_direct = _as_array(v_direct, "v_direct", 2)
@@ -144,8 +150,8 @@ def _build_smatrix(p, grid):
 def _linspace_block(rec, where):
     start = _as_float(_require(rec, "start", where), "start")
     stop = _as_float(_require(rec, "stop", where), "stop")
-    points = int(_require(rec, "points" if "points" in rec else "steps",
-                          where))
+    field = "points" if "points" in rec else "steps"
+    points = _as_int(_require(rec, field, where), field)
     if points < 2:
         _fail(f"{where} needs at least 2 points")
     if start == stop:
@@ -263,7 +269,7 @@ def cmd_sweep(doc, out, emit):
         parameter=_require(block, "parameter", "sweep block"),
         start=_as_float(_require(block, "start", "sweep block"), "start"),
         stop=_as_float(_require(block, "stop", "sweep block"), "stop"),
-        steps=int(_require(block, "steps", "sweep block")))
+        steps=_as_int(_require(block, "steps", "sweep block"), "steps"))
     result = sweep.sweep(spec)
     params, values, norms, rigidity, gaps = _columns(
         result.rows, "param", "values", "norms_A", "rigidity_r", "min_gap")
@@ -305,8 +311,9 @@ def cmd_encircle(doc, out, emit):
                            "center"),
         radius=_as_float(_require(block, "radius", "encircle block"),
                          "radius"),
-        steps_per_cycle=int(block.get("steps_per_cycle", 256)),
-        cycles=int(block.get("cycles", 4)))
+        steps_per_cycle=_as_int(block.get("steps_per_cycle", 256),
+                                "steps_per_cycle"),
+        cycles=_as_int(block.get("cycles", 4), "cycles"))
     rep = sweep.encircle(spec, model)
     if "json" in emit:
         write_json(out / "cycles.json", {
@@ -333,7 +340,7 @@ def cmd_trap(doc, out, emit):
     v = np.asarray(_require(p, "v", "parameters"), float)
     alphas = _linspace_block(_require(doc, "alphas", "model file"),
                              "alphas block")
-    fraction = p.get("trapped_fraction", 0.1)
+    fraction = _as_float(p.get("trapped_fraction", 0.1), "trapped_fraction")
     rep = opensys.toy_trapping(h0, v, alphas, trapped_fraction=fraction)
     if "csv" in emit:
         own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
@@ -353,7 +360,7 @@ def cmd_scatter(doc, out, emit):
         _fail("scatter requires an smatrix model")
     p = doc["parameters"]
     grid = _linspace_block(_require(doc, "grid", "model file"), "grid block")
-    channel = int(p.get("channel", 0))
+    channel = _as_int(p.get("channel", 0), "channel")
     if "double_pole" in p:
         dp = p["double_pole"]
         rep = scattering.double_pole_lineshape(

@@ -22,26 +22,44 @@ DEFECT_TOL = 1e-12
 B_CAP = 1e12
 
 
+def invalid(a, hint):
+    """Mask of the matrices of the (..., n, n) stack a that are not finite,
+    or differ from their transpose (hint COMPLEX_SYMMETRIC) or conjugate
+    transpose (HERMITIAN) by over _SYMMETRY_TOL * max(max |a|, 1); hint is
+    one for the stack or one per matrix (GENERAL: finiteness alone)."""
+    finite = np.isfinite(a.view(float))
+    bad = np.zeros(a.shape[:-2], bool) if finite.all() \
+        else ~finite.all(axis=(-2, -1))
+    hint = np.asarray(hint)
+    herm = hint == HERMITIAN
+    check = herm | (hint == COMPLEX_SYMMETRIC)
+    if check.any():
+        t = a.swapaxes(-1, -2)
+        with np.errstate(all="ignore"):     # inf - inf, or |a| overflowing
+            off = np.abs(a - np.where(herm[..., None, None], t.conj(), t))
+            scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+            bad |= check & ~(off.max(axis=(-2, -1)) <= _SYMMETRY_TOL * scale)
+    return bad
+
+
 class ComplexMatrix(NamedTuple("ComplexMatrix", [("entries", np.ndarray),
                                                   ("symmetry_hint", str)])):
     """Dense square complex matrix with an optional symmetry hint."""
 
     __slots__ = ()
+    _BROKEN = {GENERAL: "entries must be finite",
+               COMPLEX_SYMMETRIC: "matrix is not complex symmetric",
+               HERMITIAN: "matrix is not Hermitian"}
 
     def __new__(cls, entries, symmetry_hint=GENERAL):
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("entries must be a square matrix with n >= 1")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("entries must be finite")
-        scale = max(np.abs(a).max(), 1.0)
-        if symmetry_hint == COMPLEX_SYMMETRIC:
-            if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
-                raise ValueError("matrix is not complex symmetric")
-        elif symmetry_hint == HERMITIAN:
-            if np.abs(a - a.conj().T).max() > _SYMMETRY_TOL * scale:
-                raise ValueError("matrix is not Hermitian")
-        elif symmetry_hint != GENERAL:
+        known = symmetry_hint in (GENERAL, COMPLEX_SYMMETRIC, HERMITIAN)
+        if invalid(a, symmetry_hint if known else GENERAL):
+            raise ValueError(cls._BROKEN[GENERAL if invalid(a, GENERAL)
+                                         else symmetry_hint])
+        if not known:
             raise ValueError(f"unknown symmetry hint {symmetry_hint!r}")
         return super().__new__(cls, a, symmetry_hint)
 
@@ -54,13 +72,11 @@ def as_matrix(a):
     """Coerce an array or ComplexMatrix, auto-detecting its symmetry."""
     if isinstance(a, ComplexMatrix):
         return a
-    a = np.asarray(a, dtype=complex)
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() <= _SYMMETRY_TOL * scale:
-        return ComplexMatrix(a, HERMITIAN)
-    if np.abs(a - a.T).max() <= _SYMMETRY_TOL * scale:
-        return ComplexMatrix(a, COMPLEX_SYMMETRIC)
-    return ComplexMatrix(a, GENERAL)
+    m = ComplexMatrix(a)
+    for hint in (HERMITIAN, COMPLEX_SYMMETRIC):
+        if not invalid(m.entries, hint):
+            return m._replace(symmetry_hint=hint)   # skips the constructor
+    return m
 
 
 class EigenSystem(NamedTuple):
@@ -210,19 +226,14 @@ def eig(H):
     H = as_matrix(H)
     w, vr = eig_pairs(H)
 
-    n = H.n
-    ep_flag = np.zeros(n, dtype=bool)
+    ep_flag = np.zeros(H.n, dtype=bool)
 
     if H.symmetry_hint == HERMITIAN:
         vl = vr.conj().T
     elif H.symmetry_hint == COMPLEX_SYMMETRIC:
-        vl = vr.T.copy()
-        for k in range(n):
-            c = vl[k] @ vr[:, k]
-            if abs(c) < DEFECT_TOL:
-                ep_flag[k] = True
-            else:
-                vl[k] = vl[k] / c
+        c = np.einsum("ik,ik->k", vr, vr)
+        ep_flag = np.abs(c) < DEFECT_TOL
+        vl = vr.T / np.where(ep_flag, 1.0, c)[:, None]
     else:
         # |y_k| overflows at a coalescence; a non-finite one is flagged
         with np.errstate(all="ignore"):
@@ -237,24 +248,14 @@ def eig(H):
                        matrix=H, ep_flag=ep_flag)
 
 
-def _fix_residual_sign(u, prev_vec):
-    """Resolve the +/- left by the principal square root.
-
-    With a predecessor, keep the sign maximizing Re of the c-overlap;
-    otherwise put the phase of the largest-magnitude component in [0, pi).
-    """
-    if prev_vec is not None:
-        if (prev_vec @ u).real < 0.0:
-            return -u
-        return u
-    j = int(np.argmax(np.abs(u)))
-    ph = np.angle(u[j])
-    if not (0.0 <= ph < np.pi):
-        return -u
-    return u
+def _fix_residual_sign(u):
+    """Resolve the +/- left by the principal square root: the phase of the
+    largest-magnitude component goes in [0, pi)."""
+    ph = np.angle(u[np.argmax(np.abs(u))])
+    return u if 0.0 <= ph < np.pi else -u
 
 
-def c_normalize(sys, prev=None):
+def c_normalize(sys):
     """Scale eigenvectors to the c-norm phi^T phi = 1.
 
     Records A_k = <phi_k|phi_k> (conjugated norm) and the phase rigidity
@@ -265,16 +266,16 @@ def c_normalize(sys, prev=None):
     """
     if sys.matrix.symmetry_hint not in (COMPLEX_SYMMETRIC, HERMITIAN):
         raise ValueError("c_normalize requires a complex-symmetric matrix")
-    vr, norms = c_columns(sys.right_vectors, prev)
+    vr, norms = c_columns(sys.right_vectors)
     return sys._replace(right_vectors=vr, left_vectors=vr.T.copy(),
                         norms_A=norms, rigidity_r=1.0 / norms,
                         ep_flag=np.isinf(norms))
 
 
-def c_columns(vr, prev=None):
+def c_columns(vr):
     """The columns of vr at unit c-norm, as a C-ordered copy, and their
     conjugated norms A_k; a column whose c-norm vanishes is left at unit
-    norm with A = inf.  Signs follow prev's unflagged vectors, if given."""
+    norm with A = inf."""
     vr = vr.copy()
     norms = np.full(vr.shape[1], np.inf)
     for k in range(len(norms)):
@@ -284,10 +285,7 @@ def c_columns(vr, prev=None):
         if abs(c) < DEFECT_TOL:
             vr[:, k] = v
             continue
-        prev_vec = None
-        if prev is not None and k < prev.n and not prev.ep_flag[k]:
-            prev_vec = prev.right_vectors[:, k]
-        u = _fix_residual_sign(v / np.sqrt(c), prev_vec)
+        u = _fix_residual_sign(v / np.sqrt(c))
         vr[:, k] = u
         norms[k] = (u.conj() @ u).real
     return vr, norms
@@ -315,7 +313,7 @@ def jordan_chain(H, z0):
     if H.n >= 2 and s[-2] < null_tol:
         raise NotDefective("geometric multiplicity is at least 2 at z0")
     phi = vh[-1].conj()
-    phi = _fix_residual_sign(phi / np.linalg.norm(phi), None)
+    phi = _fix_residual_sign(phi / np.linalg.norm(phi))
     phi_a = np.linalg.pinv(a, rcond=1e-10) @ phi
     res = np.linalg.norm(a @ phi_a - phi)
     if res > 1e-8 * scale:

@@ -103,7 +103,10 @@ class OpenSystemModel(NamedTuple("OpenSystemModel", [
             v_direct = np.asarray(v_direct, float)
             if v_direct.shape != (len(e_b), len(e_b)):
                 raise ValueError("v_direct must be N x N")
-        return super().__new__(cls, e_b, coupling, window, grid_size, v_direct)
+        m = super().__new__(cls, e_b, coupling, window, grid_size, v_direct)
+        if linalg.invalid(m.h_bound(), linalg.HERMITIAN):
+            raise ValueError("diag(e_b) + v_direct must be finite and symmetric")
+        return m
 
     @property
     def n_states(self):
@@ -222,14 +225,14 @@ def _coupling_products(m):
 
 def _heff_stack(m, prod, energies):
     """(R, N, N) H_eff at real energies, the mask of those inside the window
-    and the couplings g(E) (R, N, C), zero outside; checked as ComplexMatrix
-    checks one matrix, but raising SelfConsistencyFailure."""
+    and the couplings g(E) (R, N, C), zero outside; linalg.invalid checks it
+    (complex symmetric inside), raising SelfConsistencyFailure."""
     lo, hi = m.window
     grid, n = m.grid, m.n_states
     inside = (lo < energies) & (energies < hi)
     weights = np.empty((len(energies), len(grid)))
     g = np.zeros((len(energies), n, m.n_channels))
-    with np.errstate(all="ignore"):     # non-finite entries raise below
+    with np.errstate(all="ignore"):     # a non-finite H_eff raises below
         weights[inside] = _pv_weights(grid, energies[inside])[2]
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
         # outside the window the integrand is regular: plain trapezoid
@@ -241,14 +244,11 @@ def _heff_stack(m, prod, energies):
         shift = np.array([np.dot(w, flat) for w in weights])
         heff = m.h_bound() + shift.reshape(-1, n, n) / (2.0 * np.pi) \
             - 1j * (0.5 * g @ g.swapaxes(1, 2))
-        ok = np.isfinite(heff.view(float)).all(axis=(1, 2))
-        partner = np.where(inside[:, None, None], heff, heff.conj())
-        scale = np.maximum(np.abs(heff).max(axis=(1, 2)), 1.0)
-        ok &= np.abs(heff - partner.swapaxes(1, 2)).max(axis=(1, 2)) \
-            <= linalg._SYMMETRY_TOL * scale
-    if not ok.all():
+    bad = linalg.invalid(heff, np.where(inside, linalg.COMPLEX_SYMMETRIC,
+                                        linalg.HERMITIAN))
+    if bad.any():
         raise SelfConsistencyFailure("H_eff is not finite or not symmetric at "
-                                     f"E = {energies[~ok].tolist()[0]!r}")
+                                     f"E = {energies[bad].tolist()[0]!r}")
     return heff, inside, g
 
 

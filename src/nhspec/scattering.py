@@ -68,6 +68,8 @@ def s_matrix_polesum(m, energy):
 
 def _s_diag(m, energies, channel):
     """S_cc(E) over an energy array, with s_matrix_polesum's pole rule."""
+    if not 0 <= channel < m.n_channels:
+        raise ValueError(f"channel {channel} is not in 0..{m.n_channels - 1}")
     denom = energies[:, None] - m.poles                  # (E, K)
     hit = (denom == 0.0).any(axis=1)
     if hit.any():

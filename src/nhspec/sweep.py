@@ -68,7 +68,7 @@ class _Pencil(MatrixFamily):
     def stack(self, ts):
         with np.errstate(all="ignore"):     # non-finite entries raise below
             s = self.a + self.coef(np.asarray(ts))[:, None, None] * self.b
-        if not np.all(np.isfinite(s.view(float))):
+        if linalg.invalid(s, linalg.GENERAL).any():
             raise ValueError("entries must be finite")
         return s, np.full(len(s), self.hint == linalg.HERMITIAN)
 
@@ -321,12 +321,14 @@ def sweep(spec):
     params = np.array([f.t for f in frames])
     values = np.array([f.values for f in frames])        # (T, n)
     vectors = [f.vectors for f in frames]
+    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
     # phase rigidity r = |u^T u| of the unit vectors, A = 1/r; both are
     # flagged (r = 0, A = inf) where the c-norm has numerically vanished
     per = max(1, _STACK_BYTES // vectors[0].nbytes)
     r = np.concatenate([np.abs(np.einsum("tik,tik->tk", u, u)) for u in (
         np.array(vectors[i:i + per]) for i in range(0, len(vectors), per))])
     r[r < linalg.DEFECT_TOL] = 0.0
+    del frames, vectors     # the eigenvectors are not needed for events
     with np.errstate(divide="ignore"):
         norms = 1.0 / r
     diff, gap, pairs = _pair_gaps(values)
@@ -339,7 +341,6 @@ def sweep(spec):
                      rigidity_r=r[k], min_gap=float(gaps[k]))
             for k, t in enumerate(params)]
 
-    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
     near = gap < DEFAULT_EP_GAP_TOL * scale
     del gap                 # the (T, pairs) moduli are not needed for events
     events = _detect_events(params, pairs, diff, near, DEFAULT_GAP_TOL * scale)

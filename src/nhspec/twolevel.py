@@ -171,24 +171,12 @@ def nonlinear_source_residual(m):
     if sys.ep_flag.any() or linalg.coalescence_error(
             sys.matrix.entries) <= 32.0 * np.finfo(float).eps:
         raise AtExceptionalPoint("source-term expansion diverges at coalescence")
-    h0 = np.diag([m.eps1, m.eps2])
+    v = sys.right_vectors                   # columns phi_k
     w_mat = -np.array([[0.0, m.omega], [m.omega, 0.0]])
-    worst = 0.0
-    vecs = [sys.right_vectors[:, k] for k in range(2)]
-    a_k = sys.norms_A
-    for n in range(2):
-        phi_n = vecs[n]
-        lhs = (h0 - sys.values[n] * np.eye(2)) @ phi_n
-        rhs = np.zeros(2, dtype=complex)
-        for k in range(2):
-            amp = vecs[k].conj() @ (w_mat @ phi_n)
-            term = a_k[k] * vecs[k]
-            for l in range(2):
-                if l != k:
-                    term = term + (vecs[k].conj() @ vecs[l]) * vecs[l]
-            rhs = rhs + amp * term
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    lhs = np.diag([m.eps1, m.eps2]) @ v - v * sys.values
+    # A_k phi_k + sum_l!=k B_k^l phi_l = sum_l <phi_k|phi_l> phi_l
+    rhs = v @ (v.conj().T @ v).T @ (v.conj().T @ w_mat @ v)
+    return float(np.abs(lhs - rhs).max())
 
 
 FREE_CROSSING = "free_crossing"

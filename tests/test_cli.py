@@ -194,6 +194,21 @@ class TestScatterCommand:
         assert len(doc["bic"]) == 1
         assert abs(doc["bic"][0]["phase_jump"] - np.pi) < 0.05 * np.pi
 
+    @pytest.mark.parametrize("channel", [3, -1])
+    def test_channel_out_of_range_is_input_error(self, tmp_path, capsys,
+                                                  channel):
+        # bic_pair has one channel: 3 used to end in an IndexError, and -1
+        # silently reported the last channel
+        doc = json.loads((DATA / "bic_pair.json").read_text())
+        doc["parameters"]["channel"] = channel
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("scatter", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            f"nhspec: input error: channel {channel} is not in 0..0\n"
+        assert not list((tmp_path / "out").glob("*"))
+
 
 class TestHeffCommand:
     def test_resonances(self, tmp_path):
@@ -207,6 +222,18 @@ class TestHeffCommand:
             cells = line.split(",")
             assert cells[5] == "1"                 # converged
             assert float(cells[3]) > 0.0           # positive width
+
+    def test_asymmetric_v_direct_is_input_error(self, tmp_path, capsys):
+        # the bound Hamiltonian is checked with the model, not as H_eff
+        doc = json.loads((DATA / "open_system.json").read_text())
+        doc["parameters"]["v_direct"] = [[0.0, 1.0], [2.0, 0.0]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("heff", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "nhspec: input error: diag(e_b) " \
+            "+ v_direct must be finite and symmetric\n"
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_unconverged_state_is_numerical_failure(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -494,6 +521,10 @@ class TestIngestion:
 
     TWO = {"eps1": [1.0, 0.0], "eps2": [-1.0, 0.0], "omega": [0.0, 0.5]}
     SWEEP = {"parameter": "omega_im", "start": 0.5, "stop": 1.5, "steps": 11}
+    GRID = {"start": -5.0, "stop": 5.0, "points": 1001}
+    BIC = {"h_b": [-3e-07, 3e-07], "gamma_hat": [[1.0], [1.0]]}
+    TRAP = {"h0": [-1.0, 0.0, 1.0], "v": [1.0, 1.0, 1.0]}
+    ALPHAS = {"start": 0.01, "stop": 1.0, "steps": 5}
 
     @pytest.mark.parametrize("kind,parameters,message", [
         ("two_level", {**TWO, "eps1": "one"},
@@ -515,11 +546,33 @@ class TestIngestion:
         ("three_level", TWO, "unknown model kind 'three_level'"),
         ("two_level", None, "field 'parameters' must be a JSON object"),
         ("two_level", "eps1 eps2",
-         "field 'parameters' must be a JSON object")])
+         "field 'parameters' must be a JSON object"),
+        # integer fields take integral numbers only; a block given among
+        # the parameters replaces the test's default block
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": 3.9}},
+         "field 'steps' is not an integer"),
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": "11"}},
+         "field 'steps' is not an integer"),
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": True}},
+         "field 'steps' is not an integer"),
+        ("smatrix", {**BIC, "grid": {**GRID, "points": 2.7}},
+         "field 'points' is not an integer"),
+        ("smatrix", {**BIC, "grid": {**GRID, "points": None}},
+         "field 'points' is not an integer"),
+        ("smatrix", {**BIC, "channel": 0.5}, "field 'channel' is not an integer"),
+        ("open_system", {**OPEN, "grid_size": "abc"},
+         "field 'grid_size' is not an integer"),
+        ("toy_trapping", {**TRAP, "trapped_fraction": "x"},
+         "field 'trapped_fraction' is not a number")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
-        command = "heff" if kind == "open_system" else "sweep"
-        model = write_model(tmp_path, kind, parameters, sweep=self.SWEEP)
+        command = {"open_system": "heff", "smatrix": "scatter",
+                   "toy_trapping": "trap"}.get(kind, "sweep")
+        blocks = {"sweep": self.SWEEP, "grid": self.GRID,
+                  "alphas": self.ALPHAS}
+        if isinstance(parameters, dict):
+            blocks.update((k, parameters[k]) for k in blocks if k in parameters)
+        model = write_model(tmp_path, kind, parameters, **blocks)
         assert run(command, "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
@@ -577,6 +630,17 @@ class TestIngestion:
         assert capsys.readouterr().err \
             == f"nhspec: input error: field 'seed' {message}\n"
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("cycles", 2.5), ("steps_per_cycle", "256")])
+    def test_encircle_counts_are_integers(self, tmp_path, capsys, field,
+                                          value):
+        model = write_model(tmp_path, "two_level", self.TWO, encircle={
+            "center": [0.0, 1.0], "radius": 0.5, field: value})
+        assert run("encircle", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err \
+            == f"nhspec: input error: field {field!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("command,model,emit,written", [

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 import os
 import pkgutil
@@ -22,8 +23,8 @@ from conftest import random_complex_symmetric
 T_DEFECTIVE = np.array([[1.0, 1j], [1j, -1.0]])
 
 
-def c_normalized(h, prev=None):
-    return linalg.c_normalize(linalg.eig(linalg.as_matrix(h)), prev=prev)
+def c_normalized(h):
+    return linalg.c_normalize(linalg.eig(linalg.as_matrix(h)))
 
 
 class TestComplexMatrix:
@@ -44,6 +45,83 @@ class TestComplexMatrix:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             linalg.ComplexMatrix(np.zeros((2, 3)))
+
+    def test_as_matrix_rejects_non_square_as_the_constructor_does(self):
+        with pytest.raises(ValueError, match="square matrix with n >= 1"):
+            linalg.as_matrix(np.zeros((2, 3)))
+
+
+def handwritten_rejects(a, hint):
+    """The checks ComplexMatrix made by hand before linalg.invalid: True for
+    a non-finite entry, or a symmetry hint broken by more than
+    _SYMMETRY_TOL * max(max |a|, 1)."""
+    if not np.all(np.isfinite(a.view(float))):
+        return True
+    scale = max(np.abs(a).max(), 1.0)
+    if hint == linalg.COMPLEX_SYMMETRIC:
+        return bool(np.abs(a - a.T).max() > linalg._SYMMETRY_TOL * scale)
+    if hint == linalg.HERMITIAN:
+        return bool(np.abs(a - a.conj().T).max() > linalg._SYMMETRY_TOL * scale)
+    return False
+
+
+HINTS = (linalg.GENERAL, linalg.COMPLEX_SYMMETRIC, linalg.HERMITIAN)
+
+
+@st.composite
+def hinted_stacks(draw):
+    """A (T, n, n) stack of symmetric, Hermitian, real symmetric or general
+    frames, some perturbed off symmetry by 0.5 or 2 times the tolerance or
+    holding a NaN or infinite entry, with one hint per frame."""
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frames = []
+    for _ in range(t):
+        x = draw(st.sampled_from([0.1, 100.0])) * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x = {"symmetric": x + x.T, "hermitian": x + x.conj().T,
+             "real": (x + x.T).real + 0j, "general": x}[draw(st.sampled_from(
+                 ["symmetric", "hermitian", "real", "general"]))]
+        if n > 1:
+            i, j = rng.choice(n, 2, replace=False)
+            x[i, j] += draw(st.sampled_from([0.0, 0.5, 2.0])) \
+                * linalg._SYMMETRY_TOL * max(np.abs(x).max(), 1.0)
+        if draw(st.integers(0, 3)) == 0:
+            x[rng.integers(n), rng.integers(n)] = draw(st.sampled_from(
+                [np.nan, np.inf, -np.inf, complex(0.0, np.inf)]))
+        frames.append(x)
+    hints = draw(st.lists(st.sampled_from(HINTS), min_size=t, max_size=t))
+    return np.array(frames), hints
+
+
+class TestInvalid:
+    @given(case=hinted_stacks())
+    def test_matches_the_constructor_checks(self, case):
+        stack, hints = case
+        oracle = [handwritten_rejects(a, h) for a, h in zip(stack, hints)]
+        assert linalg.invalid(stack, np.array(hints)).tolist() == oracle
+        for hint in HINTS:      # one hint for the whole stack
+            assert linalg.invalid(stack, hint).tolist() == [
+                handwritten_rejects(a, hint) for a in stack]
+        for a, hint, bad in zip(stack, hints, oracle):
+            assert bool(linalg.invalid(a, hint)) == bad
+            if bad:
+                with pytest.raises(ValueError):
+                    linalg.ComplexMatrix(a, hint)
+            else:
+                assert linalg.ComplexMatrix(a, hint).symmetry_hint == hint
+
+    def test_only_invalid_reads_the_tolerance(self):
+        # one place decides symmetry: no other module, and no other
+        # function of linalg, compares against _SYMMETRY_TOL
+        src = Path(linalg.__file__).parent
+        for path in src.glob("*.py"):
+            if path.name != "linalg.py":
+                assert "_SYMMETRY_TOL" not in path.read_text(), path.name
+        body = inspect.getsource(linalg.invalid)
+        rest = Path(linalg.__file__).read_text().replace(body, "")
+        assert [line for line in rest.splitlines()
+                if "_SYMMETRY_TOL" in line] == ["_SYMMETRY_TOL = 1e-12"]
 
 
 class TestEig:
@@ -275,12 +353,6 @@ class TestCNormalize:
             v = np.array([omega, eps - eps1])
             a_oracle = (np.vdot(v, v) / abs(v @ v)).real
             assert abs(sys.norms_A[k] - a_oracle) < 1e-10
-
-    def test_sign_continuity(self, rng):
-        h = random_complex_symmetric(rng, 4)
-        sys = c_normalized(h)
-        again = c_normalized(h + 1e-9 * np.eye(4), prev=sys)
-        assert np.abs(again.right_vectors - sys.right_vectors).max() < 1e-4
 
     def test_idempotent(self, rng):
         h = random_complex_symmetric(rng, 4)

@@ -618,6 +618,20 @@ class TestNonFiniteHeff:
             opensys.assemble_heff(self.model, 1e308)
 
 
+class TestBoundHamiltonian:
+    # a bound Hamiltonian that is not real symmetric is the model's fault,
+    # so it is rejected on construction instead of as H_eff in the solver
+    @pytest.mark.parametrize("e_b,v_direct", [
+        ([-0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]]),
+        ([-0.5, np.nan], None)])
+    def test_rejected_on_construction(self, e_b, v_direct):
+        with pytest.raises(ValueError, match=r"^diag\(e_b\) \+ v_direct must "
+                           "be finite and symmetric$"):
+            opensys.OpenSystemModel(
+                e_b=e_b, coupling=opensys.ConstantCoupling([[0.1], [0.1]]),
+                window=(-2.0, 2.0), v_direct=v_direct)
+
+
 # ---------------------------------------------------------------------------
 # mixing and interior rigidity
 
