@@ -36,10 +36,9 @@ def _require(record, field, where):
 
 
 def _as_float(value, name):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
+    if type(value) not in (int, float):     # not a string or a bool
         _fail(f"field {name!r} is not a number")
+    x = float(value)
     if not np.isfinite(x):
         _fail(f"field {name!r} is not finite")
     return x
@@ -59,13 +58,14 @@ def _as_complex(value, name):
     return complex(_as_float(value[0], name), _as_float(value[1], name))
 
 
-def _as_array(value, name, ndim):
+def _as_array(value, name, *ndims):
     try:
         arr = np.asarray(value, float)
     except (TypeError, ValueError):
         _fail(f"field {name!r} is not a numeric array")
-    if arr.ndim != ndim or not np.isfinite(arr).all():
-        _fail(f"field {name!r} must be a finite {ndim}-d array")
+    if arr.ndim not in ndims or not np.isfinite(arr).all():
+        _fail(f"field {name!r} must be a finite "
+              f"{' or '.join(map(str, ndims))}-d array")
     return arr
 
 
@@ -111,7 +111,7 @@ def _build_coupling(rec):
         return opensys.TabulatedCoupling(
             grid=_as_array(_require(rec, "energies", "coupling"),
                            "energies", 1),
-            values=np.asarray(_require(rec, "values", "coupling"), float))
+            values=_as_array(_require(rec, "values", "coupling"), "values", 3))
     _fail(f"unknown coupling profile {profile!r}")
 
 
@@ -132,7 +132,7 @@ def _build_open_system(p):
 
 def _build_smatrix(p, grid):
     if "h_b" in p:
-        h_b = np.asarray(p["h_b"], float)
+        h_b = _as_array(p["h_b"], "h_b", 1, 2)
         if h_b.ndim == 1:
             h_b = np.diag(h_b)
         return scattering.SMatrixModel.from_effective_hamiltonian(
@@ -336,8 +336,8 @@ def cmd_trap(doc, out, emit):
     if doc["kind"] != "toy_trapping":
         _fail("trap requires a toy_trapping model")
     p = doc["parameters"]
-    h0 = np.asarray(_require(p, "h0", "parameters"), float)
-    v = np.asarray(_require(p, "v", "parameters"), float)
+    h0 = _as_array(_require(p, "h0", "parameters"), "h0", 1, 2)
+    v = _as_array(_require(p, "v", "parameters"), "v", 1, 2)
     alphas = _linspace_block(_require(doc, "alphas", "model file"),
                              "alphas block")
     fraction = _as_float(p.get("trapped_fraction", 0.1), "trapped_fraction")

@@ -438,8 +438,8 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     dal = np.diff(alphas)
     if not ((dal > 0).all() or (dal < 0).all()):
         raise ValueError("alpha grid must be strictly monotone")
-    frames = sweep._track(sweep._SecularPencil(h0, v), alphas)
-    values = np.array([f.values for f in frames if f.on_grid])
+    values = np.concatenate([b.values[b.on_grid] for b in sweep._track(
+        sweep._SecularPencil(h0, v), alphas)])
 
     widths = -2.0 * values.imag
     gamma0 = widths.max(axis=1)

@@ -23,8 +23,8 @@ MAX_BISECT = 8
 # call per stack, without holding a whole long grid in memory at once
 _STACK_BYTES = 1 << 20
 DEFAULT_GAP_TOL = 1e-8
-DEFAULT_EP_GAP_TOL = 1e-10
-# locate_ep's bound on the backward error of the pair at a returned point
+# the bound on the backward error of a coalescing pair: of locate_ep at its
+# returned point, and of a sweep row for an ep_candidate
 EP_BACKWARD_TOL = 1e-10
 
 
@@ -214,13 +214,11 @@ def _frame_at(family, t, on_grid=True):
     return _Frame(t, *linalg.eig_pairs(m), on_grid, float(abs(m.entries).max()))
 
 
-def _step(family, f0, f1, perm=None, depth=0):
+def _step(family, f0, f1, depth=0):
     """Frames after the continued frame f0 up to and including f1, matched
-    by overlap unless the order perm of f1 is given, and that order; an
-    ambiguous interval is bisected, MAX_BISECT deep."""
-    best = MATCH_THRESHOLD
-    if perm is None:
-        perm, best = _match(f0.vectors, f1.vectors, f0.values, f1.values)
+    by overlap, and the order of f1; an ambiguous interval is bisected,
+    MAX_BISECT deep."""
+    perm, best = _match(f0.vectors, f1.vectors, f0.values, f1.values)
     if best >= MATCH_THRESHOLD:
         return [_Frame(f1.t, f1.values[perm], f1.vectors[:, perm],
                        f1.on_grid, f1.peak)], perm
@@ -236,17 +234,19 @@ def _step(family, f0, f1, perm=None, depth=0):
 
 def _track(family, ts):
     """Continue the eigenpairs of a MatrixFamily along the parameters ts,
-    yielding the matched frames in order, bisection midpoints included.
-    Chunks are diagonalized, sorted and overlap-matched in batch: where the
-    row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
+    yielding the matched frames in blocks: _Frames of arrays, one row per
+    frame, bisection midpoints included before their grid rows.  Chunks
+    are diagonalized, sorted and overlap-matched in batch: where the row
+    maxima of |U_{k-1}^H U_k| are distinct columns, all at least
     MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find (a
-    row's argmax ignores row order); other steps go through _step."""
+    row's argmax ignores row order); other steps go through _step from the
+    row before, in order.  A chunk is then reordered by its P_k at once."""
     prev = _frame_at(family, ts[0])
-    yield prev
-    # four chunk-sized arrays are live at the peak, inside family.pairs:
-    # LAPACK's vectors, their sort_pairs copy and the two temporaries of
-    # its norm; the matrices before it and the previous chunk are released
-    size = max(1, _STACK_BYTES // (4 * prev.vectors.nbytes))
+    yield _Frame._make(np.array([x]) for x in prev)
+    # five chunk-sized arrays are live at the peak, inside family.pairs:
+    # LAPACK's vectors, their sort_pairs copy, the two temporaries of its
+    # norm and the block the caller holds; the rest has been released
+    size = max(1, _STACK_BYTES // (5 * prev.vectors.nbytes))
     for lo in range(1, len(ts), size):
         chunk = ts[lo:lo + size]
         peaks, w, vr = family.pairs(chunk)
@@ -256,13 +256,28 @@ def _track(family, ts):
         clean = (ov.max(axis=2).min(axis=1) >= MATCH_THRESHOLD) \
             & (np.sort(cols, axis=1) == perm).all(axis=1)
         del ov
-        for k, t in enumerate(chunk):
-            raw = _Frame(t, w[k], vr[k], True, peaks[k])
-            order = cols[k][perm] if clean[k] else None
-            steps, perm = _step(family, prev, raw, order)
-            yield from steps
-            prev = steps[-1]      # a copy: frames hold no view of vr
-        del w, vr, raw
+        perms, mids = np.empty_like(cols), []
+        for k, ok in enumerate(clean.tolist()):
+            if ok:
+                perm = cols[k][perm]
+            else:               # perm is still the order of row k - 1
+                if k:
+                    prev = _Frame(chunk[k - 1], w[k - 1, perm],
+                                  vr[k - 1][:, perm], True, peaks[k - 1])
+                steps, perm = _step(family, prev, _Frame(chunk[k], w[k], vr[k],
+                                                         True, peaks[k]))
+                mids += [(k, f) for f in steps[:-1]]
+            perms[k] = perm
+        block = _Frame(chunk, np.take_along_axis(w, perms, 1),
+                       np.take_along_axis(vr, perms[:, None], 2),
+                       np.ones(len(chunk), bool), np.array(peaks))
+        del w, vr
+        if mids:
+            at, fs = zip(*mids)
+            block = _Frame(*(np.insert(x, at, y, axis=0)
+                             for x, y in zip(block, zip(*fs))))
+        prev = _Frame._make(x[-1] for x in block)
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +318,11 @@ class SweepResult(NamedTuple):
 def sweep(spec):
     """Sweep a model parameter, continuing eigenpairs by overlap matching.
 
-    Events: sign changes of the energy (width) differences, interior
-    local minima of the energy gap staying above tolerance, and full
-    complex gaps below the coalescence tolerance.  The tolerances are the
-    DEFAULT_* constants times the largest matrix entry over the sweep (at
-    least 1).
+    Events: sign changes of the energy (width) differences and interior
+    local minima of the energy gap staying above DEFAULT_GAP_TOL times the
+    largest matrix entry over the sweep (at least 1), and, for a
+    complex-symmetric family, pairs whose backward error of coalescence is
+    at most EP_BACKWARD_TOL.
     """
     family = spec.model
     if not isinstance(family, MatrixFamily):
@@ -315,20 +330,16 @@ def sweep(spec):
         for t in (spec.start, spec.stop):
             _set_path(spec.model, spec.parameter, t)
         family = make_family(spec.model, spec.parameter)
-    frames = list(_track(family, np.linspace(spec.start, spec.stop,
-                                             spec.steps)))
-
-    params = np.array([f.t for f in frames])
-    values = np.array([f.values for f in frames])        # (T, n)
-    vectors = [f.vectors for f in frames]
-    scale = max(max(f.peak for f in frames if f.on_grid), 1.0)
     # phase rigidity r = |u^T u| of the unit vectors, A = 1/r; both are
     # flagged (r = 0, A = inf) where the c-norm has numerically vanished
-    per = max(1, _STACK_BYTES // vectors[0].nbytes)
-    r = np.concatenate([np.abs(np.einsum("tik,tik->tk", u, u)) for u in (
-        np.array(vectors[i:i + per]) for i in range(0, len(vectors), per))])
+    blocks = [(b.t, b.values, np.abs(np.einsum("tik,tik->tk", b.vectors,
+                                               b.vectors)), b.on_grid, b.peak)
+              for b in _track(family, np.linspace(spec.start, spec.stop,
+                                                  spec.steps))]
+    params, values, r, on_grid, peak = map(np.concatenate, zip(*blocks))
+    del blocks
+    scale = max(peak[on_grid].max(), 1.0)
     r[r < linalg.DEFECT_TOL] = 0.0
-    del frames, vectors     # the eigenvectors are not needed for events
     with np.errstate(divide="ignore"):
         norms = 1.0 / r
     diff, gap, pairs = _pair_gaps(values)
@@ -337,11 +348,14 @@ def sweep(spec):
         raise NhspecError("eigenvalue pair gap overflows at param "
                           f"{float(params[~finite][0])!r}")
     gaps = gap.min(axis=1, initial=np.inf)
-    rows = [SweepRow(param=float(t), values=values[k], norms_A=norms[k],
-                     rigidity_r=r[k], min_gap=float(gaps[k]))
-            for k, t in enumerate(params)]
-
-    near = gap < DEFAULT_EP_GAP_TOL * scale
+    rows = list(map(SweepRow._make, zip(params.tolist(), values, norms, r,
+                                        gaps.tolist())))
+    # eta = gap max(r_i, r_j) / max(peak, 1) is linalg.coalescence_error:
+    # for complex-symmetric H the left vector of u is conj(u), |u^T u| = r
+    i, j = np.triu_indices(values.shape[1], 1)
+    near = gap * np.maximum(r[:, i], r[:, j]) <= EP_BACKWARD_TOL * np.maximum(
+        peak, 1.0)[:, None]
+    near &= getattr(family, "hint", None) == linalg.COMPLEX_SYMMETRIC
     del gap                 # the (T, pairs) moduli are not needed for events
     events = _detect_events(params, pairs, diff, near, DEFAULT_GAP_TOL * scale)
     return SweepResult(rows=rows, events=events)
@@ -381,7 +395,7 @@ def _local_minima(gap, tol):
 
 
 def _detect_events(params, pairs, diff, near, gap_tol):
-    """Events on the (T, pairs) grid of _pair_gaps; near: the EP gap test."""
+    """Events on the (T, pairs) grid of _pair_gaps; near: the EP test."""
     found = [
         ("energy_crossing", _crossings(diff.real, gap_tol)),
         ("width_crossing", _crossings(diff.imag, gap_tol)),
@@ -599,8 +613,8 @@ def encircle(spec, model):
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
-    frames = _track(_Pencil(family.a, family.b, family.hint, coef=point),
-                    thetas)
+    frames = (_Frame._make(x) for b in _track(_Pencil(
+        family.a, family.b, family.hint, coef=point), thetas) for x in zip(*b))
     first = next(frames)
     n = len(first.values)
     start, _ = linalg.c_columns(first.vectors)

@@ -100,6 +100,21 @@ class TestSweepCommand:
         assert any(e["kind"] == "ep_candidate" and abs(e["param"] - 1.0) < 0.02
                    for e in events)
 
+    def test_ep_certified_off_an_exact_hit(self, tmp_path):
+        # the row nearest the EP omega = -0.15 + 0.5i has gap 2.1e-8, far
+        # above rounding, and backward error 4.3e-16
+        model = write_model(
+            tmp_path, "two_level",
+            {"eps1": [0.7, 0.1], "eps2": [-0.3, -0.2], "omega": [0.0, 0.5]},
+            sweep={"parameter": "omega_re", "start": -1.0, "stop": 1.0,
+                   "steps": 2001})
+        assert run("sweep", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 0
+        events = [json.loads(line) for line in
+                  (tmp_path / "out" / "events.jsonl").read_text().splitlines()]
+        assert [e["param"] for e in events if e["kind"] == "ep_candidate"] \
+            == [-0.15000000000000002]
+
     def test_discrete_regime(self, tmp_path):
         assert run("sweep", "--model", str(DATA / "avoided_iv.json"),
                    "--out", str(tmp_path)) == 0
@@ -563,7 +578,22 @@ class TestIngestion:
         ("open_system", {**OPEN, "grid_size": "abc"},
          "field 'grid_size' is not an integer"),
         ("toy_trapping", {**TRAP, "trapped_fraction": "x"},
-         "field 'trapped_fraction' is not a number")])
+         "field 'trapped_fraction' is not a number"),
+        # numbers are JSON numbers, not strings or booleans
+        ("two_level", {**TWO, "sweep": {**SWEEP, "start": "0.5"}},
+         "field 'start' is not a number"),
+        # array fields name themselves, NaN included
+        ("open_system", {**OPEN, "coupling": {
+            "profile": "tabulated", "energies": [-2.0, 0.0, 2.0],
+            "values": [[[0.1], [float("nan")]], [[0.2], [0.1]],
+                       [[0.1], [0.3]]]}},
+         "field 'values' must be a finite 3-d array"),
+        ("toy_trapping", {**TRAP, "v": ["a", 1.0, 1.0]},
+         "field 'v' is not a numeric array"),
+        ("toy_trapping", {**TRAP, "h0": [-1.0, float("nan"), 1.0]},
+         "field 'h0' must be a finite 1 or 2-d array"),
+        ("smatrix", {**BIC, "h_b": [float("nan"), 3e-07]},
+         "field 'h_b' must be a finite 1 or 2-d array")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
         command = {"open_system": "heff", "smatrix": "scatter",
@@ -641,6 +671,14 @@ class TestIngestion:
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err \
             == f"nhspec: input error: field {field!r} is not an integer\n"
+
+    def test_encircle_radius_is_a_number(self, tmp_path, capsys):
+        model = write_model(tmp_path, "two_level", self.TWO, encircle={
+            "center": [0.0, 1.0], "radius": True})
+        assert run("encircle", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err \
+            == "nhspec: input error: field 'radius' is not a number\n"
 
 
 @pytest.mark.parametrize("command,model,emit,written", [

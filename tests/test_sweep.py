@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, opensys, sweep, twolevel
@@ -128,6 +128,54 @@ class TestSweep:
         with pytest.raises(MatchingAmbiguous) as info:
             sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 11))
         assert abs(info.value.best_overlap - 8 ** -0.5) < 1e-6
+
+
+class TestEpCertificate:
+    """ep_candidate fires where the backward error of a coalescence,
+    gap max(r_i, r_j) / max(peak, 1), is at most EP_BACKWARD_TOL."""
+
+    @settings(max_examples=30)
+    @given(eps1=st.complex_numbers(max_magnitude=3.0),
+           eps2=st.complex_numbers(max_magnitude=3.0),
+           steps=st.integers(2, 60))
+    def test_fires_at_an_ep_on_the_grid(self, eps1, eps2, steps):
+        # the EP omega = i (eps1 - eps2) / 2 starts an omega_re path; the
+        # other one, at -omega, is off it
+        d = eps1 - eps2
+        assume(abs(d.real) >= 0.1)
+        model = twolevel.TwoLevelModel(eps1, eps2, complex(0.0, d.real / 2))
+        start = -d.imag / 2
+        res = sweep.sweep(sweep.SweepSpec(model, "omega_re", start,
+                                          start + 1.0, steps))
+        assert [e.param for e in res.events if e.kind == "ep_candidate"] \
+            == [start]
+
+    @settings(max_examples=30)
+    @given(e1=st.floats(-3.0, 3.0), e2=st.floats(-3.0, 3.0),
+           omega=st.floats(-3.0, 3.0), steps=st.integers(2, 60))
+    def test_never_fires_on_hermitian_paths(self, e1, e2, omega, steps):
+        assume(abs(e1 - e2) >= 0.1)
+        model = twolevel.TwoLevelModel(e1, e2, omega)
+        res = sweep.sweep(sweep.SweepSpec(model, "omega_re", -3.0, 3.0,
+                                          steps))
+        assert all(e.kind != "ep_candidate" for e in res.events)
+
+    def test_fires_off_an_exact_hit(self):
+        # gap 2.1e-8 and r 2.0e-8 at the row nearest the EP (-0.15, 0.5):
+        # eta 4.3e-16 there, 4.0e-3 on the rows beside it
+        model = twolevel.TwoLevelModel(0.7 + 0.1j, -0.3 - 0.2j, 0.5j)
+        res = sweep.sweep(sweep.SweepSpec(model, "omega_re", -1.0, 1.0,
+                                          2001))
+        assert [e.param for e in res.events if e.kind == "ep_candidate"] \
+            == [-0.15000000000000002]
+
+    def test_general_family_is_not_certified(self):
+        # a Jordan block at t = 0: |u^T u| of a general matrix is not the
+        # left-right overlap, so no certificate is read from it
+        fam = sweep.MatrixFamily(fn=lambda t: np.array([[0.0, 1.0],
+                                                        [t, 0.0]]))
+        res = sweep.sweep(sweep.SweepSpec(fam, "t", 0.0, 1.0, 5))
+        assert all(e.kind != "ep_candidate" for e in res.events)
 
 
 def crossings_oracle(gap, tol):
@@ -513,6 +561,12 @@ class TestPencil:
 # ---------------------------------------------------------------------------
 # batched continuation against the step-by-step chain
 
+def tracked(family, ts):
+    """_track's frames, its blocks unrolled into one frame per row."""
+    return [sweep._Frame._make(row) for block in sweep._track(family, ts)
+            for row in zip(*block)]
+
+
 def sequential_frames(family, ts):
     """The continuation as a chain of single solves and _step calls."""
     out = [sweep._frame_at(family, ts[0])]
@@ -558,22 +612,22 @@ class TestBatchedTrack:
     def test_matches_sequential_chain(self, seed, n, steps):
         fam = random_pencil(seed, n)
         ts = np.linspace(-1.0, 1.0, steps)
-        assert_same_frames(list(sweep._track(fam, ts)),
+        assert_same_frames(tracked(fam, ts),
                            sequential_frames(fam, ts))
 
     def test_callable_family_takes_the_same_path(self):
         pencil = random_pencil(7, 5)
         fam = sweep.MatrixFamily(fn=lambda t: pencil.a + t * pencil.b)
         ts = np.linspace(0.0, 2.0, 9)
-        assert_same_frames(list(sweep._track(fam, ts)),
+        assert_same_frames(tracked(fam, ts),
                            sequential_frames(fam, ts))
-        assert_same_frames(list(sweep._track(fam, ts)),
-                           list(sweep._track(pencil, ts)))
+        assert_same_frames(tracked(fam, ts),
+                           tracked(pencil, ts))
 
     def test_near_crossing_is_bisected(self):
         fam = near_crossing()
         ts = np.linspace(-1.0, 1.0, 6)
-        frames = list(sweep._track(fam, ts))
+        frames = tracked(fam, ts)
         assert any(not f.on_grid for f in frames)
         assert_same_frames(frames, sequential_frames(fam, ts))
 
@@ -595,13 +649,55 @@ class TestBatchedTrack:
     def test_chunk_boundaries(self, monkeypatch, per_chunk):
         fam = near_crossing()
         ts = np.linspace(-1.0, 1.0, 11)
-        whole = list(sweep._track(fam, ts))
-        # a budget of a few 8x8 frames, four chunk-sized arrays each
-        monkeypatch.setattr(sweep, "_STACK_BYTES", per_chunk * 4 * 64 * 16)
-        chunked = list(sweep._track(fam, ts))
+        whole = tracked(fam, ts)
+        # a budget of a few 8x8 frames, five chunk-sized arrays each
+        monkeypatch.setattr(sweep, "_STACK_BYTES", per_chunk * 5 * 64 * 16)
+        chunked = tracked(fam, ts)
         assert any(not f.on_grid for f in chunked)
         assert_same_frames(chunked, whole)
         assert_same_frames(chunked, sequential_frames(fam, ts))
+
+
+class TestStepOnlyWhereNeeded:
+    """_step matches one step at a time: only steps whose overlap maxima are
+    not distinct columns all at least MATCH_THRESHOLD, and their midpoints,
+    go through it; the rest of a chunk is reordered in one gather."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        step = sweep._step
+
+        def spy(family, f0, f1, depth=0):
+            calls.append((f1, depth))
+            return step(family, f0, f1, depth)
+
+        monkeypatch.setattr(sweep, "_step", spy)
+        return calls
+
+    def test_clean_sweep_takes_no_step(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        res = sweep.sweep(sweep.SweepSpec(canonical_model(), "omega_im",
+                                          0.5, 1.5, 2001))
+        assert len(res.rows) == 2001 and calls == []
+
+    def test_near_crossing_steps_only_where_unclean(self, monkeypatch):
+        fam, ts = near_crossing(), np.linspace(-1.0, 1.0, 6)
+        unclean = []
+        for t0, t1 in zip(ts, ts[1:]):
+            u0, u1 = (sweep._frame_at(fam, t).vectors for t in (t0, t1))
+            ov = np.abs(u0.conj().T @ u1)
+            if ov.max(axis=1).min() < sweep.MATCH_THRESHOLD or \
+                    len(set(ov.argmax(axis=1).tolist())) < len(ov):
+                unclean.append(t1)
+        calls = self.spy(monkeypatch)
+        res = sweep.sweep(sweep.SweepSpec(fam, "t", -1.0, 1.0, 6))
+        assert unclean
+        assert [f.t for f, depth in calls if depth == 0] == unclean
+        mids = {f.t for f, _ in calls if not f.on_grid}
+        params = [r.param for r in res.rows]
+        assert mids and set(params) == set(ts) | mids
+        assert params == sorted(params)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +706,10 @@ class TestBatchedTrack:
 def plain_trapping_values(h0, v, alphas):
     """toy_trapping's values through the plain pencil and LAPACK vectors."""
     v = v.reshape(len(h0), -1)
-    family = sweep._Pencil(h0, -1j * v @ v.T, linalg.COMPLEX_SYMMETRIC)
-    return np.array([f.values for f in sweep._track(family, alphas)
+    # -i (V V^T), as _SecularPencil forms it: (-i V) V^T is a complex
+    # product that for K > 1 can round differently
+    family = sweep._Pencil(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
+    return np.array([f.values for f in tracked(family, alphas)
                      if f.on_grid])
 
 
@@ -662,7 +760,7 @@ class TestSecularPencil:
         budget = sweep._STACK_BYTES
         try:
             if per_chunk:
-                sweep._STACK_BYTES = per_chunk * 4 * h0.size * 16
+                sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
             got = opensys.toy_trapping(h0, v, alphas).values
         finally:
             sweep._STACK_BYTES = budget
@@ -673,9 +771,9 @@ class TestSecularPencil:
         collided = []
         step = sweep._step
 
-        def spy(family, f0, f1, perm=None, depth=0):
-            collided.append(perm is None and depth == 0)
-            return step(family, f0, f1, perm, depth)
+        def spy(family, f0, f1, depth=0):
+            collided.append(depth == 0)
+            return step(family, f0, f1, depth)
 
         monkeypatch.setattr(sweep, "_step", spy)
         got = opensys.toy_trapping(h0, v, alphas).values
