@@ -38,7 +38,7 @@ def _require(record, field, where):
 def _as_float(value, name):
     if type(value) not in (int, float):     # not a string or a bool
         _fail(f"field {name!r} is not a number")
-    x = float(value)
+    x = float(value) if abs(value) <= sys.float_info.max else np.inf
     if not np.isfinite(x):
         _fail(f"field {name!r} is not finite")
     return x
@@ -61,7 +61,7 @@ def _as_complex(value, name):
 def _as_array(value, name, *ndims):
     try:
         arr = np.asarray(value, float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(f"field {name!r} is not a numeric array")
     if arr.ndim not in ndims or not np.isfinite(arr).all():
         _fail(f"field {name!r} must be a finite "

@@ -1,9 +1,12 @@
 """Scattering matrix from resonance pole data.
 
-Pole-sum and resolvent forms of S, the elastic cross section
+Pole-sum, resolvent and K-matrix forms of S, the elastic cross section
 |1 - S_cc|^2, unwrapped phase shifts, the second-order-pole lineshape
-with its vanishing cross section and 2 pi phase sweep, and detection of
-zero-width states through their pi phase jump.
+(transparent centre, 2 pi phase sweep) and zero-width states by their pi
+phase jump.  Lineshapes and BIC scans use the pole sum for a pole list;
+for a real H_B, the unitary S = (2 - iK)(2 + iK)^-1 of the real K-matrix.
+Exactly on a level S is -1 for one channel and the least-squares resolvent
+for more, so S of a real H_B is finite at every real energy.
 """
 
 from typing import NamedTuple
@@ -12,10 +15,13 @@ import numpy as np
 
 from .errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
+_ON_POLE = "requested energy coincides with a zero-width pole"
+
 
 class SMatrixModel(NamedTuple("SMatrixModel", [
         ("poles", np.ndarray), ("couplings", np.ndarray),
-        ("energy_grid", np.ndarray)])):
+        ("energy_grid", np.ndarray), ("levels", np.ndarray),
+        ("level_couplings", np.ndarray)])):
     """Resonance poles z_k (K,) with their channel couplings (K, C)."""
 
     __slots__ = ()
@@ -29,7 +35,7 @@ class SMatrixModel(NamedTuple("SMatrixModel", [
             raise ValueError("resonance poles must lie in Im z <= 0")
         if energy_grid is not None:
             energy_grid = np.asarray(energy_grid, float)
-        return super().__new__(cls, poles, couplings, energy_grid)
+        return super().__new__(cls, poles, couplings, energy_grid, None, None)
 
     @property
     def n_channels(self):
@@ -37,7 +43,7 @@ class SMatrixModel(NamedTuple("SMatrixModel", [
 
     @classmethod
     def from_effective_hamiltonian(cls, h_b, gamma_hat, energy_grid=None):
-        """Pole data from the eigendecomposition of H_B - (i/2) g g^T."""
+        """Poles of H_B - (i/2) g g^T; levels e_n of H_B, gamma = U^T g."""
         from . import linalg
 
         h_b = np.asarray(h_b, float)
@@ -46,8 +52,12 @@ class SMatrixModel(NamedTuple("SMatrixModel", [
         sys = linalg.c_normalize(linalg.eig(
             linalg.ComplexMatrix(heff, linalg.COMPLEX_SYMMETRIC)))
         couplings = sys.right_vectors.T @ g        # gamma_k^c = sum_i phi_ki g_ic
-        return cls(poles=sys.values, couplings=couplings,
-                   energy_grid=energy_grid)
+        z = sys.values      # Im z = -|g^T v|^2/2; eig may round 0 up to 1e-17
+        e, u = np.linalg.eigh(h_b)
+        gam = u.T @ g
+        keep = gam.any(axis=1)          # a level with gamma_n = 0 is not in K
+        m = cls(np.where(z.imag > 0, z.real, z), couplings, energy_grid)
+        return m._replace(levels=e[keep], level_couplings=gam[keep])
 
 
 def s_matrix_polesum(m, energy):
@@ -57,9 +67,7 @@ def s_matrix_polesum(m, energy):
     """
     denom = energy - m.poles
     if (denom == 0.0).any():
-        raise PoleOnRealAxis(
-            "requested energy coincides with a zero-width pole",
-            energy=float(energy))
+        raise PoleOnRealAxis(_ON_POLE, energy=float(energy))
     c = m.n_channels
     s = np.eye(c, dtype=complex)
     return s - 1j * np.einsum("kc,kd,k->cd", m.couplings, m.couplings,
@@ -67,16 +75,32 @@ def s_matrix_polesum(m, energy):
 
 
 def _s_diag(m, energies, channel):
-    """S_cc(E) over an energy array, with s_matrix_polesum's pole rule."""
+    """S_cc(E) over energies; K(E) = sum_n gamma_n gamma_n^T / (E - e_n)."""
     if not 0 <= channel < m.n_channels:
         raise ValueError(f"channel {channel} is not in 0..{m.n_channels - 1}")
-    denom = energies[:, None] - m.poles                  # (E, K)
-    hit = (denom == 0.0).any(axis=1)
-    if hit.any():
-        raise PoleOnRealAxis("requested energy coincides with a zero-width "
-                             "pole", energy=float(energies[hit][0]))
-    g = m.couplings[:, channel]
-    return 1.0 - 1j * np.einsum("k,k,ek->e", g, g, 1.0 / denom)
+    if m.levels is None:
+        denom = energies[:, None] - m.poles              # (E, K)
+        hit = (denom == 0.0).any(axis=1)
+        if hit.any():
+            raise PoleOnRealAxis(_ON_POLE, energy=float(energies[hit][0]))
+        g = m.couplings[:, channel]
+        return 1.0 - 1j * np.einsum("k,k,ek->e", g, g, 1.0 / denom)
+    g, c = m.level_couplings, m.n_channels
+    r = energies - m.levels[:, None]     # (N, E); inverted in place, as a
+    hit = (r == 0.0).any(axis=0)         # second one costs more than K does
+    r[:, hit] = np.inf                   # S is set apart there
+    k = np.divide(1.0, r, out=r).T @ (g[:, :, None] * g[:, None]).reshape(
+        len(g), c * c)                   # K(E) as (E, C^2)
+    if c == 1:                          # on a level K -> infinity, S -> -1
+        return np.where(hit, -1.0, (2.0 - 1j * k[:, 0]) / (2.0 + 1j * k[:, 0]))
+    ik, two = 1j * k.reshape(-1, c, c), 2.0 * np.eye(c)
+    s = np.linalg.solve(two + ik, (two - ik)[..., [channel]])[:, channel, 0]
+    for i in np.flatnonzero(hit):
+        # the resolvent in the level basis; where it is singular its null
+        # vector v is real with g^T v = 0, so lstsq still gives the finite S
+        a = np.diag(energies[i] - m.levels) + 0.5j * g @ g.T
+        s[i] = 1.0 - 1j * g[:, channel] @ np.linalg.lstsq(a, g[:, channel])[0]
+    return s
 
 
 def s_matrix_resolvent(h_b, gamma_hat, energy):

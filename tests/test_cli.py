@@ -593,7 +593,12 @@ class TestIngestion:
         ("toy_trapping", {**TRAP, "h0": [-1.0, float("nan"), 1.0]},
          "field 'h0' must be a finite 1 or 2-d array"),
         ("smatrix", {**BIC, "h_b": [float("nan"), 3e-07]},
-         "field 'h_b' must be a finite 1 or 2-d array")])
+         "field 'h_b' must be a finite 1 or 2-d array"),
+        # json reads a 401-digit literal as an int beyond the float range
+        ("two_level", {**TWO, "sweep": {**SWEEP, "stop": 10 ** 400}},
+         "field 'stop' is not finite"),
+        ("smatrix", {**BIC, "h_b": [-3e-07, 10 ** 400]},
+         "field 'h_b' is not a numeric array")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
         command = {"open_system": "heff", "smatrix": "scatter",

@@ -1,3 +1,7 @@
+import json
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +11,22 @@ from nhspec.errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
 from conftest import random_real_symmetric
 
+DATA = Path(__file__).parent / "data"
+
 
 def one_pole_model(e0=0.0, gamma=0.2):
     return scattering.SMatrixModel(poles=[e0 - 0.5j * gamma],
                                    couplings=[[np.sqrt(gamma)]])
+
+
+def mp_s(h_b, g, energy, channel=0):
+    """S_cc = 1 - i g^T (E - H_B + (i/2) g g^T)^-1 g in 50 digits."""
+    with mpmath.workdps(50):
+        gm = mpmath.matrix(np.asarray(g).tolist())
+        a = (mpmath.mpf(float(energy)) * mpmath.eye(len(h_b))
+             - mpmath.matrix(np.asarray(h_b).tolist()) + 0.5j * gm * gm.T)
+        col = gm[:, channel]
+        return complex(1 - 1j * (col.T * mpmath.lu_solve(a, col))[0])
 
 
 class TestModelValidation:
@@ -156,14 +172,147 @@ class TestLineshape:
         width = (-2.0 * m.poles.imag).min()
         center = float(m.poles.real.mean())
         grid = center + np.linspace(-200.0, 200.0, 401) * width / 10.0
+        # a model from H_B is evaluated from its K-matrix (for n = 1 the grid
+        # centre is the level itself), a pole list by the pole sum
         rep = scattering.lineshape(m, grid, channel=channel)
+        exact = np.array([scattering.s_matrix_resolvent(np.diag(levels), g, e)
+                          for e in grid])
+        assert np.abs(rep.s_values - exact[:, channel, channel]).max() <= 1e-13
+        poles = scattering.SMatrixModel(m.poles, m.couplings)
+        rep_poles = scattering.lineshape(poles, grid, channel=channel)
         full = np.array([scattering.s_matrix_polesum(m, e) for e in grid])
-        assert np.abs(rep.s_values - full[:, channel, channel]).max() <= 1e-13
+        assert np.abs(rep_poles.s_values
+                      - full[:, channel, channel]).max() <= 1e-13
         # real H_B: S is unitary, so with one channel S_cc is a pure phase
         defect = np.einsum("eij,ekj->eik", full, full.conj()) - np.eye(c)
         assert np.abs(defect).max() <= 1e-9
         if c == 1:
             assert np.abs(np.abs(rep.s_values) - 1.0).max() <= 1e-9
+
+
+class TestKMatrix:
+    def test_level_hit_is_the_k_limit(self):
+        # K is infinite on a coupled level: one channel gives S = -1 there
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            np.diag([-1.0, 0.5]), [[0.3], [0.4]])
+        s = scattering._s_diag(m, np.array([0.5, -1.0, 0.2]), 0)
+        assert s[:2].tolist() == [-1.0, -1.0]
+        assert abs(s[0] - mp_s(np.diag([-1.0, 0.5]), [[0.3], [0.4]], 0.5)) \
+            <= 1e-15
+        assert abs(s[2] - mp_s(np.diag([-1.0, 0.5]), [[0.3], [0.4]], 0.2)) \
+            <= 1e-15
+
+    def test_decoupled_level_drops_out(self):
+        # the level at 0 is a zero-width pole that does not scatter: the
+        # pole sum raises there, K leaves it out
+        grid = np.linspace(-2.0, 2.0, 401)
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            np.diag([0.0, 1.0]), [[0.0], [1.0]], energy_grid=grid)
+        assert m.levels.tolist() == [1.0]
+        rep = scattering.lineshape(m, grid)
+        assert grid[200] == 0.0 and grid[300] == 1.0
+        k = 1.0 / np.delete(grid - 1.0, 300)
+        assert np.abs(np.delete(rep.s_values, 300)
+                      - (2.0 - 1j * k) / (2.0 + 1j * k)).max() <= 1e-15
+        assert abs(rep.s_values[300] + 1.0) <= 1e-15
+        (bic,) = scattering.detect_bic(m)
+        assert bic.energy == 0.0 and abs(bic.phase_jump) < 1e-12
+
+    def test_exact_bic_is_finite(self):
+        # two coupled levels at 0.5 trap their antisymmetric state exactly;
+        # S is that of the symmetric state alone, finite on the level
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            np.diag([0.5, 0.5]), [[1.0], [1.0]])
+        grid = np.linspace(-2.0, 2.0, 401)
+        assert grid[250] == 0.5
+        rep = scattering.lineshape(m, grid)
+        assert rep.s_values[250] == -1.0
+        for t in range(0, len(grid), 25):
+            assert abs(rep.s_values[t]
+                       - mp_s([[0.5]], [[np.sqrt(2.0)]], grid[t])) <= 1e-15
+        # the local scan probes 0.5 itself; the state does not scatter, so
+        # there is no phase jump
+        (bic,) = scattering.detect_bic(m)
+        assert abs(bic.energy - 0.5) <= 1e-15 and abs(bic.phase_jump) < 1e-12
+        assert not bic.peak_resolved
+
+    def test_two_channel_exact_bic_is_finite(self):
+        # the level-basis resolvent is singular on the degenerate pair; its
+        # null vector (1, -1, 0) is orthogonal to g, so S is that of the
+        # model without it
+        h_b, g = np.diag([0.5, 0.5, 1.0]), [[1.0, 2.0], [1.0, 2.0], [0.3, 0.1]]
+        m = scattering.SMatrixModel.from_effective_hamiltonian(h_b, g)
+        r = np.sqrt(2.0)
+        for channel in (0, 1):
+            s = scattering._s_diag(m, np.array([0.5, 1.0, 0.2]), channel)
+            exact = [mp_s(np.diag([0.5, 1.0]), [[r, 2 * r], [0.3, 0.1]], e,
+                          channel) for e in (0.5, 1.0)]
+            exact.append(mp_s(h_b, g, 0.2, channel))
+            assert np.abs(s - exact).max() <= 1e-14
+
+    def test_rounded_zero_width_pole_accepted(self):
+        # eig puts the exact BIC of this H_B at Im z ~ +1e-17; every pole of
+        # a real H_B has Im z = -|g^T v|^2 / 2 <= 0
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            np.diag([0.5, 0.5, -1.0]), [[1.0], [1.0], [0.5]])
+        assert (m.poles.imag <= 0.0).all()
+        assert (m.poles.imag == 0.0).sum() == 1
+        (bic,) = scattering.detect_bic(m)
+        assert abs(bic.energy - 0.5) <= 1e-15 and abs(bic.phase_jump) < 1e-12
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+           form=st.sampled_from(["diagonal", "rotated", "pair"]))
+    def test_one_channel_unitary(self, seed, n, form):
+        rng = np.random.default_rng(seed)
+        levels = np.cumsum(rng.uniform(0.3, 1.2, n)) - 0.6 * n
+        g = rng.uniform(0.5, 1.5, (n, 1)) * rng.choice([-1.0, 1.0], (n, 1))
+        if form != "rotated":       # decoupled levels: zero-width poles
+            g[rng.random(n) < 0.3] = 0.0
+        if form == "pair":          # a near-BIC of width ~ delta^2 / g^2
+            levels = np.append(levels, levels[0] + 10 ** rng.uniform(-8, -6))
+            g = np.vstack([g, g[:1]])
+        h_b = np.diag(levels)
+        if form == "rotated":
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            h_b, g = q @ h_b @ q.T, q @ g
+            h_b = 0.5 * (h_b + h_b.T)
+        m = scattering.SMatrixModel.from_effective_hamiltonian(h_b, g)
+        zero = m.poles.real[-2.0 * m.poles.imag <= 1e-12]
+        grid = np.linspace(levels.min() - 2.0, levels.max() + 2.0, 201)
+        near = (zero[:, None] + [-1e-12, 1e-12, -1e-13, 0.0, 1e-13]).ravel()
+        energies = np.concatenate([
+            grid, m.levels, np.nextafter(m.levels, np.inf), near])
+        s = scattering._s_diag(m, energies, 0)
+        assert np.abs(np.abs(s) - 1.0).max() <= 1e-14
+        # the exact S of the same floats, to rounding in K: each term
+        # g_n^2 / (E - e_n) is off by about eps of itself, which next to a
+        # pair is large against K, their difference.  A rotated H_B adds
+        # eigh's rounding of the levels, so it is left to unitarity.
+        if form == "rotated":
+            return
+        lead = len(grid) + 2 * len(m.levels)
+        for i in [*rng.choice(len(grid), 3, replace=False),
+                  *range(len(grid), len(grid) + len(m.levels)),
+                  *range(lead, len(energies), 5),       # 1e-12 either side
+                  *range(lead + 1, len(energies), 5)]:  # of a zero width
+            d = np.abs(energies[i] - m.levels)
+            terms = m.level_couplings[d > 0, 0] ** 2 / d[d > 0]
+            bound = 1e-14 + np.finfo(float).eps * terms.sum()
+            assert abs(s[i] - mp_s(h_b, g, energies[i])) <= bound
+
+    def test_bic_pair_fixture_is_exact(self):
+        # the pole sum is off by 1.8e-3 here, the K form by 2.5e-16
+        doc = json.loads((DATA / "bic_pair.json").read_text())
+        p, grid = doc["parameters"], doc["grid"]
+        h_b = np.diag(p["h_b"])
+        grid = np.linspace(grid["start"], grid["stop"], grid["points"])
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            h_b, p["gamma_hat"], energy_grid=grid)
+        rep = scattering.lineshape(m, grid)
+        for t in range(0, len(grid), 10):
+            assert abs(rep.s_values[t] - mp_s(h_b, p["gamma_hat"], grid[t])) \
+                <= 1e-14
 
 
 def _extrema_loop(grid, y):
