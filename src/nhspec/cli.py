@@ -46,6 +46,8 @@ def _as_float(value, name):
 
 def _as_int(value, name):
     if type(value) is int or type(value) is float and value.is_integer():
+        if abs(value) > np.iinfo(np.intp).max // 8:     # numpy refuses a
+            _fail(f"field {name!r} is too large")       # float array this long
         return int(value)       # bool is not an int here
     _fail(f"field {name!r} is not an integer")
 

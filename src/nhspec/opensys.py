@@ -1,12 +1,12 @@
 """Effective Hamiltonian of a localized system coupled to a continuum.
 
-The coupling window [E_lo, E_hi] carries a discretized continuum; the
-real part of the coupling correction is a principal-value integral over
-the window, the imaginary part is the residuum -1/2 sum_c g_i^c g_j^c
-inside the window and zero outside.  Includes the self-consistent
-resonance solver, mixing coefficients over reference bases, the
-interior-wavefunction phase rigidity, and the width-bifurcation toy
-model H0 - i alpha V V^T.
+The real part of the coupling correction is a principal-value integral
+over the window [E_lo, E_hi]: in closed form for constant and semicircle
+couplings, on the continuum grid for tabulated ones.  The imaginary part
+is the residuum -1/2 sum_c g_i^c g_j^c inside the window, zero outside.
+Includes the self-consistent resonance solver, mixing coefficients over
+reference bases, the interior-wavefunction phase rigidity, and the
+width-bifurcation toy model H0 - i alpha V V^T.
 """
 
 from typing import NamedTuple
@@ -34,11 +34,21 @@ class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
     def n_channels(self):
         return self.amplitudes.shape[1]
 
+    def pv_shift(self, energies, window, grid, g):
+        """PV int g g^T/(E - E') dE' over the window, (R, N, N): H(x) a a^T."""
+        lo, hi = window
+        d = 2.0 * energies - (lo + hi)      # |E-lo| - |E-hi| once clipped
+        log = np.sign(d) * np.log1p(np.minimum(np.abs(d), hi - lo) / np.minimum(
+            np.abs(energies - lo), np.abs(energies - hi)))  # ln|(E-lo)/(E-hi)|
+        return self.hilbert(d / (hi - lo), log)[:, None, None] \
+            * (self.amplitudes @ self.amplitudes.T)
+
 
 class ConstantCoupling(_Amplitudes):
     """Energy-independent amplitudes, one column per channel."""
 
     __slots__ = ()
+    hilbert = staticmethod(lambda x, log: log)    # ln|(1 + x)/(1 - x)|
 
     def on_grid(self, grid, window):
         return np.broadcast_to(self.amplitudes,
@@ -55,6 +65,12 @@ class SemicircleCoupling(_Amplitudes):
         x = (2.0 * np.asarray(grid, float) - (lo + hi)) / (hi - lo)
         return np.sqrt(np.clip(1.0 - x * x, 0.0, None))[:, None, None] \
             * self.amplitudes
+
+    @staticmethod
+    def hilbert(x, log):    # past |x| = 4 its series in u = 1/x: no eps x^2
+        u, k = 1.0 / np.where(np.abs(x) > 4.0, x, 4.0), np.arange(12.0, 0, -1)
+        return np.where(np.abs(x) > 4.0, u * np.polyval(
+            4.0 / (4.0 * k * k - 1.0), u * u), (1.0 - x * x) * log + 2.0 * x)
 
 
 class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
@@ -80,6 +96,18 @@ class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
         out = np.stack([np.interp(grid, self.grid, flat[:, i])
                         for i in range(flat.shape[1])], axis=1)
         return out.reshape((len(grid),) + self.values.shape[1:])
+
+    def pv_shift(self, energies, window, grid, g):
+        """On the grid: trapezoid outside, callable pv_integral rule inside."""
+        inside = (window[0] < energies) & (energies < window[1])
+        weights = (grid[1] - grid[0]) * np.r_[0.5, np.ones(len(grid) - 2), 0.5] \
+            / np.where(inside[:, None], 1, energies[:, None] - grid)
+        weights[inside], c_e, _ = _pv_weights(grid, energies[inside])
+        g_grid = self.on_grid(grid, window)
+        prod = g_grid @ g_grid.swapaxes(1, 2)
+        shift = np.array([np.tensordot(w, prod, axes=1) for w in weights])
+        shift[inside] += c_e[:, None, None] * (g @ g.swapaxes(1, 2))[inside]
+        return shift
 
 
 class OpenSystemModel(NamedTuple("OpenSystemModel", [
@@ -206,44 +234,32 @@ class EffectiveHamiltonian(NamedTuple):
 def assemble_heff(m, energy):
     """Assemble the energy-dependent effective Hamiltonian at real energy.
 
-    Re part: bound Hamiltonian plus (1/2pi) sum_c PV int g_i g_j/(E-E');
-    Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window, zero outside,
-    making the matrix complex symmetric (Hermitian outside the window).
+    Re part: bound Hamiltonian plus (1/2pi) sum_c PV int g_i g_j/(E-E'), the
+    coupling's pv_shift; Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window,
+    zero outside: complex symmetric (Hermitian outside the window).
     """
-    (heff,), (inside,), _ = _heff_stack(m, _coupling_products(m),
-                                        np.array([energy], float))
+    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float))
     return EffectiveHamiltonian(linalg.ComplexMatrix(
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN))
 
 
-def _coupling_products(m):
-    """g g^T on the continuum grid, (M, N, N)."""
-    g_grid = m.coupling.on_grid(m.grid, m.window)        # (M, N, C)
-    with np.errstate(all="ignore"):     # _heff_stack raises if not finite
-        return g_grid @ g_grid.swapaxes(1, 2)
-
-
-def _heff_stack(m, prod, energies):
+def _heff_stack(m, energies):
     """(R, N, N) H_eff at real energies, the mask of those inside the window
     and the couplings g(E) (R, N, C), zero outside; linalg.invalid checks it
     (complex symmetric inside), raising SelfConsistencyFailure."""
     lo, hi = m.window
     grid, n = m.grid, m.n_states
     inside = (lo < energies) & (energies < hi)
-    weights = np.empty((len(energies), len(grid)))
+    near = np.minimum(np.abs(energies - lo), np.abs(energies - hi)) < np.where(
+        inside, 0.5, 1e-12) * (grid[1] - grid[0])  # half a cell; a node outside
+    if near.any():
+        raise ETooCloseToThreshold(f"E = {energies[near].tolist()[0]!r} within "
+                                   "half a grid cell of a threshold")
     g = np.zeros((len(energies), n, m.n_channels))
     with np.errstate(all="ignore"):     # a non-finite H_eff raises below
-        weights[inside] = _pv_weights(grid, energies[inside])[2]
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
-        # outside the window the integrand is regular: plain trapezoid
-        h, denom = grid[1] - grid[0], energies[~inside, None] - grid
-        if (np.abs(denom) < 1e-12 * h).any():
-            raise ETooCloseToThreshold("E on a continuum grid node")
-        weights[~inside] = h * np.r_[0.5, np.ones(len(grid) - 2), 0.5] / denom
-        flat = prod.reshape(len(grid), n * n)
-        shift = np.array([np.dot(w, flat) for w in weights])
-        heff = m.h_bound() + shift.reshape(-1, n, n) / (2.0 * np.pi) \
-            - 1j * (0.5 * g @ g.swapaxes(1, 2))
+        heff = m.h_bound() + m.coupling.pv_shift(energies, m.window, grid, g) \
+            / (2.0 * np.pi) - 1j * (0.5 * g @ g.swapaxes(1, 2))
     bad = linalg.invalid(heff, np.where(inside, linalg.COMPLEX_SYMMETRIC,
                                         linalg.HERMITIAN))
     if bad.any():
@@ -286,11 +302,10 @@ def solve_resonances(m):
     One more stacked round solves every state at its final energy.
     """
     lo, hi = m.window
-    h = m.grid[1] - m.grid[0]
+    h, n = m.grid[1] - m.grid[0], m.n_states
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
     energy, phi_ref = np.linalg.eigh(m.h_bound())
     phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
-    prod, n = _coupling_products(m), m.n_states
     e_prev, f_prev = np.full((2, n), np.nan)    # no previous iterate: damped
     resid, iterations = np.full(n, np.inf), np.zeros(n, int)
     converged = np.zeros(n, bool)
@@ -299,7 +314,7 @@ def solve_resonances(m):
         if not len(act):
             break
         e = _clamp_energy(energy[act], lo, hi, h)
-        heff, inside, _ = _heff_stack(m, prod, e)
+        heff, inside, _ = _heff_stack(m, e)
         z, phi_ref[act] = _follow(phi_ref[act], heff, inside)
         f = z.real - e
         with np.errstate(all="ignore"):     # masked where f == f_prev
@@ -313,7 +328,7 @@ def solve_resonances(m):
         energy[act], iterations[act] = new_e, it
         converged[act] = resid[act] < 1e-10 * scale
     energy = _clamp_energy(energy, lo, hi, h)
-    heff, inside, g = _heff_stack(m, prod, energy)
+    heff, inside, g = _heff_stack(m, energy)
     states = []
     for k, (z, phi) in enumerate(zip(*_follow(phi_ref, heff, inside))):
         if inside[k]:

@@ -598,7 +598,22 @@ class TestIngestion:
         ("two_level", {**TWO, "sweep": {**SWEEP, "stop": 10 ** 400}},
          "field 'stop' is not finite"),
         ("smatrix", {**BIC, "h_b": [-3e-07, 10 ** 400]},
-         "field 'h_b' is not a numeric array")])
+         "field 'h_b' is not a numeric array"),
+        # counts numpy refuses before it allocates (test_numpy_refuses)
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": 10 ** 400}},
+         "field 'steps' is too large"),
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": 2 ** 60}},
+         "field 'steps' is too large"),
+        ("two_level", {**TWO, "sweep": {**SWEEP, "steps": 2 ** 63}},
+         "field 'steps' is too large"),
+        ("smatrix", {**BIC, "grid": {**GRID, "points": 10 ** 400}},
+         "field 'points' is too large"),
+        ("smatrix", {**BIC, "grid": {**GRID, "points": 2.0 ** 60}},
+         "field 'points' is too large"),
+        ("toy_trapping", {**TRAP, "alphas": {**ALPHAS, "steps": 2 ** 60}},
+         "field 'steps' is too large"),
+        ("open_system", {**OPEN, "grid_size": 2 ** 60 + 1},
+         "field 'grid_size' is too large")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
         command = {"open_system": "heff", "smatrix": "scatter",
@@ -612,6 +627,14 @@ class TestIngestion:
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("count", [10 ** 400, 2 ** 63, 2 ** 60])
+    def test_numpy_refuses(self, count):
+        # numpy raises for these counts before allocating: no float64 array
+        # of 2**60 or more elements has a byte size within its index range
+        # (2**63 gives an IndexError, which main would not catch)
+        with pytest.raises((ValueError, IndexError)):
+            np.linspace(0.0, 1.0, count)
 
     @pytest.mark.parametrize("text,message", [
         # json reads 1e400 as inf: finite in the file, not as a float

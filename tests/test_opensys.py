@@ -300,6 +300,161 @@ class TestAssembleHeff:
         assert abs(heff.matrix.entries[0, 1] - 0.2) < 1e-14
 
 
+def mp_transform(profile, energy, window):
+    """PV int f(E') / (E - E') dE' over the window, f = 1 for the constant
+    profile and 1 - x'^2 for the semicircle: mpmath quadrature of the
+    regular (f(E') - f(E)) / (E - E') plus f(E) ln|(E - lo)/(E - hi)|, at a
+    precision that covers the cancellation of the two far outside."""
+    with mp.workdps(30 + 2 * len(str(int(abs(energy))))):
+        lo, hi, e = mp.mpf(window[0]), mp.mpf(window[1]), mp.mpf(energy)
+
+        def f(t):
+            x = (2 * t - lo - hi) / (hi - lo)
+            return 1 if profile is opensys.ConstantCoupling else 1 - x * x
+        cuts = [lo, e, hi] if lo < e < hi else [lo, hi]
+        reg = mp.quad(lambda t: (f(t) - f(e)) / (e - t), cuts)
+        return float(reg + f(e) * mp.log(abs((e - lo) / (e - hi))))
+
+
+PROFILES = [opensys.ConstantCoupling, opensys.SemicircleCoupling]
+FAR = [11.0, 100.0, 1e3, 1e4, 1e6, -11.0, -1e6]
+
+
+class TestClosedFormShift:
+    # the real shift of H_eff for the analytic profiles is their Hilbert
+    # transform times a a^T, whatever the continuum grid
+    amplitudes = np.array([[0.3, -0.2], [0.25, 0.4], [-0.1, 0.15]])
+
+    def model(self, profile, grid_size):
+        return opensys.OpenSystemModel(
+            e_b=np.zeros(3), coupling=profile(self.amplitudes),
+            window=(-10.0, 10.0), grid_size=grid_size)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("grid_size", [201, 2001])
+    def test_against_mpmath(self, profile, grid_size):
+        # e_b = 0: the real part of H_eff is the shift over 2 pi alone;
+        # inside the window up to 0.51 cells from each threshold, outside
+        # it up to 1e6
+        m = self.model(profile, grid_size)
+        lo, hi = m.window
+        h = m.grid[1] - m.grid[0]
+        aat = self.amplitudes @ self.amplitudes.T
+        for energy in [lo + 0.51 * h, -7.3, -1e-3, 0.7, 3.14159, 9.9,
+                       hi - 0.51 * h, hi + 1e-9, lo - 0.3, 40.0] + FAR:
+            got = opensys.assemble_heff(m, energy).matrix.entries.real
+            want = mp_transform(profile, energy, m.window) * aat
+            assert np.abs(got * (2.0 * np.pi) - want).max() \
+                <= 1e-13 * np.abs(want).max(), energy
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_far_outside_the_window(self, profile):
+        # where (1 - x^2) ln|(1 + x)/(1 - x)| + 2x cancels to eps x^2
+        aat = self.amplitudes @ self.amplitudes.T
+        energies = np.array(FAR + [39.9, 40.1, -40.1, 1e8])
+        got = profile(self.amplitudes).pv_shift(energies, (-10.0, 10.0),
+                                                None, None)
+        for energy, shift in zip(energies, got):
+            want = mp_transform(profile, energy, (-10.0, 10.0)) * aat
+            assert np.abs(shift - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_threshold_exclusion_kept(self, profile):
+        # within half a cell of a threshold inside the window, and on a
+        # threshold node outside it, as for the grid quadrature
+        m = self.model(profile, 201)
+        lo, hi = m.window
+        h = m.grid[1] - m.grid[0]
+        for energy in (lo + 0.49 * h, hi - 0.49 * h, lo, hi,
+                       hi + 1e-13 * h):
+            with pytest.raises(ETooCloseToThreshold):
+                opensys.assemble_heff(m, energy)
+        for energy in (lo + 0.5 * h, hi + 1e-11 * h):
+            assert np.isfinite(opensys.assemble_heff(m, energy)
+                               .matrix.entries).all()
+
+
+class TestTabulatedShift:
+    rng = np.random.default_rng(7)
+    coupling = opensys.TabulatedCoupling(
+        grid=np.linspace(-10.0, 10.0, 37), values=rng.uniform(-1, 1, (37, 3, 2)))
+    model = opensys.OpenSystemModel(e_b=np.zeros(3), coupling=coupling,
+                                    window=(-10.0, 10.0), grid_size=201)
+
+    def f(self, x):
+        g = self.coupling.on_grid(np.atleast_1d(x), self.model.window)
+        prod = g @ g.swapaxes(1, 2)
+        return prod if np.ndim(x) else prod[0]
+
+    def test_shift_is_the_callable_rule(self):
+        # inside the window: pv_integral's rule for a callable, k . f(grid)
+        # + c_e f(E), with f(E) = g(E) g(E)^T exact, not interpolated from
+        # the grid; outside it the trapezoid rule; entry by entry
+        m, h = self.model, self.model.grid[1] - self.model.grid[0]
+        w = h * np.r_[0.5, np.ones(len(m.grid) - 2), 0.5]
+        for energy in [-9.94, -3.3, 0.0, 0.05, 0.05 + 1e-9, 2.718, 9.94,
+                       -10.5, 12.0, 1e3]:
+            g_e = np.zeros((1, 3, 2))
+            if m.window[0] < energy < m.window[1]:
+                want = opensys.pv_integral(self.f, m.grid, energy)
+                g_e = self.coupling.on_grid(np.array([energy]), m.window)
+            else:
+                want = np.tensordot(w / (energy - m.grid), self.f(m.grid), 1)
+            got = self.coupling.pv_shift(np.array([energy]), m.window,
+                                         m.grid, g_e)
+            assert np.array_equal(got[0], want), energy
+            heff = opensys.assemble_heff(m, energy).matrix.entries.real
+            assert np.abs(heff * (2.0 * np.pi) - want).max() \
+                <= 1e-14 * np.abs(want).max(), energy
+
+    def test_semicircle_tabulated_on_the_grid(self):
+        # a semicircle tabulated on the continuum grid is the closed form up
+        # to the quadrature and interpolation error of the grid
+        amplitudes = np.array([[0.3], [-0.2]])
+        m = opensys.OpenSystemModel(
+            e_b=np.zeros(2), coupling=opensys.SemicircleCoupling(amplitudes),
+            window=(-10.0, 10.0), grid_size=2001)
+        tab = m._replace(coupling=opensys.TabulatedCoupling(
+            grid=m.grid, values=m.coupling.on_grid(m.grid, m.window)))
+        for energy in [-9.0037, -2.5, 0.30371, 7.77, 11.0, -30.0]:
+            a, b = (opensys.assemble_heff(x, energy).matrix.entries.real
+                    for x in (m, tab))
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(a).max(), energy
+
+
+class TestGridOnlyForTabulated:
+    def count_pv_weights(self, monkeypatch):
+        calls, pv = [], opensys._pv_weights
+        monkeypatch.setattr(opensys, "_pv_weights",
+                            lambda *a: calls.append(len(a[1])) or pv(*a))
+        return calls
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_analytic_profiles_take_no_grid(self, monkeypatch, profile):
+        # no PV weights and no profile evaluated on the continuum grid
+        calls = self.count_pv_weights(monkeypatch)
+        sizes, on_grid = [], profile.on_grid
+        monkeypatch.setattr(profile, "on_grid", lambda self, grid, window:
+                            sizes.append(len(grid)) or on_grid(self, grid,
+                                                               window))
+        m = opensys.OpenSystemModel(
+            e_b=[-0.5, 0.5, 3.0], coupling=profile([[0.3], [0.2], [0.4]]),
+            window=(-10.0, 10.0), grid_size=2001)
+        states = opensys.solve_resonances(m)
+        assert all(s.converged for s in states)
+        for energy in (0.3, 15.0):
+            opensys.assemble_heff(m, energy)
+        assert calls == [] and max(sizes) <= m.n_states
+
+    def test_tabulated_takes_the_grid(self, monkeypatch):
+        calls = self.count_pv_weights(monkeypatch)
+        m = TestTabulatedShift.model
+        states = opensys.solve_resonances(m)
+        assert len(calls) == max(s.iterations for s in states) + 1
+        opensys.assemble_heff(m, 0.3)
+        assert calls[-1] == 1
+
+
 # ---------------------------------------------------------------------------
 # self-consistent resonances
 
@@ -452,23 +607,18 @@ def _scalar_pv_weights(grid, energy):
     return k, c_e, v
 
 
-def _scalar_heff(m, prod, energy):
-    """H_eff at one energy as a ComplexMatrix, in the per-energy form."""
-    grid = m.grid
+def _scalar_heff(m, energy):
+    """H_eff at one energy as a ComplexMatrix, in the per-energy form: the
+    PV shift from the profile's pv_shift at this energy alone."""
     lo, hi = m.window
+    e = np.array([energy])
+    g_e = np.zeros((1, m.n_states, m.n_channels))
+    hint = linalg.HERMITIAN
     if lo < energy < hi:
-        shift = np.tensordot(_scalar_pv_weights(grid, energy)[2], prod,
-                             axes=1) / (2.0 * np.pi)
-        g_e = m.coupling.on_grid(np.array([energy]), m.window)[0]
-        width = 0.5 * g_e @ g_e.T
+        g_e = m.coupling.on_grid(e, m.window)
         hint = linalg.COMPLEX_SYMMETRIC
-    else:
-        h = grid[1] - grid[0]
-        w = np.full(len(grid), h)
-        w[[0, -1]] = 0.5 * h
-        shift = np.tensordot(w / (energy - grid), prod, axes=1) / (2.0 * np.pi)
-        width = np.zeros((m.n_states, m.n_states))
-        hint = linalg.HERMITIAN
+    shift = m.coupling.pv_shift(e, m.window, m.grid, g_e)[0] / (2.0 * np.pi)
+    width = 0.5 * g_e[0] @ g_e[0].T
     return linalg.ComplexMatrix(m.h_bound() + shift - 1j * width, hint)
 
 
@@ -489,7 +639,6 @@ def per_state_resonances(m):
     h = m.grid[1] - m.grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
     eb_vals, eb_vecs = np.linalg.eigh(m.h_bound())
-    prod = opensys._coupling_products(m)
     states = []
     for k in range(m.n_states):
         energy = float(eb_vals[k])
@@ -498,7 +647,7 @@ def per_state_resonances(m):
         e_prev = f_prev = np.nan
         for it in range(1, 201):
             energy = _scalar_clamp(energy, lo, hi, h)
-            w, u = linalg.eig_pairs(_scalar_heff(m, prod, energy))
+            w, u = linalg.eig_pairs(_scalar_heff(m, energy))
             idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
             z, phi_ref = w[idx], u[:, idx]
             f = z.real - energy
@@ -516,7 +665,7 @@ def per_state_resonances(m):
                 converged = True
                 break
         energy = _scalar_clamp(energy, lo, hi, h)
-        w, u = linalg.eig_pairs(_scalar_heff(m, prod, energy))
+        w, u = linalg.eig_pairs(_scalar_heff(m, energy))
         idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
         z, phi = w[idx], u[:, idx]
         if lo < energy < hi:
