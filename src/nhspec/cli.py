@@ -272,19 +272,18 @@ def cmd_sweep(doc, out, emit):
         start=_as_float(_require(block, "start", "sweep block"), "start"),
         stop=_as_float(_require(block, "stop", "sweep block"), "stop"),
         steps=_as_int(_require(block, "steps", "sweep block"), "steps"))
-    result = sweep.sweep(spec)
-    params, values, norms, rigidity, gaps = _columns(
-        result.rows, "param", "values", "norms_A", "rigidity_r", "min_gap")
+    res = sweep.sweep(spec)
     if "csv" in emit:
         write_csv(out / "sweep.csv", "param k re_z im_z A r gap".split(),
-                  _long_form(params, values, norms, rigidity,
-                             np.repeat(gaps, values.shape[1])))
+                  _long_form(res.params, res.values, res.norms_A,
+                             res.rigidity_r,
+                             np.repeat(res.min_gap, res.values.shape[1])))
     if "json" in emit:
         write_jsonl(out / "events.jsonl",
                     [{"kind": e.kind, "param": e.param,
-                      "indices": list(e.indices)} for e in result.events])
+                      "indices": list(e.indices)} for e in res.events])
     if "svg" in emit:
-        write_trajectory_svg(out / "trajectories.svg", params, values)
+        write_trajectory_svg(out / "trajectories.svg", res.params, res.values)
     return 0
 
 
@@ -326,11 +325,11 @@ def cmd_encircle(doc, out, emit):
                         "phases": [complex(p) for p in c.phases]}
                        for c in rep.cycles]})
     if "csv" in emit:
-        theta, values = map(np.array, zip(*rep.contour))
-        header = ["theta"] + [f"{part}_z{k}" for k in range(values.shape[1])
+        header = ["theta"] + [f"{part}_z{k}" for k in range(rep.values.shape[1])
                               for part in ("re", "im")]
         # a complex row viewed as floats is re_z0, im_z0, re_z1, ...
-        write_csv(out / "contour.csv", header, [theta, *values.view(float).T])
+        write_csv(out / "contour.csv", header,
+                  [rep.theta, *rep.values.view(float).T])
     return 0
 
 

@@ -238,17 +238,17 @@ def assemble_heff(m, energy):
     coupling's pv_shift; Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window,
     zero outside: complex symmetric (Hermitian outside the window).
     """
-    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float))
+    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float), m.grid)
     return EffectiveHamiltonian(linalg.ComplexMatrix(
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN))
 
 
-def _heff_stack(m, energies):
+def _heff_stack(m, energies, grid):
     """(R, N, N) H_eff at real energies, the mask of those inside the window
     and the couplings g(E) (R, N, C), zero outside; linalg.invalid checks it
     (complex symmetric inside), raising SelfConsistencyFailure."""
     lo, hi = m.window
-    grid, n = m.grid, m.n_states
+    n = m.n_states
     inside = (lo < energies) & (energies < hi)
     near = np.minimum(np.abs(energies - lo), np.abs(energies - hi)) < np.where(
         inside, 0.5, 1e-12) * (grid[1] - grid[0])  # half a cell; a node outside
@@ -302,7 +302,8 @@ def solve_resonances(m):
     One more stacked round solves every state at its final energy.
     """
     lo, hi = m.window
-    h, n = m.grid[1] - m.grid[0], m.n_states
+    grid, n = m.grid, m.n_states            # built once per solve
+    h = grid[1] - grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
     energy, phi_ref = np.linalg.eigh(m.h_bound())
     phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
@@ -314,7 +315,7 @@ def solve_resonances(m):
         if not len(act):
             break
         e = _clamp_energy(energy[act], lo, hi, h)
-        heff, inside, _ = _heff_stack(m, e)
+        heff, inside, _ = _heff_stack(m, e, grid)
         z, phi_ref[act] = _follow(phi_ref[act], heff, inside)
         f = z.real - e
         with np.errstate(all="ignore"):     # masked where f == f_prev
@@ -328,7 +329,7 @@ def solve_resonances(m):
         energy[act], iterations[act] = new_e, it
         converged[act] = resid[act] < 1e-10 * scale
     energy = _clamp_energy(energy, lo, hi, h)
-    heff, inside, g = _heff_stack(m, energy)
+    heff, inside, g = _heff_stack(m, energy, grid)
     states = []
     for k, (z, phi) in enumerate(zip(*_follow(phi_ref, heff, inside))):
         if inside[k]:

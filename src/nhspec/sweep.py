@@ -240,7 +240,10 @@ def _track(family, ts):
     maxima of |U_{k-1}^H U_k| are distinct columns, all at least
     MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find (a
     row's argmax ignores row order); other steps go through _step from the
-    row before, in order.  A chunk is then reordered by its P_k at once."""
+    row before, in order, and take cols_k = identity.  The prefixes Q_k =
+    cols_k[Q_{k-1}] are then one log-depth scan (Hillis & Steele, CACM 29
+    (1986) 1170), and the rows from a _step order P_k to the next are
+    P_j = Q_j[Q_k^-1[P_k]].  A chunk is then reordered by its P_k at once."""
     prev = _frame_at(family, ts[0])
     yield _Frame._make(np.array([x]) for x in prev)
     # five chunk-sized arrays are live at the peak, inside family.pairs:
@@ -252,22 +255,23 @@ def _track(family, ts):
         peaks, w, vr = family.pairs(chunk)
         ov = np.concatenate([prev.vectors[None], vr[:-1]])
         ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
-        cols, perm = ov.argmax(axis=2), np.arange(ov.shape[2])
+        perms, ident = ov.argmax(axis=2), np.arange(ov.shape[2])
         clean = (ov.max(axis=2).min(axis=1) >= MATCH_THRESHOLD) \
-            & (np.sort(cols, axis=1) == perm).all(axis=1)
+            & (np.sort(perms, axis=1) == ident).all(axis=1)
         del ov
-        perms, mids = np.empty_like(cols), []
-        for k, ok in enumerate(clean.tolist()):
-            if ok:
-                perm = cols[k][perm]
-            else:               # perm is still the order of row k - 1
-                if k:
-                    prev = _Frame(chunk[k - 1], w[k - 1, perm],
-                                  vr[k - 1][:, perm], True, peaks[k - 1])
-                steps, perm = _step(family, prev, _Frame(chunk[k], w[k], vr[k],
-                                                         True, peaks[k]))
-                mids += [(k, f) for f in steps[:-1]]
-            perms[k] = perm
+        perms[~clean], shift = ident, 1
+        while shift < len(perms):       # perms[k] becomes Q_k
+            perms[shift:] = np.take_along_axis(perms[shift:], perms[:-shift], 1)
+            shift *= 2
+        unclean, mids = np.flatnonzero(~clean).tolist(), []
+        for k, end in zip(unclean, unclean[1:] + [len(chunk)]):
+            if k:               # row k - 1 is in continued order by now
+                prev = _Frame(chunk[k - 1], w[k - 1, perms[k - 1]],
+                              vr[k - 1][:, perms[k - 1]], True, peaks[k - 1])
+            steps, perm = _step(family, prev, _Frame(chunk[k], w[k], vr[k],
+                                                     True, peaks[k]))
+            mids += [(k, f) for f in steps[:-1]]
+            perms[k:end] = perms[k:end][:, np.argsort(perms[k])[perm]]
         block = _Frame(chunk, np.take_along_axis(w, perms, 1),
                        np.take_along_axis(vr, perms[:, None], 2),
                        np.ones(len(chunk), bool), np.array(peaks))
@@ -296,12 +300,9 @@ class SweepSpec(NamedTuple("SweepSpec", [
         return super().__new__(cls, model, parameter, start, stop, steps)
 
 
-class SweepRow(NamedTuple):
-    param: float
-    values: np.ndarray
-    norms_A: np.ndarray
-    rigidity_r: np.ndarray
-    min_gap: float
+SweepRow = NamedTuple("SweepRow", [
+    ("param", float), ("values", np.ndarray), ("norms_A", np.ndarray),
+    ("rigidity_r", np.ndarray), ("min_gap", float)])
 
 
 class Event(NamedTuple):
@@ -311,8 +312,19 @@ class Event(NamedTuple):
 
 
 class SweepResult(NamedTuple):
-    rows: list
+    params: np.ndarray      # (T,) grid points and bisection midpoints
+    values: np.ndarray      # (T, n) eigenvalues in continuation order
+    norms_A: np.ndarray     # (T, n) A = 1/r
+    rigidity_r: np.ndarray  # (T, n) phase rigidity r
+    min_gap: np.ndarray     # (T,) smallest pair gap, inf for one level
     events: list
+
+    @property
+    def rows(self):
+        """Transitional SweepRows of the arrays, read nowhere in nhspec; they
+        go, with SweepRow, once the benchmark's checks read the arrays."""
+        return list(map(SweepRow._make, zip(self.params.tolist(), self.values,
+                    self.norms_A, self.rigidity_r, self.min_gap.tolist())))
 
 
 def sweep(spec):
@@ -348,8 +360,6 @@ def sweep(spec):
         raise NhspecError("eigenvalue pair gap overflows at param "
                           f"{float(params[~finite][0])!r}")
     gaps = gap.min(axis=1, initial=np.inf)
-    rows = list(map(SweepRow._make, zip(params.tolist(), values, norms, r,
-                                        gaps.tolist())))
     # eta = gap max(r_i, r_j) / max(peak, 1) is linalg.coalescence_error:
     # for complex-symmetric H the left vector of u is conj(u), |u^T u| = r
     i, j = np.triu_indices(values.shape[1], 1)
@@ -358,7 +368,7 @@ def sweep(spec):
     near &= getattr(family, "hint", None) == linalg.COMPLEX_SYMMETRIC
     del gap                 # the (T, pairs) moduli are not needed for events
     events = _detect_events(params, pairs, diff, near, DEFAULT_GAP_TOL * scale)
-    return SweepResult(rows=rows, events=events)
+    return SweepResult(params, values, norms, r, gaps, events)
 
 
 def _first_of_runs(mask):
@@ -576,6 +586,8 @@ class EncircleSpec(NamedTuple("EncircleSpec", [
             raise ValueError("steps_per_cycle must be >= 64")
         if cycles < 1:
             raise ValueError("cycles must be >= 1")
+        if steps_per_cycle * cycles >= 2 ** 60 - 1:     # numpy's grid limit
+            raise ValueError("cycles is too large for steps_per_cycle")
         return super().__new__(cls, center, radius, steps_per_cycle, cycles)
 
 
@@ -589,7 +601,8 @@ class CycleReport(NamedTuple):
     encloses_ep: bool
     eigenvalue_period: int | None
     eigenvector_period: int | None
-    contour: list               # (theta, eigenvalues) at every grid point
+    theta: np.ndarray           # (T,) the contour's grid angles
+    values: np.ndarray          # (T, n) eigenvalues there
 
 
 def encircle(spec, model):
@@ -613,24 +626,19 @@ def encircle(spec, model):
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
-    frames = (_Frame._make(x) for b in _track(_Pencil(
-        family.a, family.b, family.hint, coef=point), thetas) for x in zip(*b))
-    first = next(frames)
-    n = len(first.values)
-    start, _ = linalg.c_columns(first.vectors)
+    track = _Frame._make(map(np.concatenate, zip(*_track(_Pencil(
+        family.a, family.b, family.hint, coef=point), thetas))))
+    n = track.values.shape[1]
+    start, _ = linalg.c_columns(track.vectors[0])
     h0 = np.linalg.norm(start, axis=0)
     init_w = start / h0
     init_s = (1.0 / h0).astype(complex)
     cur_w, cur_s = init_w, init_s
-    contour = [(0.0, first.values)]
     cycles = []
-    for f in frames:
-        cur_w, cur_s = _carry(cur_w, cur_s, f.vectors)
-        if not f.on_grid:
-            continue
-        contour.append((float(f.t), f.values))
-        turns = f.t / (2 * np.pi)
-        if abs(turns - round(turns)) < 1e-12:
+    for t, u, grid in zip(track.t[1:], track.vectors[1:], track.on_grid[1:]):
+        cur_w, cur_s = _carry(cur_w, cur_s, u)
+        turns = t / (2 * np.pi)
+        if grid and abs(turns - round(turns)) < 1e-12:
             perm, phases = _compare_to_start(init_w, init_s, cur_w, cur_s)
             # the continued c-normalized frame gives a sign per state;
             # swapped states carry the half-turn of the norm branch, written
@@ -646,7 +654,9 @@ def encircle(spec, model):
                                               atol=1e-3)]
     return CycleReport(cycles=cycles, encloses_ep=encloses,
                        eigenvalue_period=(ident + [None])[0],
-                       eigenvector_period=(phased + [None])[0], contour=contour)
+                       eigenvector_period=(phased + [None])[0],
+                       theta=track.t[track.on_grid],
+                       values=track.values[track.on_grid])
 
 
 def _carry(w, s, u):

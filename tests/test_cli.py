@@ -540,6 +540,7 @@ class TestIngestion:
     BIC = {"h_b": [-3e-07, 3e-07], "gamma_hat": [[1.0], [1.0]]}
     TRAP = {"h0": [-1.0, 0.0, 1.0], "v": [1.0, 1.0, 1.0]}
     ALPHAS = {"start": 0.01, "stop": 1.0, "steps": 5}
+    ENCIRCLE = {"center": [0.0, 1.0], "radius": 0.5, "steps_per_cycle": 256}
 
     @pytest.mark.parametrize("kind,parameters,message", [
         ("two_level", {**TWO, "eps1": "one"},
@@ -613,15 +614,23 @@ class TestIngestion:
         ("toy_trapping", {**TRAP, "alphas": {**ALPHAS, "steps": 2 ** 60}},
          "field 'steps' is too large"),
         ("open_system", {**OPEN, "grid_size": 2 ** 60 + 1},
-         "field 'grid_size' is too large")])
+         "field 'grid_size' is too large"),
+        # each count below 2**60, the contour's grid (their product) not
+        ("two_level", {**TWO, "encircle": {**ENCIRCLE, "cycles": 2 ** 59}},
+         "cycles is too large for steps_per_cycle"),
+        ("two_level", {**TWO, "encircle": {
+            **ENCIRCLE, "steps_per_cycle": 64, "cycles": 2 ** 54}},
+         "cycles is too large for steps_per_cycle")])
     def test_malformed_field(self, tmp_path, capsys, kind, parameters,
                              message):
         command = {"open_system": "heff", "smatrix": "scatter",
                    "toy_trapping": "trap"}.get(kind, "sweep")
         blocks = {"sweep": self.SWEEP, "grid": self.GRID,
-                  "alphas": self.ALPHAS}
+                  "alphas": self.ALPHAS, "encircle": self.ENCIRCLE}
         if isinstance(parameters, dict):
             blocks.update((k, parameters[k]) for k in blocks if k in parameters)
+            if "encircle" in parameters:
+                command = "encircle"
         model = write_model(tmp_path, kind, parameters, **blocks)
         assert run(command, "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
@@ -764,7 +773,7 @@ class TestCsvColumns:
                  r.min_gap] for r in res.rows for k, z in enumerate(r.values)],
             "contour.csv": [
                 [theta] + [x for z in values for x in (z.real, z.imag)]
-                for theta, values in rep.contour],
+                for theta, values in zip(rep.theta, rep.values)],
             "trapping.csv": [
                 [alpha, k, z.real, z.imag, w, w < 0.1 * own_max[k]]
                 for alpha, zs, ws in zip(trap.alphas, trap.values, trap.widths)

@@ -406,8 +406,8 @@ class TestEncircle:
 
     def test_contour_closes_on_values(self):
         rep = self.report(cycles=2)
-        start = np.sort_complex(rep.contour[0][1])
-        end = np.sort_complex(rep.contour[-1][1])
+        start = np.sort_complex(rep.values[0])
+        end = np.sort_complex(rep.values[-1])
         assert np.abs(start - end).max() < 1e-8
 
     def test_non_enclosing_contour_trivial(self):
@@ -656,6 +656,60 @@ class TestBatchedTrack:
         assert any(not f.on_grid for f in chunked)
         assert_same_frames(chunked, whole)
         assert_same_frames(chunked, sequential_frames(fam, ts))
+
+
+class TestScanTrack:
+    """_track composes each chunk's steps in one log-depth scan, with one
+    gather after each unclean step; chunks of one to four frames mix clean
+    steps, unclean ones and bisection midpoints."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           delta=st.floats(0.005, 0.05), steps=st.integers(2, 24),
+           per_chunk=st.integers(1, 4), near=st.booleans())
+    # near_crossing chunks of c U U, U U c c and c c U c (c clean, U not);
+    # the first two take midpoints
+    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=3, near=True)
+    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=4, near=True)
+    @example(seed=0, n=6, delta=0.02, steps=13, per_chunk=4, near=True)
+    def test_matches_sequential_chain(self, seed, n, delta, steps, per_chunk,
+                                      near):
+        fam = near_crossing(n, delta) if near else random_pencil(seed, n)
+        ts = np.linspace(-1.0, 1.0, steps)
+        budget = sweep._STACK_BYTES
+        try:
+            # _track's chunks hold five arrays of n x n complex frames
+            sweep._STACK_BYTES = per_chunk * 5 * n * n * 16
+            got = tracked(fam, ts)
+        finally:
+            sweep._STACK_BYTES = budget
+        assert_same_frames(got, sequential_frames(fam, ts))
+
+
+class TestArrayResults:
+    """sweep() returns arrays and builds no per-row records; the rows view
+    builds them from the arrays when it is read."""
+
+    @pytest.mark.parametrize("family,start,stop,steps", [
+        (canonical_model(), 0.5, 1.5, 101),         # through the EP: A = inf
+        (near_crossing(), -1.0, 1.0, 11)])          # bisection midpoints
+    def test_rows_are_the_arrays(self, monkeypatch, family, start, stop,
+                                 steps):
+        made, make = [], sweep.SweepRow._make
+        monkeypatch.setattr(sweep.SweepRow, "_make",
+                            lambda row: made.append(1) or make(row))
+        param = "omega_im" if isinstance(family, twolevel.TwoLevelModel) \
+            else "t"
+        res = sweep.sweep(sweep.SweepSpec(family, param, start, stop, steps))
+        assert made == []
+        rows = res.rows
+        assert len(made) == len(rows) == len(res.params) >= steps
+        for k, row in enumerate(rows):
+            assert type(row.param) is float and type(row.min_gap) is float
+            assert row.param == res.params[k]
+            assert row.min_gap == res.min_gap[k]
+            for name in ("values", "norms_A", "rigidity_r"):
+                assert same_bits(getattr(row, name), getattr(res, name)[k])
 
 
 class TestStepOnlyWhereNeeded:
