@@ -442,7 +442,8 @@ def main(argv=None):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](doc, out, emit)
-    except (ModelFileError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (ModelFileError, ValueError, TypeError, KeyError, OSError,
+            MemoryError) as exc:        # MemoryError: a grid too long to hold
         print(f"nhspec: input error: {exc}", file=sys.stderr)
         return 2
     except NhspecError as exc:

@@ -96,10 +96,6 @@ class EigenSystem(NamedTuple):
     norms_A: np.ndarray | None = None
     rigidity_r: np.ndarray | None = None
 
-    @property
-    def n(self):
-        return len(self.values)
-
 
 def _assign(score, cost=None):
     """Columns cols maximizing sum_i score[i, cols[i]] over permutations.

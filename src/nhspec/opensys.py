@@ -239,8 +239,8 @@ def assemble_heff(m, energy):
     zero outside: complex symmetric (Hermitian outside the window).
     """
     (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float), m.grid)
-    return EffectiveHamiltonian(linalg.ComplexMatrix(
-        heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN))
+    return EffectiveHamiltonian(linalg.ComplexMatrix._make((   # checked above
+        heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN)))
 
 
 def _heff_stack(m, energies, grid):

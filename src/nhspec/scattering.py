@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
 
 _ON_POLE = "requested energy coincides with a zero-width pole"
@@ -44,8 +45,6 @@ class SMatrixModel(NamedTuple("SMatrixModel", [
     @classmethod
     def from_effective_hamiltonian(cls, h_b, gamma_hat, energy_grid=None):
         """Poles of H_B - (i/2) g g^T; levels e_n of H_B, gamma = U^T g."""
-        from . import linalg
-
         h_b = np.asarray(h_b, float)
         g = np.atleast_2d(np.asarray(gamma_hat, float))
         heff = h_b - 0.5j * g @ g.T

@@ -56,20 +56,19 @@ class MatrixFamily:
 
 
 class _Pencil(MatrixFamily):
-    """Affine family t -> A + c(t) B (c the identity unless given), checked
-    for the symmetry hint once and, as a stack, for finiteness."""
+    """Affine family t -> A + c(t) B (c the identity unless given).  A and B
+    are checked once, here: their sums are not checked again, and one that
+    overflows fails in the eigensolver (eig_stack) as NoConvergence."""
 
     def __init__(self, a, b, hint, coef=None):
-        super().__init__(fn=lambda t: linalg.ComplexMatrix(
-            self.a + self.coef(t) * self.b, hint))
+        super().__init__(fn=lambda t: linalg.ComplexMatrix._make((
+            self.a + self.coef(t) * self.b, hint)))
         self.a, self.b = (linalg.ComplexMatrix(x, hint).entries for x in (a, b))
         self.hint, self.coef = hint, coef or (lambda t: t)
 
     def stack(self, ts):
-        with np.errstate(all="ignore"):     # non-finite entries raise below
+        with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
             s = self.a + self.coef(np.asarray(ts))[:, None, None] * self.b
-        if linalg.invalid(s, linalg.GENERAL).any():
-            raise ValueError("entries must be finite")
         return s, np.full(len(s), self.hint == linalg.HERMITIAN)
 
 
@@ -77,8 +76,9 @@ class _SecularPencil(_Pencil):
     """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)).  For K = 1,
     n <= 75 (zhseqr's unblocked path, same eigenvalue bits with no vectors)
     LAPACK gives eigenvalues alone, each vector x = Q (D - z)^-1 W for
-    H0 = Q D Q^T, W = Q^T V (Sokolov-Zelevinsky); chunks where x is not finite
-    (z on a level of D) or |(H - z) x| > 1e-8 max|H| |x| take LAPACK's."""
+    H0 = Q D Q^T, W = Q^T V (Sokolov-Zelevinsky); chunks eigvals refuses or
+    with x not finite (z on a level of D) or |(H - z) x| > 1e-8 max|H| |x|
+    take eig_stack's."""
 
     def __init__(self, h0, v):
         super().__init__(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
@@ -210,8 +210,8 @@ class _Frame(NamedTuple):
 
 
 def _frame_at(family, t, on_grid=True):
-    m = family(t)
-    return _Frame(t, *linalg.eig_pairs(m), on_grid, float(abs(m.entries).max()))
+    (peak,), (values,), (vectors,) = family.pairs(np.array([t]))
+    return _Frame(t, values, vectors, on_grid, peak)
 
 
 def _step(family, f0, f1, depth=0):
@@ -477,8 +477,8 @@ def locate_ep(family, seed, p1=None, p2=None):
         if p1 == p2:
             raise ValueError(f"p1 and p2 are the same parameter path {p1!r}")
         model, (a, (b1, b2), hint) = family, _affine(family, (p1, p2))
-        family = PlaneFamily(fn=lambda x1, x2: linalg.ComplexMatrix(
-            a + x1 * b1 + x2 * b2, hint))
+        family = PlaneFamily(fn=lambda x1, x2: linalg.ComplexMatrix._make((
+            a + x1 * b1 + x2 * b2, hint)))
     p, (gap, _, z0), step, iterations, stalled = _newton_on_sq_gap(
         family, seed)
     exact = _closed_form_polish(model, (p1, p2), p)
@@ -621,8 +621,8 @@ def encircle(spec, model):
         return spec.center + spec.radius * np.exp(1j * theta)
 
     probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    gaps = _pair_gaps(np.linalg.eigvals(family.stack(
-        np.append(spec.center, probes))[0]))[1].min(axis=1)
+    gaps = _pair_gaps(linalg.eig_stack(*family.stack(
+        np.append(spec.center, probes)))[0])[1].min(axis=1)
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps

@@ -450,6 +450,18 @@ class TestExitCodes:
                        "overflows at param 1e+307\n")
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_pencil_overflow_is_exit_3(self, tmp_path, capsys):
+        # every input finite, but e1 = 1e308 + a overflows along the sweep:
+        # the eigensolver refuses the stack, with no warning and nothing
+        # written
+        assert self.run_block(tmp_path, "sweep", "avoided_crossing", {
+            **self.AVOIDED, "e1_0": 1e308}, {
+            "parameter": "a", "start": 0.0, "stop": 1e308, "steps": 11}) == 3
+        assert capsys.readouterr().err == (
+            "nhspec: numerical failure: eigensolver failed: Array must not "
+            "contain infs or NaNs\n")
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_locate_same_path_twice_is_input_error(self, tmp_path, capsys):
         # both slopes on one path: Newton would move p2 alone onto the EP
         # at omega_re = -0.15 and report p1 = 0.1 for the same parameter
@@ -635,6 +647,20 @@ class TestIngestion:
         assert run(command, "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("command,kind,parameters,blocks", [
+        ("sweep", "two_level", TWO, {"sweep": {**SWEEP, "steps": 2 ** 50}}),
+        ("trap", "toy_trapping", TRAP,
+         {"alphas": {**ALPHAS, "points": 2 ** 50}})])
+    def test_grid_too_long_to_hold(self, tmp_path, capsys, command, kind,
+                                   parameters, blocks):
+        # below numpy's limit, but 8 PiB: the allocation fails at once
+        model = write_model(tmp_path, kind, parameters, **blocks)
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(
+            "nhspec: input error: Unable to allocate 8.00 PiB")
         assert not list((tmp_path / "out").glob("*"))
 
     @pytest.mark.parametrize("count", [10 ** 400, 2 ** 63, 2 ** 60])

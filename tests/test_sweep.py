@@ -357,6 +357,18 @@ class TestLocateEp:
         assert same_bits(family.b, np.diag([1.0, -1.0]).astype(complex))
         assert_pencil_matches(family, 1e3, model.model_at(1e3).matrix())
 
+    def test_plane_is_checked_once(self, monkeypatch):
+        # _affine checks the model's matrices; the 30 or so Newton points,
+        # sums of the pencil's, are not checked again
+        built = []
+        new = linalg.ComplexMatrix.__new__
+        monkeypatch.setattr(linalg.ComplexMatrix, "__new__", staticmethod(
+            lambda cls, *args: built.append(cls) or new(cls, *args)))
+        loc = sweep.locate_ep(canonical_model(), seed=(0.1, 0.8),
+                              p1="omega_re", p2="omega_im")
+        assert loc.iterations >= 2 and loc.backward_error <= 1e-10
+        assert 1 <= len(built) <= 5
+
     def test_non_finite_eigenvalues_end_in_no_convergence(self):
         # finite entries whose largest eigenvalue overflows to inf
         fam = sweep.PlaneFamily(fn=lambda p1, p2: 1e308 * np.array(
@@ -526,9 +538,10 @@ class TestPencil:
             assert_pencil_matches(seen[0], alpha, reference)
 
     def test_non_finite_stack_rejected(self):
+        # the stack is not scanned: LAPACK refuses it, as NoConvergence
         fam = sweep.make_family(canonical_model(), "omega_re")
-        with pytest.raises(ValueError, match="finite"):
-            fam.stack(np.array([0.0, np.inf]))
+        with pytest.raises(NoConvergence, match="eigensolver failed"):
+            fam.pairs(np.array([0.0, np.inf]))
 
     def test_eigenvectors_released_before_event_detection(self):
         # a 64-level, 201-point sweep holds 12.6 MiB of frame eigenvectors;
@@ -834,15 +847,15 @@ class TestSecularPencil:
         assert any(collided)
         assert same_bits(got, plain_trapping_values(h0, v, alphas))
 
-    def test_one_eigendecomposition_with_vectors(self, monkeypatch):
-        # a clean grid takes LAPACK vectors for its first frame only
+    def test_no_eigendecomposition_with_vectors(self, monkeypatch):
+        # a clean grid takes no LAPACK vectors, for its first frame neither
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig",
                             lambda a: calls.append(a.shape) or eig(a))
         h0, v, _ = chain_with_collisions(2)
         opensys.toy_trapping(h0, v, np.linspace(0.01, 5.0, 300))
-        assert calls == [(1, 21, 21)]
+        assert calls == []
 
     @pytest.mark.parametrize("n, closed_form", [(75, True), (80, False)])
     def test_blocked_lapack_sizes_take_lapack_vectors(self, monkeypatch, n,
