@@ -36,7 +36,8 @@ def invalid(a, hint):
     if check.any():
         t = a.swapaxes(-1, -2)
         with np.errstate(all="ignore"):     # inf - inf, or |a| overflowing
-            off = np.abs(a - np.where(herm[..., None, None], t.conj(), t))
+            off = np.abs(a - (np.where(herm[..., None, None], t.conj(), t)
+                              if herm.any() else t))
             scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
             bad |= check & ~(off.max(axis=(-2, -1)) <= _SYMMETRY_TOL * scale)
     return bad

@@ -36,12 +36,16 @@ class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
 
     def pv_shift(self, energies, window, grid, g):
         """PV int g g^T/(E - E') dE' over the window, (R, N, N): H(x) a a^T."""
-        lo, hi = window
-        d = 2.0 * energies - (lo + hi)      # |E-lo| - |E-hi| once clipped
-        log = np.sign(d) * np.log1p(np.minimum(np.abs(d), hi - lo) / np.minimum(
-            np.abs(energies - lo), np.abs(energies - hi)))  # ln|(E-lo)/(E-hi)|
-        return self.hilbert(d / (hi - lo), log)[:, None, None] \
-            * (self.amplitudes @ self.amplitudes.T)
+        return self._pv_rule(window, grid)(energies, g)
+
+    def _pv_rule(self, window, grid):   # pv_shift with a a^T taken once
+        (lo, hi), aat = window, self.amplitudes @ self.amplitudes.T
+        def shift(energies, g):     # |E-lo| - |E-hi| is d once clipped
+            d, dist = 2.0 * energies - (lo + hi), np.minimum(
+                np.abs(energies - lo), np.abs(energies - hi))
+            log = np.sign(d) * np.log1p(np.minimum(np.abs(d), hi - lo) / dist)
+            return self.hilbert(d / (hi - lo), log)[:, None, None] * aat
+        return shift
 
 
 class ConstantCoupling(_Amplitudes):
@@ -63,14 +67,16 @@ class SemicircleCoupling(_Amplitudes):
     def on_grid(self, grid, window):
         lo, hi = window
         x = (2.0 * np.asarray(grid, float) - (lo + hi)) / (hi - lo)
-        return np.sqrt(np.clip(1.0 - x * x, 0.0, None))[:, None, None] \
+        return np.sqrt(np.maximum(1.0 - x * x, 0.0))[:, None, None] \
             * self.amplitudes
 
     @staticmethod
     def hilbert(x, log):    # past |x| = 4 its series in u = 1/x: no eps x^2
-        u, k = 1.0 / np.where(np.abs(x) > 4.0, x, 4.0), np.arange(12.0, 0, -1)
-        return np.where(np.abs(x) > 4.0, u * np.polyval(
-            4.0 / (4.0 * k * k - 1.0), u * u), (1.0 - x * x) * log + 2.0 * x)
+        out, far = (1.0 - x * x) * log + 2.0 * x, np.abs(x) > 4.0
+        if far.any():       # the series only where it is taken
+            u, k = 1.0 / x[far], np.arange(12.0, 0, -1)
+            out[far] = u * np.polyval(4.0 / (4.0 * k * k - 1.0), u * u)
+        return out
 
 
 class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
@@ -78,6 +84,7 @@ class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
     """Amplitudes tabulated on the continuum grid, linear in between."""
 
     __slots__ = ()      # grid: (M,), values: (M, N, C)
+    _pv_rule = lambda self, w, grid: lambda e, g: self.pv_shift(e, w, grid, g)
 
     def __new__(cls, grid, values):
         grid, values = np.asarray(grid, float), np.asarray(values, float)
@@ -238,30 +245,37 @@ def assemble_heff(m, energy):
     coupling's pv_shift; Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window,
     zero outside: complex symmetric (Hermitian outside the window).
     """
-    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float), m.grid)
+    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float))
     return EffectiveHamiltonian(linalg.ComplexMatrix._make((   # checked above
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN)))
 
 
-def _heff_stack(m, energies, grid):
-    """(R, N, N) H_eff at real energies, the mask of those inside the window
-    and the couplings g(E) (R, N, C), zero outside; linalg.invalid checks it
-    (complex symmetric inside), raising SelfConsistencyFailure."""
+def _heff_consts(m):     # per solve: the grid step, h_bound(), the PV rule
+    grid, rule = m.grid, m.coupling._pv_rule
+    with np.errstate(all="ignore"):     # a non-finite H_eff raises later
+        return grid[1] - grid[0], m.h_bound(), rule(m.window, grid)
+
+
+def _heff_stack(m, energies, consts=None):
+    """(R, N, N) H_eff at real energies, the terms of _heff_consts(m) plus
+    their own, the mask of those inside the window and g(E) (R, N, C), zero
+    outside; linalg.invalid checks it, raising SelfConsistencyFailure."""
     lo, hi = m.window
-    n = m.n_states
+    h, h_b, pv_rule = consts or _heff_consts(m)
     inside = (lo < energies) & (energies < hi)
     near = np.minimum(np.abs(energies - lo), np.abs(energies - hi)) < np.where(
-        inside, 0.5, 1e-12) * (grid[1] - grid[0])  # half a cell; a node outside
+        inside, 0.5, 1e-12) * h     # half a cell; a node outside
     if near.any():
         raise ETooCloseToThreshold(f"E = {energies[near].tolist()[0]!r} within "
                                    "half a grid cell of a threshold")
-    g = np.zeros((len(energies), n, m.n_channels))
+    g = np.zeros((len(energies), m.n_states, m.n_channels))
     with np.errstate(all="ignore"):     # a non-finite H_eff raises below
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
-        heff = m.h_bound() + m.coupling.pv_shift(energies, m.window, grid, g) \
-            / (2.0 * np.pi) - 1j * (0.5 * g @ g.swapaxes(1, 2))
-    bad = linalg.invalid(heff, np.where(inside, linalg.COMPLEX_SYMMETRIC,
-                                        linalg.HERMITIAN))
+        heff = h_b + pv_rule(energies, g) / (2.0 * np.pi) \
+            - 1j * (0.5 * g @ g.swapaxes(1, 2))
+    bad = linalg.invalid(heff, linalg.COMPLEX_SYMMETRIC if inside.all() else
+                         np.where(inside, linalg.COMPLEX_SYMMETRIC,
+                                  linalg.HERMITIAN))
     if bad.any():
         raise SelfConsistencyFailure("H_eff is not finite or not symmetric at "
                                      f"E = {energies[bad].tolist()[0]!r}")
@@ -297,57 +311,52 @@ def solve_resonances(m):
     out with zero width and ordinary orthonormal vectors.
 
     The unconverged states advance together, one round per step: one
-    (R, N, N) H_eff stack and one stacked eigensolve, each state's iterates
+    (R, N, N) stack of H_eff's energy-dependent terms and one stacked
+    eigensolve, picked on LAPACK's own unit vectors, each state's iterates
     as when solved alone; `iterations` is the round a state converged in.
-    One more stacked round solves every state at its final energy.
+    One more round solves every state at its final energy, sorted.
     """
     lo, hi = m.window
-    grid, n = m.grid, m.n_states            # built once per solve
-    h = grid[1] - grid[0]
-    scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
-    energy, phi_ref = np.linalg.eigh(m.h_bound())
+    h, h_b, _ = consts = _heff_consts(m)
+    n, tol = m.n_states, 1e-10 * np.abs([*m.e_b, lo, hi, 1.0]).max()
+    energy, phi_ref = np.linalg.eigh(h_b)
     phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
     e_prev, f_prev = np.full((2, n), np.nan)    # no previous iterate: damped
     resid, iterations = np.full(n, np.inf), np.zeros(n, int)
-    converged = np.zeros(n, bool)
+    act, edges = np.arange(n), np.array([[lo], [hi]])   # unconverged states
     for it in range(1, 201):
-        act = np.flatnonzero(~converged)
+        e = _clamp_energy(energy[act], lo, hi, h)
+        heff, inside, _ = _heff_stack(m, e, consts)
+        z, phi_ref[act] = _follow(phi_ref[act], *linalg.eig_stack(heff, ~inside))
+        f = z.real - e
+        with np.errstate(all="ignore"):     # not finite where f == f_prev
+            sec = e - f * (e - e_prev[act]) / (f - f_prev[act])
+        side = ((sec - edges) * (e - edges) > 0).all(0)    # no threshold crossed
+        new_e = np.where(np.isfinite(sec) & side, sec, 0.5 * e + 0.5 * z.real)
+        e_prev[act], f_prev[act], energy[act], iterations[act] = e, f, new_e, it
+        resid[act] = step = np.abs(new_e - e)
+        act = act[~(step < tol)]
         if not len(act):
             break
-        e = _clamp_energy(energy[act], lo, hi, h)
-        heff, inside, _ = _heff_stack(m, e, grid)
-        z, phi_ref[act] = _follow(phi_ref[act], heff, inside)
-        f = z.real - e
-        with np.errstate(all="ignore"):     # masked where f == f_prev
-            sec = e - f * (e - e_prev[act]) / (f - f_prev[act])
-        new_e = np.where((f != f_prev[act]) & np.isfinite(sec)
-                         & ((sec - lo) * (e - lo) > 0)
-                         & ((sec - hi) * (e - hi) > 0),
-                         sec, 0.5 * e + 0.5 * z.real)
-        e_prev[act], f_prev[act] = e, f
-        resid[act] = np.abs(new_e - e)
-        energy[act], iterations[act] = new_e, it
-        converged[act] = resid[act] < 1e-10 * scale
     energy = _clamp_energy(energy, lo, hi, h)
-    heff, inside, g = _heff_stack(m, energy, grid)
+    heff, inside, g = _heff_stack(m, energy, consts)
+    z, phis = _follow(phi_ref, *linalg.sort_pairs(*linalg.eig_stack(heff,
+                                                                     ~inside)))
+    phis[inside] = linalg.c_columns(phis[inside].T)[0].T
     states = []
-    for k, (z, phi) in enumerate(zip(*_follow(phi_ref, heff, inside))):
-        if inside[k]:
-            phi = linalg.c_columns(phi[:, None])[0][:, 0]
-        else:
+    for k, (z, phi, e, r) in enumerate(zip(z.tolist(), phis, energy.tolist(),
+                                           resid.tolist())):
+        if not inside[k]:
             z = complex(z.real, 0.0)
             phi = phi.real / np.linalg.norm(phi.real) if np.abs(phi.imag).max() \
                 < 1e-12 else phi / np.linalg.norm(phi)
-        states.append(ResonanceState(
-            z=complex(z), phi=phi, gamma_c=np.asarray(phi @ g[k], complex),
-            energy=float(energy[k]), converged=bool(converged[k]),
-            iterations=int(iterations[k]), residual=float(resid[k])))
+        states.append(ResonanceState(z, phi, np.asarray(phi @ g[k], complex),
+                                     e, bool(r < tol), iterations[k].item(), r))
     return states
 
 
-def _follow(phi_ref, heff, inside):
+def _follow(phi_ref, w, u):
     """Each row's eigenpair of largest |phi_ref^H u|, u at unit norm."""
-    w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
     rows = np.arange(len(w))
     idx = np.abs(phi_ref.conj()[:, None] @ u)[:, 0].argmax(axis=1)
     return w[rows, idx], u[rows, :, idx]
@@ -355,9 +364,8 @@ def _follow(phi_ref, heff, inside):
 
 def _clamp_energy(energy, lo, hi, h):
     """Keep the iterates clear of the half-cell exclusion at the thresholds."""
-    return np.where((lo < energy) & (energy < lo + 0.51 * h), lo + 0.51 * h,
-                    np.where((hi - 0.51 * h < energy) & (energy < hi),
-                             hi - 0.51 * h, energy))
+    return np.where((lo < energy) & (energy < hi), np.minimum(np.maximum(
+        energy, lo + 0.51 * h), hi - 0.51 * h), energy)
 
 
 # ---------------------------------------------------------------------------

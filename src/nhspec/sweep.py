@@ -449,13 +449,19 @@ class EpLocation(NamedTuple):
 
 def _pair_state(family, p):
     """(gap, squared difference, mean) of the closest eigenvalue pair at p."""
-    w = np.linalg.eigvals(family(p[0], p[1]).entries)
-    if not np.all(np.isfinite(w)):
-        point = (float(p[0]), float(p[1]))
+    point = (float(p[0]), float(p[1]))
+    with np.errstate(all="ignore"):     # a non-finite pair raises below
+        try:
+            w = np.linalg.eigvals(family(p[0], p[1]).entries)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"eigensolver failed at {point}: {exc}",
+                                point=point) from exc
+        i, j = linalg.closest_pair(w)
+        diff = w[i] - w[j]
+        state = float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
+    if not (np.isfinite(w).all() and np.isfinite(state).all()):
         raise NoConvergence(f"eigenvalues not finite at {point}", point=point)
-    i, j = linalg.closest_pair(w)
-    diff = w[i] - w[j]
-    return float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
+    return state
 
 
 def locate_ep(family, seed, p1=None, p2=None):

@@ -462,6 +462,19 @@ class TestExitCodes:
             "contain infs or NaNs\n")
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_locate_gap_overflow_is_exit_3(self, tmp_path, capsys):
+        # finite eigenvalues near +-1e308 whose difference overflows at the
+        # seed: a numerical failure naming the point, with no warning and
+        # nothing written
+        doc = json.loads((DATA / "two_level_sweep.json").read_text())
+        assert self.run_block(tmp_path, "locate", "two_level", {
+            **doc["parameters"], "eps1": [1e308, 0], "eps2": [-1e308, 0]},
+            doc["locate"]) == 3
+        assert capsys.readouterr().err == ("nhspec: numerical failure: "
+                                           "eigenvalues not finite at "
+                                           "(0.1, 0.8)\n")
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_locate_same_path_twice_is_input_error(self, tmp_path, capsys):
         # both slopes on one path: Newton would move p2 alone onto the EP
         # at omega_re = -0.15 and report p1 = 0.1 for the same parameter

@@ -547,6 +547,17 @@ class TestSolveResonances:
                                for r in range(1, max(its) + 1)]
         assert len(set(its)) > 1
 
+    def test_only_the_final_round_is_sorted(self, monkeypatch):
+        # the rounds pick on LAPACK's own unit vectors; sort_pairs orders and
+        # normalizes the pairs of the final round alone, whose vectors are
+        # returned
+        calls, sort_pairs = [], linalg.sort_pairs
+        monkeypatch.setattr(linalg, "sort_pairs",
+                            lambda w, u: calls.append(len(w)) or sort_pairs(w, u))
+        states = opensys.solve_resonances(standard_model())
+        assert calls == [len(states)]
+        assert max(s.iterations for s in states) > 1
+
     def test_strong_coupling_is_self_consistent(self):
         m = opensys.OpenSystemModel(
             e_b=[-0.5, 0.5, 9.5],
@@ -732,8 +743,9 @@ class TestRoundsAgainstPerState:
             assert same_state(a, b), (a, b)
 
     @pytest.mark.parametrize("name", ["fixture", "standard", "strong",
-                                      "outside"])
+                                      "outside", "continuum"])
     def test_named_models(self, name):
+        rng = np.random.default_rng(901)    # continuum: perfbench's shape
         models = {
             "fixture": cli._build_open_system(json.loads(
                 (DATA / "open_system.json").read_text())["parameters"]),
@@ -745,7 +757,12 @@ class TestRoundsAgainstPerState:
             "outside": opensys.OpenSystemModel(
                 e_b=[-20.0, 0.0],
                 coupling=opensys.ConstantCoupling([[0.1], [0.1]]),
-                window=(-10.0, 10.0), grid_size=401)}
+                window=(-10.0, 10.0), grid_size=401),
+            "continuum": opensys.OpenSystemModel(
+                e_b=np.sort(rng.uniform(-8.0, 8.0, 10)),
+                coupling=opensys.SemicircleCoupling(
+                    rng.uniform(0.1, 0.5, (10, 2))),
+                window=(-10.0, 10.0), grid_size=2001)}
         m = models[name]
         for a, b in zip(opensys.solve_resonances(m), per_state_resonances(m)):
             assert same_state(a, b)

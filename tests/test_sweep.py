@@ -242,6 +242,18 @@ class TestLocateEp:
             sweep.locate_ep(model, seed=(0.5, -0.5), p1="eps1_re",
                             p2="eps2_re")
 
+    def test_plane_overflow_is_no_convergence(self):
+        # every input finite, but e1 = 1e308 + a is inf at the seed: the
+        # eigensolver refuses the plane, a numerical failure naming the
+        # point rather than numpy's ValueError, with no warning
+        model = twolevel.AvoidedCrossingModel(
+            e1_0=1e308, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0, gamma1_0=0.0,
+            gamma2_0=0.0, omega=0.3)
+        with pytest.raises(NoConvergence, match="eigensolver failed at "
+                           r"\(1e\+308, 0.1\)") as exc:
+            sweep.locate_ep(model, seed=(1e308, 0.1), p1="a", p2="omega_re")
+        assert exc.value.point == (1e308, 0.1)
+
     def test_normal_near_crossing_is_not_certified(self):
         # a normal pair whose gap bottoms out at 2e-6: |F| falls to 4e-12
         # there, but the pair is 1e-6 from coinciding, not 1e-12
