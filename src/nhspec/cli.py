@@ -135,11 +135,8 @@ def _build_open_system(p):
 def _build_smatrix(p, grid):
     if "h_b" in p:
         h_b = _as_array(p["h_b"], "h_b", 1, 2)
-        if h_b.ndim == 1:
-            h_b = np.diag(h_b)
-        return scattering.SMatrixModel.from_effective_hamiltonian(
-            h_b, _as_array(_require(p, "gamma_hat", "parameters"),
-                           "gamma_hat", 2), energy_grid=grid)
+        g = _as_array(_require(p, "gamma_hat", "parameters"), "gamma_hat", 2)
+        return scattering.SMatrixModel.from_effective_hamiltonian(h_b, g, grid)
     poles = [_as_complex(z, "poles") for z in _require(p, "poles",
                                                        "parameters")]
     return scattering.SMatrixModel(

@@ -43,6 +43,16 @@ def invalid(a, hint):
     return bad
 
 
+def real_symmetric(a, name):
+    """Input a (a 1-d a: its diagonal) as a real symmetric (n, n), n >= 1,
+    checked as invalid checks; a ValueError names it."""
+    a = np.asarray(np.diag(a) if np.ndim(a) == 1 else a, float)
+    if a.ndim != 2 or not 1 <= len(a) == a.shape[1] \
+            or invalid(a, COMPLEX_SYMMETRIC):
+        raise ValueError(f"{name} must be a finite real symmetric matrix")
+    return a
+
+
 class ComplexMatrix(NamedTuple("ComplexMatrix", [("entries", np.ndarray),
                                                   ("symmetry_hint", str)])):
     """Dense square complex matrix with an optional symmetry hint."""
@@ -56,12 +66,11 @@ class ComplexMatrix(NamedTuple("ComplexMatrix", [("entries", np.ndarray),
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("entries must be a square matrix with n >= 1")
-        known = symmetry_hint in (GENERAL, COMPLEX_SYMMETRIC, HERMITIAN)
-        if invalid(a, symmetry_hint if known else GENERAL):
+        if symmetry_hint not in cls._BROKEN:
+            raise ValueError(f"unknown symmetry hint {symmetry_hint!r}")
+        if invalid(a, symmetry_hint):
             raise ValueError(cls._BROKEN[GENERAL if invalid(a, GENERAL)
                                          else symmetry_hint])
-        if not known:
-            raise ValueError(f"unknown symmetry hint {symmetry_hint!r}")
         return super().__new__(cls, a, symmetry_hint)
 
     @property
@@ -247,9 +256,10 @@ def eig(H):
 
 def _fix_residual_sign(u):
     """Resolve the +/- left by the principal square root: the phase of the
-    largest-magnitude component goes in [0, pi)."""
-    ph = np.angle(u[np.argmax(np.abs(u))])
-    return u if 0.0 <= ph < np.pi else -u
+    largest-magnitude component of the vector u, or of each column of u,
+    goes in [0, pi)."""
+    ph = np.angle(np.take_along_axis(u, np.abs(u).argmax(0)[None], 0)[0])
+    return np.where((0.0 <= ph) & (ph < np.pi), u, -u)
 
 
 def c_normalize(sys):
@@ -273,19 +283,13 @@ def c_columns(vr):
     """The columns of vr at unit c-norm, as a C-ordered copy, and their
     conjugated norms A_k; a column whose c-norm vanishes is left at unit
     norm with A = inf."""
-    vr = vr.copy()
-    norms = np.full(vr.shape[1], np.inf)
-    for k in range(len(norms)):
-        v = vr[:, k]
-        v = v / np.linalg.norm(v)
-        c = v @ v
-        if abs(c) < DEFECT_TOL:
-            vr[:, k] = v
-            continue
-        u = _fix_residual_sign(v / np.sqrt(c))
-        vr[:, k] = u
-        norms[k] = (u.conj() @ u).real
-    return vr, norms
+    v = np.asfortranarray(vr)   # contiguous columns: the same sums for any count
+    v = v / np.linalg.norm(v, axis=0)
+    c = np.einsum("ik,ik->k", v, v)
+    flat = np.abs(c) < DEFECT_TOL
+    u = np.where(flat, v, _fix_residual_sign(v / np.sqrt(np.where(flat, 1, c))))
+    norms = np.einsum("ik,ik->k", u.conj(), u).real
+    return np.ascontiguousarray(u), np.where(flat, np.inf, norms)
 
 
 def overlap_B(sys, k, l):

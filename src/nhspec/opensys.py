@@ -447,21 +447,18 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     half of the grid, and the count of trapped states (width below the
     given fraction of its own maximum over the grid).
     """
-    h0 = np.asarray(h0, float)
-    if h0.ndim == 1:
-        h0 = np.diag(h0)
-    v = np.atleast_2d(np.asarray(v, float))
-    if v.shape[0] != len(h0):
-        v = v.T
+    h0 = linalg.real_symmetric(h0, "h0")
     n = len(h0)
-    if v.shape[1] >= n:
-        raise ValueError("number of channels must be below the matrix size")
+    v = np.atleast_2d(np.asarray(v, float))
+    if v.shape[0] != n:
+        v = v.T
+    if v.shape[0] != n or v.shape[1] >= n or not np.isfinite(v).all():
+        raise ValueError("v needs one finite row per level of h0, and fewer "
+                         "columns (channels) than levels")
     alphas = np.asarray(alphas, float)
-    if (alphas < 0).any():
-        raise ValueError("alpha grid must be non-negative")
     dal = np.diff(alphas)
-    if not ((dal > 0).all() or (dal < 0).all()):
-        raise ValueError("alpha grid must be strictly monotone")
+    if (alphas < 0).any() or not ((dal > 0).all() or (dal < 0).all()):
+        raise ValueError("alphas must be non-negative and strictly monotone")
     values = np.concatenate([b.values[b.on_grid] for b in sweep._track(
         sweep._SecularPencil(h0, v), alphas)])
 

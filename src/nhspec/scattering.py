@@ -45,11 +45,14 @@ class SMatrixModel(NamedTuple("SMatrixModel", [
     @classmethod
     def from_effective_hamiltonian(cls, h_b, gamma_hat, energy_grid=None):
         """Poles of H_B - (i/2) g g^T; levels e_n of H_B, gamma = U^T g."""
-        h_b = np.asarray(h_b, float)
+        h_b = linalg.real_symmetric(h_b, "h_b")
         g = np.atleast_2d(np.asarray(gamma_hat, float))
-        heff = h_b - 0.5j * g @ g.T
+        if g.ndim != 2 or len(g) != len(h_b) or not np.isfinite(g).all():
+            raise ValueError("gamma_hat needs one finite row per level of h_b")
+        with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
+            heff = h_b - 0.5j * g @ g.T
         sys = linalg.c_normalize(linalg.eig(
-            linalg.ComplexMatrix(heff, linalg.COMPLEX_SYMMETRIC)))
+            linalg.ComplexMatrix._make((heff, linalg.COMPLEX_SYMMETRIC))))
         couplings = sys.right_vectors.T @ g        # gamma_k^c = sum_i phi_ki g_ic
         z = sys.values      # Im z = -|g^T v|^2/2; eig may round 0 up to 1e-17
         e, u = np.linalg.eigh(h_b)

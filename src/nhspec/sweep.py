@@ -57,13 +57,13 @@ class MatrixFamily:
 
 class _Pencil(MatrixFamily):
     """Affine family t -> A + c(t) B (c the identity unless given).  A and B
-    are checked once, here: their sums are not checked again, and one that
-    overflows fails in the eigensolver (eig_stack) as NoConvergence."""
+    come from checked input and are not checked again, nor are their sums:
+    a non-finite one fails in the eigensolver (eig_stack) as NoConvergence."""
 
     def __init__(self, a, b, hint, coef=None):
         super().__init__(fn=lambda t: linalg.ComplexMatrix._make((
             self.a + self.coef(t) * self.b, hint)))
-        self.a, self.b = (linalg.ComplexMatrix(x, hint).entries for x in (a, b))
+        self.a, self.b = (np.asarray(x, complex) for x in (a, b))
         self.hint, self.coef = hint, coef or (lambda t: t)
 
     def stack(self, ts):
@@ -81,7 +81,8 @@ class _SecularPencil(_Pencil):
     take eig_stack's."""
 
     def __init__(self, h0, v):
-        super().__init__(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
+        with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
+            super().__init__(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
         self.d, self.q = np.linalg.eigh(h0)
         self.w = self.q.T @ v
 
@@ -637,14 +638,12 @@ def encircle(spec, model):
     n = track.values.shape[1]
     start, _ = linalg.c_columns(track.vectors[0])
     h0 = np.linalg.norm(start, axis=0)
-    init_w = start / h0
-    init_s = (1.0 / h0).astype(complex)
-    cur_w, cur_s = init_w, init_s
-    cycles = []
-    for t, u, grid in zip(track.t[1:], track.vectors[1:], track.on_grid[1:]):
-        cur_w, cur_s = _carry(cur_w, cur_s, u)
-        turns = t / (2 * np.pi)
-        if grid and abs(turns - round(turns)) < 1e-12:
+    cur_w, cur_s = init_w, init_s = start / h0, (1.0 / h0).astype(complex)
+    # grid rows k * steps close the cycles; bisection midpoints lie between
+    cycles, ends = [], set(np.flatnonzero(track.on_grid)[steps::steps].tolist())
+    for row in range(1, len(track.t)):
+        cur_w, cur_s = _carry(cur_w, cur_s, track.vectors[row])
+        if row in ends:
             perm, phases = _compare_to_start(init_w, init_s, cur_w, cur_s)
             # the continued c-normalized frame gives a sign per state;
             # swapped states carry the half-turn of the norm branch, written

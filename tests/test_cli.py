@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhspec import cli, opensys, scattering, sweep
+from nhspec import cli, linalg, opensys, scattering, sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -474,6 +474,75 @@ class TestExitCodes:
                                            "eigenvalues not finite at "
                                            "(0.1, 0.8)\n")
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("command,kind,parameters,block", [
+        ("trap", "toy_trapping", {"h0": [-1.0, 0.0, 1.0],
+                                  "v": [1e200, 1e200, 1e200]},
+         {"alphas": {"start": 0.01, "stop": 5.0, "steps": 20}}),
+        ("scatter", "smatrix", {"h_b": [-1.0, 1.0],
+                                "gamma_hat": [[1e200], [1e200]]},
+         {"grid": {"start": -5.0, "stop": 5.0, "points": 101}})])
+    def test_open_system_overflow_is_exit_3(self, tmp_path, capsys, command,
+                                            kind, parameters, block):
+        # finite input whose V V^T (g g^T) overflows: the eigensolver
+        # refuses H_eff, with no warning and nothing written
+        model = write_model(tmp_path, kind, parameters, **block)
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "nhspec: numerical failure: eigensolver failed: Array must not "
+            "contain infs or NaNs\n")
+        assert not list((tmp_path / "out").glob("*"))
+
+    TRAP_ERROR = ("v needs one finite row per level of h0, and fewer columns "
+                  "(channels) than levels")
+
+    @pytest.mark.parametrize("command,kind,parameters,block,message", [
+        ("trap", "toy_trapping", {"h0": [[0.0, 1.0], [0.0, 0.0]],
+                                  "v": [1.0, 1.0]}, "alphas",
+         "h0 must be a finite real symmetric matrix"),
+        ("trap", "toy_trapping", {"h0": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                                  "v": [1.0, 1.0]}, "alphas",
+         "h0 must be a finite real symmetric matrix"),
+        ("trap", "toy_trapping", {"h0": [-1.0, 0.0, 1.0], "v": [1.0, 1.0]},
+         "alphas", TRAP_ERROR),
+        ("trap", "toy_trapping", {"h0": [-1.0, 1.0],
+                                  "v": [[1.0, 0.0], [0.0, 1.0]]}, "alphas",
+         TRAP_ERROR),
+        ("scatter", "smatrix", {"h_b": [[0.0, 1.0], [0.0, 0.0]],
+                                "gamma_hat": [[1.0], [1.0]]}, "grid",
+         "h_b must be a finite real symmetric matrix"),
+        ("scatter", "smatrix", {"h_b": [], "gamma_hat": [[1.0]]}, "grid",
+         "h_b must be a finite real symmetric matrix"),
+        ("scatter", "smatrix", {"h_b": [-1.0, 0.0, 1.0],
+                                "gamma_hat": [[1.0], [1.0]]}, "grid",
+         "gamma_hat needs one finite row per level of h_b")])
+    def test_open_system_input_names_its_field(self, tmp_path, capsys,
+                                               command, kind, parameters,
+                                               block, message):
+        blocks = {"alphas": {"start": 0.01, "stop": 5.0, "steps": 20},
+                  "grid": {"start": -5.0, "stop": 5.0, "points": 101}}
+        model = write_model(tmp_path, kind, parameters,
+                            **{block: blocks[block]})
+        assert run(command, "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"nhspec: input error: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("command,model,checks", [
+        ("sweep", "two_level_sweep.json", 3),
+        ("encircle", "two_level_sweep.json", 3),
+        ("trap", "trapping_chain.json", 1)])
+    def test_each_matrix_checked_once(self, tmp_path, monkeypatch, command,
+                                      model, checks):
+        # the model's matrices are checked where they enter; the pencils
+        # built from them are not checked again
+        calls, invalid = [], linalg.invalid
+        monkeypatch.setattr(linalg, "invalid",
+                            lambda *args: calls.append(1) or invalid(*args))
+        assert run(command, "--model", str(DATA / model),
+                   "--out", str(tmp_path)) == 0
+        assert 0 < len(calls) <= checks
 
     def test_locate_same_path_twice_is_input_error(self, tmp_path, capsys):
         # both slopes on one path: Newton would move p2 alone onto the EP

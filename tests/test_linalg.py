@@ -385,6 +385,68 @@ class TestCNormalize:
         assert sys.ep_flag.any()
 
 
+def per_column_c_columns(vr):
+    """c_columns one column at a time, as it once was: the reference."""
+    vr = vr.copy()
+    norms = np.full(vr.shape[1], np.inf)
+    for k in range(len(norms)):
+        v = vr[:, k] / np.linalg.norm(vr[:, k])
+        c = v @ v
+        if abs(c) < linalg.DEFECT_TOL:
+            vr[:, k] = v
+            continue
+        u = v / np.sqrt(c)
+        ph = np.angle(u[np.argmax(np.abs(u))])
+        vr[:, k] = u if 0.0 <= ph < np.pi else -u
+        norms[k] = (vr[:, k].conj() @ vr[:, k]).real
+    return vr, norms
+
+
+class TestCColumns:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           k=st.integers(1, 8), spread=st.sampled_from([0.0, 1e-3, 1.0]),
+           fortran=st.booleans())
+    def test_matches_per_column_loop(self, seed, n, k, spread, fortran):
+        # spread 0: each column a real vector times a phase (A = 1, the
+        # sign of +-u set by rounding); 1: generic complex columns
+        rng = np.random.default_rng(seed)
+        vr = (rng.standard_normal((n, k)) + 1j * spread
+              * rng.standard_normal((n, k))) * np.exp(
+                  1j * rng.uniform(0.0, 2 * np.pi, k))
+        vr = np.asfortranarray(vr) if fortran else np.ascontiguousarray(vr)
+        u, norms = linalg.c_columns(vr)
+        ref, ref_norms = per_column_c_columns(vr)
+        assert u.flags.c_contiguous and not np.shares_memory(u, vr)
+        eps = np.finfo(float).eps
+        for j in range(k):
+            # 4 ulp of the column, times A: the c-norm c = u^T u of a unit
+            # vector is 1/A, and dividing by sqrt(c) scales its rounding
+            tol = 4 * eps * ref_norms[j] * np.abs(ref[:, j]).max()
+            same = np.abs(u[:, j] - ref[:, j]).max()
+            assert min(same, np.abs(u[:, j] + ref[:, j]).max()) <= tol
+            top = np.sort(np.abs(ref[:, j]))[::-1]
+            ph = np.angle(ref[np.argmax(np.abs(ref[:, j])), j])
+            if min(abs(ph), np.pi - abs(ph)) > 1e-12 * ref_norms[j] and (
+                    n == 1 or top[1] < (1 - 1e-12) * top[0]):
+                assert same <= tol      # the sign is not a rounding choice
+            assert abs(norms[j] - ref_norms[j]) <= 8 * eps * ref_norms[j] ** 2
+            # a column alone gives the same bits as in the batch
+            one, one_norm = linalg.c_columns(vr[:, [j]])
+            assert one[:, 0].tobytes() == u[:, j].tobytes()
+            assert one_norm[0] == norms[j]
+
+    def test_vanishing_column(self):
+        # [1, i]^T [1, i] = 0: left at unit norm, A = inf; the other column
+        # is normalized as usual
+        vr = np.array([[1.0, 2.0], [1j, 0.5j]])
+        u, norms = linalg.c_columns(vr)
+        ref, ref_norms = per_column_c_columns(vr)
+        assert u[:, 0].tobytes() == (vr[:, 0] / np.sqrt(2.0)).tobytes()
+        assert norms[0] == ref_norms[0] == np.inf
+        assert np.abs(u[:, 1] - ref[:, 1]).max() <= 4 * np.finfo(float).eps
+        assert abs(u[:, 1] @ u[:, 1] - 1.0) <= 1e-15
+
+
 class TestCoalescenceError:
     def test_normal_pair_is_its_gap(self):
         c, s = np.cos(0.3), np.sin(0.3)

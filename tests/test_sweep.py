@@ -449,6 +449,23 @@ class TestEncircle:
         rep = sweep.encircle(spec, canonical_model())
         assert rep.eigenvalue_period == 2
 
+    def test_every_cycle_closes_after_many_turns(self, monkeypatch):
+        # past about 1e4 turns t / 2 pi rounds by more than 1e-12: the grid
+        # rows k * steps_per_cycle close the cycles, whatever t rounds to
+        def track(family, ts):
+            n = len(ts)
+            yield sweep._Frame(ts, np.zeros((n, 2), complex), np.broadcast_to(
+                np.eye(2, dtype=complex), (n, 2, 2)), np.ones(n, bool),
+                np.ones(n))
+
+        monkeypatch.setattr(sweep, "_track", track)
+        monkeypatch.setattr(sweep, "_carry", lambda w, s, u: (w, s))
+        spec = sweep.EncircleSpec(center=1j, radius=0.5, steps_per_cycle=65,
+                                  cycles=10000)
+        rep = sweep.encircle(spec, canonical_model())
+        assert len(rep.cycles) == 10000
+        assert rep.eigenvalue_period == rep.eigenvector_period == 1
+
 
 # ---------------------------------------------------------------------------
 # pencils: built-in families as A + t B, evaluated as whole stacks
