@@ -1,8 +1,8 @@
 """Effective Hamiltonian of a localized system coupled to a continuum.
 
 The real part of the coupling correction is a principal-value integral
-over the window [E_lo, E_hi]: in closed form for constant and semicircle
-couplings, on the continuum grid for tabulated ones.  The imaginary part
+over the window [E_lo, E_hi], in closed form for every coupling profile:
+g g^T is a quadratic on each segment of the window.  The imaginary part
 is the residuum -1/2 sum_c g_i^c g_j^c inside the window, zero outside.
 Includes the self-consistent resonance solver, mixing coefficients over
 reference bases, the interior-wavefunction phase rigidity, and the
@@ -34,57 +34,42 @@ class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
     def n_channels(self):
         return self.amplitudes.shape[1]
 
-    def pv_shift(self, energies, window, grid, g):
-        """PV int g g^T/(E - E') dE' over the window, (R, N, N): H(x) a a^T."""
-        return self._pv_rule(window, grid)(energies, g)
+    def on_grid(self, grid, window):    # g = sqrt(alpha + gamma x^2) a
+        lo, hi = window
+        x = (2.0 * np.asarray(grid, float) - (lo + hi)) / (hi - lo)
+        return np.sqrt(np.maximum(1.0 + self._abc[2] * x * x, 0.0))[
+            :, None, None] * self.amplitudes
 
-    def _pv_rule(self, window, grid):   # pv_shift with a a^T taken once
-        (lo, hi), aat = window, self.amplitudes @ self.amplitudes.T
-        def shift(energies, g):     # |E-lo| - |E-hi| is d once clipped
-            d, dist = 2.0 * energies - (lo + hi), np.minimum(
-                np.abs(energies - lo), np.abs(energies - hi))
-            log = np.sign(d) * np.log1p(np.minimum(np.abs(d), hi - lo) / dist)
-            return self.hilbert(d / (hi - lo), log)[:, None, None] * aat
-        return shift
+    def segments(self, window):
+        """The window and g g^T's (3, N, N) alpha, beta, gamma on it."""
+        aat = self.amplitudes @ self.amplitudes.T
+        return np.array(window, float), np.multiply.outer(self._abc, aat)
+
+    def pv_shift(self, energies, window):
+        """PV int g g^T/(E - E') dE' over the window, (R, N, N)."""
+        return _pv_kernel(energies, *self.segments(window))
 
 
 class ConstantCoupling(_Amplitudes):
     """Energy-independent amplitudes, one column per channel."""
 
     __slots__ = ()
-    hilbert = staticmethod(lambda x, log: log)    # ln|(1 + x)/(1 - x)|
-
-    def on_grid(self, grid, window):
-        return np.broadcast_to(self.amplitudes,
-                               (len(grid),) + self.amplitudes.shape)
+    _abc = (1.0, 0.0, 0.0)      # g g^T = a a^T
 
 
 class SemicircleCoupling(_Amplitudes):
     """Amplitudes modulated by a semicircular profile over the window."""
 
     __slots__ = ()
-
-    def on_grid(self, grid, window):
-        lo, hi = window
-        x = (2.0 * np.asarray(grid, float) - (lo + hi)) / (hi - lo)
-        return np.sqrt(np.maximum(1.0 - x * x, 0.0))[:, None, None] \
-            * self.amplitudes
-
-    @staticmethod
-    def hilbert(x, log):    # past |x| = 4 its series in u = 1/x: no eps x^2
-        out, far = (1.0 - x * x) * log + 2.0 * x, np.abs(x) > 4.0
-        if far.any():       # the series only where it is taken
-            u, k = 1.0 / x[far], np.arange(12.0, 0, -1)
-            out[far] = u * np.polyval(4.0 / (4.0 * k * k - 1.0), u * u)
-        return out
+    _abc = (1.0, 0.0, -1.0)     # g g^T = (1 - x^2) a a^T
 
 
 class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
         ("grid", np.ndarray), ("values", np.ndarray)])):
-    """Amplitudes tabulated on the continuum grid, linear in between."""
+    """Amplitudes on their own nodes, interpolated as np.interp does."""
 
     __slots__ = ()      # grid: (M,), values: (M, N, C)
-    _pv_rule = lambda self, w, grid: lambda e, g: self.pv_shift(e, w, grid, g)
+    pv_shift = _Amplitudes.pv_shift
 
     def __new__(cls, grid, values):
         grid, values = np.asarray(grid, float), np.asarray(values, float)
@@ -104,26 +89,23 @@ class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
                         for i in range(flat.shape[1])], axis=1)
         return out.reshape((len(grid),) + self.values.shape[1:])
 
-    def pv_shift(self, energies, window, grid, g):
-        """On the grid: trapezoid outside, callable pv_integral rule inside."""
-        inside = (window[0] < energies) & (energies < window[1])
-        weights = (grid[1] - grid[0]) * np.r_[0.5, np.ones(len(grid) - 2), 0.5] \
-            / np.where(inside[:, None], 1, energies[:, None] - grid)
-        weights[inside], c_e, _ = _pv_weights(grid, energies[inside])
-        g_grid = self.on_grid(grid, window)
-        prod = g_grid @ g_grid.swapaxes(1, 2)
-        shift = np.array([np.tensordot(w, prod, axes=1) for w in weights])
-        shift[inside] += c_e[:, None, None] * (g @ g.swapaxes(1, 2))[inside]
-        return shift
+    def segments(self, window):
+        """Edges: the window's and the nodes inside it; g = p + q x on each
+        segment, so alpha, beta, gamma = p p^T, p q^T + q p^T, q q^T."""
+        (lo, hi), x = window, self.grid
+        edges = np.r_[lo, x[(lo < x) & (x < hi)], hi]
+        g = self.on_grid(edges, window)
+        p, q = 0.5 * (g[1:] + g[:-1]), 0.5 * (g[1:] - g[:-1])
+        pp, pq, qq = (u @ v.swapaxes(1, 2) for u, v in ((p, p), (p, q), (q, q)))
+        return edges, np.concatenate([pp, pq + pq.swapaxes(1, 2), qq])
 
 
 class OpenSystemModel(NamedTuple("OpenSystemModel", [
         ("e_b", np.ndarray), ("coupling", object), ("window", tuple),
         ("grid_size", int), ("v_direct", np.ndarray)])):
-    """Bound basis energies, direct interaction, channel coupling, window.
-
-    e_b (N,), a coupling profile, the window (E_lo, E_hi), the continuum
-    grid size and an optional real symmetric (N, N) v_direct."""
+    """Bound energies e_b (N,), a coupling profile, the window (E_lo, E_hi),
+    grid_size, whose grid step sets only how close to a threshold H_eff is
+    taken, and an optional real symmetric (N, N) direct interaction v_direct."""
 
     __slots__ = ()
 
@@ -157,13 +139,33 @@ class OpenSystemModel(NamedTuple("OpenSystemModel", [
 
     def h_bound(self):
         h = np.diag(self.e_b)
-        if self.v_direct is not None:
-            h = h + self.v_direct
-        return h
+        return h if self.v_direct is None else h + self.v_direct
 
 
 # ---------------------------------------------------------------------------
 # principal-value integration
+
+def _pv_kernel(energies, edges, abc):
+    """PV int f(E')/(E - E') dE' over the edges' span, (R, N, N), where f is
+    alpha + beta x + gamma x^2, x in [-1, 1], on each segment [a, b] and abc
+    stacks its J alphas, betas and gammas (3J, N, N).  A segment gives Q0
+    alpha + Q1 beta + Q2 gamma with y = (2E - a - b)/(b - a), Q0 = ln|(y +
+    1)/(y - 1)|, Q1 = y Q0 - 2 and Q2 = y Q1."""
+    a, b, e = edges[:-1], edges[1:], energies[:, None]
+    s = a + b       # less its rounding (TwoSum): y to ulps on short segments
+    d, w = 2.0 * e - s - ((a - (s - (s - a))) + (b - (s - a))), b - a
+    dist, y = np.minimum(np.abs(e - a), np.abs(e - b)), d / w
+    with np.errstate(divide="ignore"):  # |E-a| - |E-b| is d, clipped to w
+        q0 = np.sign(d) * np.where(dist > 0, np.log1p(  # on a node ln w: the
+            np.minimum(np.abs(d), w) / dist), np.log(w))  # ln|E-node| cancels
+    q2, far = y * (q1 := y * q0 - 2.0), np.abs(y) > 4.0
+    if far.any():       # past |y| = 4 Q2 from its series in u = 1/y: no eps y^2
+        u = 1.0 / y[far]
+        q2[far] = u * np.polyval(2.0 / np.arange(29.0, 2.0, -2.0), u * u)
+        q1[far] = u * q2[far]
+    q = np.concatenate((q0, q1, q2), 1)[:, None]  # rows apart: bits as if alone
+    return (q @ abc.reshape(len(abc), -1)).reshape((-1,) + abc.shape[1:])
+
 
 def pv_integral(f, grid, energy):
     """Principal value of int f(E') / (E - E') dE' over a uniform grid.
@@ -250,10 +252,12 @@ def assemble_heff(m, energy):
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN)))
 
 
-def _heff_consts(m):     # per solve: the grid step, h_bound(), the PV rule
-    grid, rule = m.grid, m.coupling._pv_rule
+def _heff_consts(m):     # per solve: the grid step, h_bound(), g g^T's segments
     with np.errstate(all="ignore"):     # a non-finite H_eff raises later
-        return grid[1] - grid[0], m.h_bound(), rule(m.window, grid)
+        grid, segments = m.grid, m.coupling.segments(m.window)
+    if not np.isfinite(h := grid[1] - grid[0]):     # hi - lo overflows
+        raise SelfConsistencyFailure(f"grid step of window {m.window} overflows")
+    return h, m.h_bound(), *segments
 
 
 def _heff_stack(m, energies, consts=None):
@@ -261,7 +265,7 @@ def _heff_stack(m, energies, consts=None):
     their own, the mask of those inside the window and g(E) (R, N, C), zero
     outside; linalg.invalid checks it, raising SelfConsistencyFailure."""
     lo, hi = m.window
-    h, h_b, pv_rule = consts or _heff_consts(m)
+    h, h_b, edges, abc = consts or _heff_consts(m)
     inside = (lo < energies) & (energies < hi)
     near = np.minimum(np.abs(energies - lo), np.abs(energies - hi)) < np.where(
         inside, 0.5, 1e-12) * h     # half a cell; a node outside
@@ -271,7 +275,7 @@ def _heff_stack(m, energies, consts=None):
     g = np.zeros((len(energies), m.n_states, m.n_channels))
     with np.errstate(all="ignore"):     # a non-finite H_eff raises below
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
-        heff = h_b + pv_rule(energies, g) / (2.0 * np.pi) \
+        heff = h_b + _pv_kernel(energies, edges, abc) / (2.0 * np.pi) \
             - 1j * (0.5 * g @ g.swapaxes(1, 2))
     bad = linalg.invalid(heff, linalg.COMPLEX_SYMMETRIC if inside.all() else
                          np.where(inside, linalg.COMPLEX_SYMMETRIC,
@@ -296,7 +300,7 @@ class ResonanceState(NamedTuple):
 
     @property
     def width(self):
-        return -2.0 * self.z.imag
+        return 0.0 - 2.0 * self.z.imag     # +0.0, not -0.0, when bound
 
 
 def solve_resonances(m):
@@ -317,7 +321,7 @@ def solve_resonances(m):
     One more round solves every state at its final energy, sorted.
     """
     lo, hi = m.window
-    h, h_b, _ = consts = _heff_consts(m)
+    h, h_b, *_ = consts = _heff_consts(m)
     n, tol = m.n_states, 1e-10 * np.abs([*m.e_b, lo, hi, 1.0]).max()
     energy, phi_ref = np.linalg.eigh(h_b)
     phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
@@ -466,12 +470,8 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
     gamma0 = widths.max(axis=1)
     order = gamma0 / n
 
-    deriv = np.diff(gamma0) / dal
-    if len(deriv) >= 2:
-        jumps = np.abs(np.diff(deriv))
-        alpha_cr = float(alphas[int(np.argmax(jumps)) + 1])
-    else:
-        alpha_cr = float(alphas[0])
+    jumps = np.abs(np.diff(np.diff(gamma0) / dal))  # of the first derivative
+    alpha_cr = float(alphas[int(np.argmax(jumps)) + 1 if len(jumps) else 0])
 
     top = alphas >= 0.5 * (alphas[0] + alphas[-1])
     if top.sum() < 2:

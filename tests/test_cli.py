@@ -375,6 +375,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "E = 0.0" in err
 
+    def test_huge_window_is_exit_3(self, tmp_path, capsys):
+        # a finite window whose width overflows: the grid step is not
+        # finite, a numerical failure with no warning and nothing written
+        doc = json.loads((DATA / "open_system.json").read_text())
+        model = write_model(tmp_path, "open_system", {
+            **doc["parameters"], "window": [-1e308, 1e308]})
+        assert run("heff", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "nhspec: numerical failure: grid step of window (-1e+308, "
+            "1e+308) overflows\n")
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_reversed_omega_plane_is_located(self, tmp_path):
         # (omega_im, omega_re) has no closed form: Newton alone finds the
         # EP omega = i (eps1 - eps2)/2 = 0.05 + 1i

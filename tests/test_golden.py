@@ -36,6 +36,7 @@ RUNS = (
     ("scatter", "bic_pair.json"),
     ("heff", "open_system.json"),
     ("sweep", "bad_missing_omega.json"),
+    ("heff", "open_system_tabulated.json"),
 )
 
 

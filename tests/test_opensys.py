@@ -1,3 +1,4 @@
+import bisect
 import json
 from pathlib import Path
 
@@ -352,8 +353,7 @@ class TestClosedFormShift:
         # where (1 - x^2) ln|(1 + x)/(1 - x)| + 2x cancels to eps x^2
         aat = self.amplitudes @ self.amplitudes.T
         energies = np.array(FAR + [39.9, 40.1, -40.1, 1e8])
-        got = profile(self.amplitudes).pv_shift(energies, (-10.0, 10.0),
-                                                None, None)
+        got = profile(self.amplitudes).pv_shift(energies, (-10.0, 10.0))
         for energy, shift in zip(energies, got):
             want = mp_transform(profile, energy, (-10.0, 10.0)) * aat
             assert np.abs(shift - want).max() <= 1e-13 * np.abs(want).max()
@@ -374,42 +374,78 @@ class TestClosedFormShift:
                                .matrix.entries).all()
 
 
+def mp_tabulated_shift(tab, energy, window):
+    """PV int g g^T/(E - E') dE' over the window for a tabulated coupling's
+    g, linear between its nodes and constant beyond them, in mpmath.  On
+    each piece [a, b] between breakpoints g = u + v t with t = E' - E, so
+    the piece is -int (u u^T/t + u v^T + v u^T + v v^T t) dt, taken exactly;
+    on a breakpoint its ln|t| = ln 0 cancels with the next piece's."""
+    with mp.workdps(30 + 2 * len(str(int(abs(energy))))):
+        lo, hi, e = (mp.mpf(v) for v in (*window, energy))
+        x = [mp.mpf(t) for t in tab.grid]
+        y = [mp.matrix(node.tolist()) for node in tab.values]
+
+        def g(t):
+            k = bisect.bisect_right(x, t) - 1
+            if k < 0 or k == len(x) - 1:
+                return y[max(k, 0)]
+            return y[k] + (t - x[k]) / (x[k + 1] - x[k]) * (y[k + 1] - y[k])
+
+        def log(t):
+            return mp.log(abs(t)) if t else 0
+
+        cuts = sorted({lo, hi, *[t for t in x if lo < t < hi]})
+        out = mp.matrix(tab.values.shape[1])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            v = (g(b) - g(a)) / (b - a)
+            u, ta, tb = g(a) + (e - a) * v, a - e, b - e
+            out -= u * u.T * (log(tb) - log(ta)) \
+                + (u * v.T + v * u.T) * (tb - ta) \
+                + v * v.T * (tb ** 2 - ta ** 2) / 2
+        return np.array(out.tolist(), float)
+
+
 class TestTabulatedShift:
+    # non-uniform nodes, two of them 5e-4 apart far from E = 0; the table
+    # runs past the lower threshold and stops short of the upper one,
+    # where g stays at its last node's value
     rng = np.random.default_rng(7)
+    nodes = np.sort(np.r_[rng.uniform(-13.0, 7.0, 10), -9.5, -9.4995])
     coupling = opensys.TabulatedCoupling(
-        grid=np.linspace(-10.0, 10.0, 37), values=rng.uniform(-1, 1, (37, 3, 2)))
-    model = opensys.OpenSystemModel(e_b=np.zeros(3), coupling=coupling,
+        grid=nodes, values=rng.uniform(-1, 1, (12, 2, 2)))
+    model = opensys.OpenSystemModel(e_b=np.zeros(2), coupling=coupling,
                                     window=(-10.0, 10.0), grid_size=201)
 
-    def f(self, x):
-        g = self.coupling.on_grid(np.atleast_1d(x), self.model.window)
-        prod = g @ g.swapaxes(1, 2)
-        return prod if np.ndim(x) else prod[0]
+    def energies(self, h):
+        inside = self.nodes[(-10.0 < self.nodes) & (self.nodes < 10.0)]
+        return [*inside, *(0.5 * (inside[1:] + inside[:-1])), inside[0]
+                + 1e-9, inside[-1] - 1e-12, 8.5, -10.0 + 0.51 * h,
+                10.0 - 0.51 * h, -10.0 - 1e-9, 10.0 + 1e-9, -10.3, 11.0,
+                40.0, -1e3, 1e4, 1e6, -1e6]
 
-    def test_shift_is_the_callable_rule(self):
-        # inside the window: pv_integral's rule for a callable, k . f(grid)
-        # + c_e f(E), with f(E) = g(E) g(E)^T exact, not interpolated from
-        # the grid; outside it the trapezoid rule; entry by entry
-        m, h = self.model, self.model.grid[1] - self.model.grid[0]
-        w = h * np.r_[0.5, np.ones(len(m.grid) - 2), 0.5]
-        for energy in [-9.94, -3.3, 0.0, 0.05, 0.05 + 1e-9, 2.718, 9.94,
-                       -10.5, 12.0, 1e3]:
-            g_e = np.zeros((1, 3, 2))
-            if m.window[0] < energy < m.window[1]:
-                want = opensys.pv_integral(self.f, m.grid, energy)
-                g_e = self.coupling.on_grid(np.array([energy]), m.window)
-            else:
-                want = np.tensordot(w / (energy - m.grid), self.f(m.grid), 1)
-            got = self.coupling.pv_shift(np.array([energy]), m.window,
-                                         m.grid, g_e)
-            assert np.array_equal(got[0], want), energy
-            heff = opensys.assemble_heff(m, energy).matrix.entries.real
-            assert np.abs(heff * (2.0 * np.pi) - want).max() \
-                <= 1e-14 * np.abs(want).max(), energy
+    def test_against_mpmath(self):
+        # e_b = 0: the real part of H_eff is the shift over 2 pi alone; on,
+        # next to and between the nodes, the last of them the table's end
+        # inside the window, next to each threshold on both sides, and out
+        # to 1e6
+        m = self.model
+        for energy in self.energies(m.grid[1] - m.grid[0]):
+            got = opensys.assemble_heff(m, energy).matrix.entries.real
+            want = mp_tabulated_shift(self.coupling, energy, m.window)
+            assert np.abs(got * (2.0 * np.pi) - want).max() \
+                <= 1e-13 * np.abs(want).max(), energy
+
+    def test_grid_size_sets_no_bit(self):
+        # away from the thresholds the grid size changes nothing
+        a, b = (self.model._replace(grid_size=n) for n in (201, 2001))
+        for energy in self.energies(0.1):
+            assert np.array_equal(
+                opensys.assemble_heff(a, energy).matrix.entries,
+                opensys.assemble_heff(b, energy).matrix.entries)
 
     def test_semicircle_tabulated_on_the_grid(self):
         # a semicircle tabulated on the continuum grid is the closed form up
-        # to the quadrature and interpolation error of the grid
+        # to the error of its linear interpolation
         amplitudes = np.array([[0.3], [-0.2]])
         m = opensys.OpenSystemModel(
             e_b=np.zeros(2), coupling=opensys.SemicircleCoupling(amplitudes),
@@ -423,36 +459,26 @@ class TestTabulatedShift:
 
 
 class TestGridOnlyForTabulated:
-    def count_pv_weights(self, monkeypatch):
-        calls, pv = [], opensys._pv_weights
-        monkeypatch.setattr(opensys, "_pv_weights",
-                            lambda *a: calls.append(len(a[1])) or pv(*a))
-        return calls
-
-    @pytest.mark.parametrize("profile", PROFILES)
+    # no profile takes the continuum grid: its step sets only the
+    # threshold exclusion and the solver's clamp
+    @pytest.mark.parametrize("profile", PROFILES + [opensys.TabulatedCoupling])
     def test_analytic_profiles_take_no_grid(self, monkeypatch, profile):
         # no PV weights and no profile evaluated on the continuum grid
-        calls = self.count_pv_weights(monkeypatch)
-        sizes, on_grid = [], profile.on_grid
+        monkeypatch.setattr(opensys, "_pv_weights",
+                            lambda *a: pytest.fail("_pv_weights called"))
+        seen, on_grid = [], profile.on_grid
         monkeypatch.setattr(profile, "on_grid", lambda self, grid, window:
-                            sizes.append(len(grid)) or on_grid(self, grid,
-                                                               window))
-        m = opensys.OpenSystemModel(
-            e_b=[-0.5, 0.5, 3.0], coupling=profile([[0.3], [0.2], [0.4]]),
-            window=(-10.0, 10.0), grid_size=2001)
+                            seen.append(grid) or on_grid(self, grid, window))
+        coupling = profile([[0.3], [0.2], [0.4]]) if profile in PROFILES \
+            else opensys.TabulatedCoupling(grid=[-12.0, -1.0, 0.5, 4.0],
+                                           values=np.full((4, 3, 1), 0.3))
+        m = opensys.OpenSystemModel(e_b=[-0.5, 0.5, 3.0], coupling=coupling,
+                                    window=(-10.0, 10.0), grid_size=2001)
         states = opensys.solve_resonances(m)
         assert all(s.converged for s in states)
         for energy in (0.3, 15.0):
             opensys.assemble_heff(m, energy)
-        assert calls == [] and max(sizes) <= m.n_states
-
-    def test_tabulated_takes_the_grid(self, monkeypatch):
-        calls = self.count_pv_weights(monkeypatch)
-        m = TestTabulatedShift.model
-        states = opensys.solve_resonances(m)
-        assert len(calls) == max(s.iterations for s in states) + 1
-        opensys.assemble_heff(m, 0.3)
-        assert calls[-1] == 1
+        assert seen and max(len(grid) for grid in seen) <= 5
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +608,18 @@ class TestSolveResonances:
         assert states[0].z.imag == 0.0
         assert states[1].width > 0.0
 
+    def test_bound_state_width_is_plus_zero(self):
+        # outside the window z.imag is +0.0: its width is +0.0, not -0.0;
+        # the width of a resonance is -2 Im z to the bit
+        m = opensys.OpenSystemModel(
+            e_b=[-20.0, 0.0], coupling=opensys.SemicircleCoupling([[0.1],
+                                                                   [0.1]]),
+            window=(-10.0, 10.0), grid_size=401)
+        bound, resonance = sorted(opensys.solve_resonances(m),
+                                  key=lambda s: s.z.real)
+        assert bound.width == 0.0 and not np.signbit(bound.width)
+        assert resonance.width.hex() == (-2.0 * resonance.z.imag).hex()
+
 
 def _scalar_pv_weights(grid, energy):
     """The PV weights (k, c_e, v) of a single energy in scalar arithmetic:
@@ -628,7 +666,7 @@ def _scalar_heff(m, energy):
     if lo < energy < hi:
         g_e = m.coupling.on_grid(e, m.window)
         hint = linalg.COMPLEX_SYMMETRIC
-    shift = m.coupling.pv_shift(e, m.window, m.grid, g_e)[0] / (2.0 * np.pi)
+    shift = m.coupling.pv_shift(e, m.window)[0] / (2.0 * np.pi)
     width = 0.5 * g_e[0] @ g_e[0].T
     return linalg.ComplexMatrix(m.h_bound() + shift - 1j * width, hint)
 
@@ -708,22 +746,30 @@ def same_state(a, b):
 
 @st.composite
 def open_models(draw):
-    """Models with N <= 8 states and C <= 3 channels, constant or
-    semicircle couplings over four decades, bound energies inside and
-    outside the window (-10, 10), with and without a direct interaction."""
+    """Models with N <= 8 states and C <= 3 channels, constant, semicircle
+    or tabulated couplings over four decades, bound energies inside and
+    outside the window (-10, 10), with and without a direct interaction.
+    A tabulation has 1 to 12 nodes drawn on (-14, 14), some outside the
+    window."""
     n, c = draw(st.integers(1, 8)), draw(st.integers(1, 3))
     e_b = draw(st.lists(st.floats(-14.0, 14.0), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    amplitudes = rng.uniform(-1.0, 1.0, (n, c)) * 10.0 ** draw(
-        st.floats(-3.0, 0.5))
+    scale = 10.0 ** draw(st.floats(-3.0, 0.5))
     profile = draw(st.sampled_from([opensys.ConstantCoupling,
-                                    opensys.SemicircleCoupling]))
+                                    opensys.SemicircleCoupling,
+                                    opensys.TabulatedCoupling]))
+    if profile is opensys.TabulatedCoupling:
+        nodes = np.unique(rng.uniform(-14.0, 14.0, draw(st.integers(1, 12))))
+        coupling = profile(grid=nodes, values=rng.uniform(
+            -1.0, 1.0, (len(nodes), n, c)) * scale)
+    else:
+        coupling = profile(rng.uniform(-1.0, 1.0, (n, c)) * scale)
     v_direct = None
     if draw(st.booleans()):
         v = rng.uniform(-0.5, 0.5, (n, n))
         v_direct = v + v.T
     return opensys.OpenSystemModel(
-        e_b=e_b, coupling=profile(amplitudes), window=(-10.0, 10.0),
+        e_b=e_b, coupling=coupling, window=(-10.0, 10.0),
         grid_size=2 * draw(st.integers(10, 200)) + 1, v_direct=v_direct)
 
 
