@@ -27,8 +27,7 @@ class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
     __slots__ = ()
 
     def __new__(cls, amplitudes):
-        amplitudes = np.atleast_2d(np.asarray(amplitudes, float))
-        return super().__new__(cls, amplitudes)
+        return super().__new__(cls, np.atleast_2d(np.asarray(amplitudes, float)))
 
     @property
     def n_channels(self):
@@ -47,7 +46,7 @@ class _Amplitudes(NamedTuple("_Amplitudes", [("amplitudes", np.ndarray)])):
 
     def pv_shift(self, energies, window):
         """PV int g g^T/(E - E') dE' over the window, (R, N, N)."""
-        return _pv_kernel(energies, *self.segments(window))
+        return _pv_kernel(*self.segments(window))(energies)[0]
 
 
 class ConstantCoupling(_Amplitudes):
@@ -84,9 +83,8 @@ class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
         return self.values.shape[2]
 
     def on_grid(self, grid, window):
-        flat = self.values.reshape(len(self.grid), -1)
-        out = np.stack([np.interp(grid, self.grid, flat[:, i])
-                        for i in range(flat.shape[1])], axis=1)
+        out = np.stack([np.interp(grid, self.grid, col) for col in
+                        self.values.reshape(len(self.grid), -1).T], axis=1)
         return out.reshape((len(grid),) + self.values.shape[1:])
 
     def segments(self, window):
@@ -120,6 +118,8 @@ class OpenSystemModel(NamedTuple("OpenSystemModel", [
             v_direct = np.asarray(v_direct, float)
             if v_direct.shape != (len(e_b), len(e_b)):
                 raise ValueError("v_direct must be N x N")
+        if coupling[-1].shape[-2] != len(e_b):  # (N, C) or (M, N, C) values
+            raise ValueError("coupling must have one row per entry of e_b")
         m = super().__new__(cls, e_b, coupling, window, grid_size, v_direct)
         if linalg.invalid(m.h_bound(), linalg.HERMITIAN):
             raise ValueError("diag(e_b) + v_direct must be finite and symmetric")
@@ -145,26 +145,37 @@ class OpenSystemModel(NamedTuple("OpenSystemModel", [
 # ---------------------------------------------------------------------------
 # principal-value integration
 
-def _pv_kernel(energies, edges, abc):
-    """PV int f(E')/(E - E') dE' over the edges' span, (R, N, N), where f is
-    alpha + beta x + gamma x^2, x in [-1, 1], on each segment [a, b] and abc
-    stacks its J alphas, betas and gammas (3J, N, N).  A segment gives Q0
+def _pv_kernel(edges, abc):
+    """E -> PV int f(E')/(E - E') dE' over the edges' span, (R, N, N), where f
+    is alpha + beta x + gamma x^2, x in [-1, 1], on each segment [a, b] and
+    abc stacks its J alphas, betas and gammas (3J, N, N).  A segment gives Q0
     alpha + Q1 beta + Q2 gamma with y = (2E - a - b)/(b - a), Q0 = ln|(y +
-    1)/(y - 1)|, Q1 = y Q0 - 2 and Q2 = y Q1."""
-    a, b, e = edges[:-1], edges[1:], energies[:, None]
-    s = a + b       # less its rounding (TwoSum): y to ulps on short segments
-    d, w = 2.0 * e - s - ((a - (s - (s - a))) + (b - (s - a))), b - a
-    dist, y = np.minimum(np.abs(e - a), np.abs(e - b)), d / w
-    with np.errstate(divide="ignore"):  # |E-a| - |E-b| is d, clipped to w
-        q0 = np.sign(d) * np.where(dist > 0, np.log1p(  # on a node ln w: the
-            np.minimum(np.abs(d), w) / dist), np.log(w))  # ln|E-node| cancels
-    q2, far = y * (q1 := y * q0 - 2.0), np.abs(y) > 4.0
-    if far.any():       # past |y| = 4 Q2 from its series in u = 1/y: no eps y^2
-        u = 1.0 / y[far]
-        q2[far] = u * np.polyval(2.0 / np.arange(29.0, 2.0, -2.0), u * u)
-        q1[far] = u * q2[far]
-    q = np.concatenate((q0, q1, q2), 1)[:, None]  # rows apart: bits as if alone
-    return (q @ abc.reshape(len(abc), -1)).reshape((-1,) + abc.shape[1:])
+    1)/(y - 1)|, Q1 = y Q0 - 2, Q2 = y Q1.  Also (2R, N, N) E-derivatives:
+    its own, Q0' = (b - a)/((E - a)(b - E)) (poles that cancel at a node, inf
+    on it), Q1' = y' Q0 + y Q0', Q2' = y' Q1 + y Q1', y' = 2/(b - a), and f's,
+    (beta + 2 gamma y) y' on the segment holding E, zero outside."""
+    a, b, flat = edges[:-1], edges[1:], abc.reshape(len(abc), -1)
+    s, w = a + b, b - a     # t: the rounding of s (TwoSum)
+    t, log_w, k = (a - (s - (s - a))) + (b - (s - a)), np.log(w), 2.0 / w
+
+    def kernel(energies):
+        d = 2.0 * (e := energies[:, None]) - s - t  # y to ulps, short or not
+        dist, y = np.minimum(np.abs(e - a), np.abs(e - b)), d / w
+        with np.errstate(all="ignore"):     # |E-a| - |E-b| is d, clipped to w
+            q0 = np.sign(d) * np.where(dist > 0, np.log1p(  # on a node ln w:
+                np.minimum(np.abs(d), w) / dist), log_w)  # ln|E-node| cancels
+            q2, far = y * (q1 := y * q0 - 2.0), np.abs(y) > 4.0
+            if far.any():   # past |y| = 4 Q2 from its series in 1/y: no eps y^2
+                u = 1.0 / y[far]
+                q2[far] = u * np.polyval(2.0 / np.arange(29.0, 2.0, -2.0), u * u)
+                q1[far] = u * q2[far]
+            dq0, on = w / (e - a) / (b - e), k * ((a < e) & (e < b))
+            dq = np.concatenate((dq0, dq1 := k * q0 + y * dq0, k * q1 + y
+                                 * dq1, 0.0 * on, on, 2.0 * y * on), 1)
+            q = np.concatenate((q0, q1, q2), 1)[:, None]  # rows apart: bits
+            return [(c @ flat).reshape((-1,) + abc.shape[1:])  # as if alone
+                    for c in (q, dq.reshape(len(e), 2, -1))]
+    return kernel
 
 
 def pv_integral(f, grid, energy):
@@ -247,25 +258,25 @@ def assemble_heff(m, energy):
     coupling's pv_shift; Im part: -(1/2) sum_c g_i(E) g_j(E) inside the window,
     zero outside: complex symmetric (Hermitian outside the window).
     """
-    (heff,), (inside,), _ = _heff_stack(m, np.array([energy], float))
+    (heff,), (inside,), *_ = _heff_stack(m, np.array([energy], float))
     return EffectiveHamiltonian(linalg.ComplexMatrix._make((   # checked above
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN)))
 
 
-def _heff_consts(m):     # per solve: the grid step, h_bound(), g g^T's segments
+def _heff_consts(m):     # per solve: the grid step, h_bound(), the PV kernel
     with np.errstate(all="ignore"):     # a non-finite H_eff raises later
-        grid, segments = m.grid, m.coupling.segments(m.window)
+        grid, kernel = m.grid, _pv_kernel(*m.coupling.segments(m.window))
     if not np.isfinite(h := grid[1] - grid[0]):     # hi - lo overflows
         raise SelfConsistencyFailure(f"grid step of window {m.window} overflows")
-    return h, m.h_bound(), *segments
+    return h, m.h_bound(), kernel
 
 
 def _heff_stack(m, energies, consts=None):
     """(R, N, N) H_eff at real energies, the terms of _heff_consts(m) plus
-    their own, the mask of those inside the window and g(E) (R, N, C), zero
-    outside; linalg.invalid checks it, raising SelfConsistencyFailure."""
+    their own, the mask of those inside the window, g(E) (R, N, C), zero
+    outside, and H_eff'; linalg.invalid checks H_eff (SelfConsistencyFailure)."""
     lo, hi = m.window
-    h, h_b, edges, abc = consts or _heff_consts(m)
+    h, h_b, kernel = consts or _heff_consts(m)
     inside = (lo < energies) & (energies < hi)
     near = np.minimum(np.abs(energies - lo), np.abs(energies - hi)) < np.where(
         inside, 0.5, 1e-12) * h     # half a cell; a node outside
@@ -275,15 +286,15 @@ def _heff_stack(m, energies, consts=None):
     g = np.zeros((len(energies), m.n_states, m.n_channels))
     with np.errstate(all="ignore"):     # a non-finite H_eff raises below
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
-        heff = h_b + _pv_kernel(energies, edges, abc) / (2.0 * np.pi) \
-            - 1j * (0.5 * g @ g.swapaxes(1, 2))
+        shift, dq = kernel(energies)
+        heff = h_b + shift / (2.0 * np.pi) - 1j * (0.5 * g @ g.swapaxes(1, 2))
     bad = linalg.invalid(heff, linalg.COMPLEX_SYMMETRIC if inside.all() else
                          np.where(inside, linalg.COMPLEX_SYMMETRIC,
                                   linalg.HERMITIAN))
     if bad.any():
         raise SelfConsistencyFailure("H_eff is not finite or not symmetric at "
                                      f"E = {energies[bad].tolist()[0]!r}")
-    return heff, inside, g
+    return heff, inside, g, dq[::2] / (2.0 * np.pi) - 0.5j * dq[1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +317,12 @@ class ResonanceState(NamedTuple):
 def solve_resonances(m):
     """Solve (H_eff(E) - z) phi = 0 self-consistently in the real energy.
 
-    Secant steps on F(E) = Re z_k(E) - E per state, with the state
-    tracked across iterations by eigenvector overlap.  The first step,
-    and any whose secant is undefined, non-finite or would cross a
-    threshold (a kink of H_eff), is the damped E <- (E + Re z_k(E))/2.
+    Newton steps E <- E - F/F' on F(E) = Re z_k(E) - E per state, the state
+    tracked by eigenvector overlap, F' = Re(phi^T H_eff' phi / phi^T phi) - 1
+    (Hellmann-Feynman, H_eff complex symmetric).  Where the step is not
+    finite, would cross a threshold (a kink of H_eff) or is longer than both
+    2|F| and the last round's Newton step, or where |F| did not fall from the
+    last round, the step is the damped E <- (E + Re z_k(E))/2.
     Stops at a step below 1e-10 * scale, else unconverged after 200.
     States whose self-consistent energy falls outside the window come
     out with zero width and ordinary orthonormal vectors.
@@ -325,25 +338,28 @@ def solve_resonances(m):
     n, tol = m.n_states, 1e-10 * np.abs([*m.e_b, lo, hi, 1.0]).max()
     energy, phi_ref = np.linalg.eigh(h_b)
     phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
-    e_prev, f_prev = np.full((2, n), np.nan)    # no previous iterate: damped
+    f_last, n_last = np.full(n, np.inf), np.zeros(n)    # |F|, Newton's step
     resid, iterations = np.full(n, np.inf), np.zeros(n, int)
     act, edges = np.arange(n), np.array([[lo], [hi]])   # unconverged states
     for it in range(1, 201):
         e = _clamp_energy(energy[act], lo, hi, h)
-        heff, inside, _ = _heff_stack(m, e, consts)
-        z, phi_ref[act] = _follow(phi_ref[act], *linalg.eig_stack(heff, ~inside))
-        f = z.real - e
-        with np.errstate(all="ignore"):     # not finite where f == f_prev
-            sec = e - f * (e - e_prev[act]) / (f - f_prev[act])
-        side = ((sec - edges) * (e - edges) > 0).all(0)    # no threshold crossed
-        new_e = np.where(np.isfinite(sec) & side, sec, 0.5 * e + 0.5 * z.real)
-        e_prev[act], f_prev[act], energy[act], iterations[act] = e, f, new_e, it
+        heff, inside, _, dheff = _heff_stack(m, e, consts)
+        z, u = _follow(phi_ref[act], *linalg.eig_stack(heff, ~inside))
+        f, v, col = z.real - e, u[:, None], u[..., None]
+        with np.errstate(all="ignore"):     # not finite on a node or an EP
+            new_e = e - f / ((v @ dheff @ col / (v @ col))[:, 0, 0].real - 1.0)
+            newton = np.isfinite(new_e) & (np.abs(f) < f_last[act]) & (
+                (new_e - edges) * (e - edges) > 0).all(0)
+            newton &= np.abs(new_e - e) <= np.fmax(2.0 * np.abs(f), n_last[act])
+        phi_ref[act], f_last[act], n_last[act], iterations[act] = \
+            u, np.abs(f), np.abs(new_e - e), it
+        energy[act] = new_e = np.where(newton, new_e, 0.5 * e + 0.5 * z.real)
         resid[act] = step = np.abs(new_e - e)
         act = act[~(step < tol)]
         if not len(act):
             break
     energy = _clamp_energy(energy, lo, hi, h)
-    heff, inside, g = _heff_stack(m, energy, consts)
+    heff, inside, g, _ = _heff_stack(m, energy, consts)
     z, phis = _follow(phi_ref, *linalg.sort_pairs(*linalg.eig_stack(heff,
                                                                      ~inside)))
     phis[inside] = linalg.c_columns(phis[inside].T)[0].T
@@ -366,8 +382,7 @@ def _follow(phi_ref, w, u):
     return w[rows, idx], u[rows, :, idx]
 
 
-def _clamp_energy(energy, lo, hi, h):
-    """Keep the iterates clear of the half-cell exclusion at the thresholds."""
+def _clamp_energy(energy, lo, hi, h):   # clear of the half-cell exclusion
     return np.where((lo < energy) & (energy < hi), np.minimum(np.maximum(
         energy, lo + 0.51 * h), hi - 0.51 * h), energy)
 

@@ -250,6 +250,23 @@ class TestHeffCommand:
             "+ v_direct must be finite and symmetric\n"
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("fixture,e_b", [
+        ("open_system_tabulated.json", [-2.5, 0.8]),
+        ("open_system.json", [-0.5, 0.5, 1.5])])
+    def test_coupling_rows_checked_against_e_b(self, tmp_path, capsys,
+                                               fixture, e_b):
+        # a coupling with another number of rows than e_b is an input error
+        # naming the field, raised with the model, not in the first round
+        doc = json.loads((DATA / fixture).read_text())
+        doc["parameters"]["e_b"] = e_b
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run("heff", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "nhspec: input error: coupling " \
+            "must have one row per entry of e_b\n"
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_unconverged_state_is_numerical_failure(self, tmp_path,
                                                      monkeypatch, capsys):
         solve = opensys.solve_resonances

@@ -458,6 +458,75 @@ class TestTabulatedShift:
             assert np.abs(a - b).max() <= 1e-5 * np.abs(a).max(), energy
 
 
+def five_point(m, energy, delta):
+    """Central difference of H_eff at one energy from _heff_stack, on the
+    five-point stencil E +- delta, E +- 2 delta."""
+    h = opensys._heff_stack(m, energy + delta * np.array([-2.0, -1.0, 1.0,
+                                                          2.0]))[0]
+    return (8.0 * (h[2] - h[1]) - (h[3] - h[0])) / (12.0 * delta)
+
+
+class TestHeffDerivative:
+    # H_eff'(E) from the kernel against a central difference of H_eff, for
+    # every profile, inside and outside the window, with and without
+    # v_direct; for the table also within 1e-6 of each interior node, where
+    # the shift has a kink and the PV poles of the two segments cancel
+    rng = np.random.default_rng(5)
+    nodes = np.array([-12.0, -6.5, -1.0, 0.4, 3.3, 8.0])
+    couplings = [opensys.ConstantCoupling(rng.uniform(-0.6, 0.6, (3, 2))),
+                 opensys.SemicircleCoupling(rng.uniform(-0.6, 0.6, (3, 2))),
+                 opensys.TabulatedCoupling(grid=nodes, values=rng.uniform(
+                     -0.6, 0.6, (6, 3, 2)))]
+    v_direct = np.array([[0.0, 0.2, -0.1], [0.2, 0.0, 0.3], [-0.1, 0.3, 0.0]])
+
+    def model(self, coupling, direct):
+        return opensys.OpenSystemModel(
+            e_b=[-0.5, 0.2, 1.1], coupling=coupling, window=(-10.0, 10.0),
+            grid_size=401, v_direct=self.v_direct if direct else None)
+
+    @pytest.mark.parametrize("coupling", range(3))
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("energy", [-7.3, 0.7, 9.2, -13.0, 11.5, 40.0])
+    def test_against_central_difference(self, coupling, direct, energy):
+        m = self.model(self.couplings[coupling], direct)
+        got = opensys._heff_stack(m, np.array([energy]))[3][0]
+        want = five_point(m, energy, 1e-4)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("direct", [False, True])
+    @pytest.mark.parametrize("side", [-1e-6, 1e-6])
+    def test_beside_a_node(self, direct, side):
+        m = self.model(self.couplings[2], direct)
+        for node in self.nodes[1:-1]:
+            got = opensys._heff_stack(m, np.array([node + side]))[3][0]
+            want = five_point(m, node + side, 3e-8)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_on_a_node_not_finite(self):
+        # exactly on a node the derivative is not finite: the solver takes
+        # the damped step there
+        m = self.model(self.couplings[2], False)
+        assert not np.isfinite(opensys._heff_stack(
+            m, self.nodes[1:-1])[3]).all(axis=(1, 2)).any()
+
+    @pytest.mark.parametrize("name", ["standard", "strong"])
+    def test_eigenvalue_derivative(self, name):
+        # dz/dE = phi^T H_eff' phi / phi^T phi (Hellmann-Feynman for complex
+        # symmetric H_eff) against a central difference of the eigenvalue
+        # followed to the nearest one at E +- delta
+        m, delta = named_model(name), 1e-5
+        for energy in [*m.e_b, 0.3, -4.0, 12.0]:
+            heff, _, _, dheff = opensys._heff_stack(m, np.array([energy]))
+            w, u = np.linalg.eig(heff[0])
+            lo, hi = (np.linalg.eigvals(opensys.assemble_heff(
+                m, energy + x).matrix.entries) for x in (-delta, delta))
+            for z, phi in zip(w, u.T):
+                fd = (hi[np.argmin(np.abs(hi - z))]
+                      - lo[np.argmin(np.abs(lo - z))]) / (2.0 * delta)
+                dz = phi @ dheff[0] @ phi / (phi @ phi)
+                assert abs(dz - fd) <= 1e-6 * abs(fd), (energy, z)
+
+
 class TestGridOnlyForTabulated:
     # no profile takes the continuum grid: its step sets only the
     # threshold exclusion and the solver's clamp
@@ -681,9 +750,10 @@ def _scalar_clamp(energy, lo, hi, h):
 
 def per_state_resonances(m):
     """solve_resonances one state at a time: each state iterates alone,
-    with one H_eff and one eigensolve per step, then one more eigensolve
-    at its final energy, where the state's vector is picked by overlap and
-    then c-normalized alone."""
+    with one H_eff, its E-derivative and one eigensolve per step, picked on
+    LAPACK's own unit vectors, and the same guarded Newton step, then one
+    more eigensolve at its final energy, where the state's vector is picked
+    by overlap and then c-normalized alone."""
     lo, hi = m.window
     h = m.grid[1] - m.grid[0]
     scale = max(np.abs(m.e_b).max(), abs(lo), abs(hi), 1.0)
@@ -692,22 +762,29 @@ def per_state_resonances(m):
     for k in range(m.n_states):
         energy = float(eb_vals[k])
         phi_ref = eb_vecs[:, k].astype(complex)
-        converged, it, resid = False, 0, np.inf
-        e_prev = f_prev = np.nan
+        converged, it, resid, f_last, n_last = False, 0, np.inf, np.inf, 0.0
         for it in range(1, 201):
             energy = _scalar_clamp(energy, lo, hi, h)
-            w, u = linalg.eig_pairs(_scalar_heff(m, energy))
+            heff = _scalar_heff(m, energy)
+            (w,), (u,) = linalg.eig_stack(heff.entries[None], np.array(
+                [heff.symmetry_hint == linalg.HERMITIAN]))
             idx = int(np.argmax(np.abs(phi_ref.conj() @ u)))
-            z, phi_ref = w[idx], u[:, idx]
+            z, phi_ref = w[idx], u[:, idx].copy()
             f = z.real - energy
             new_e = 0.5 * energy + 0.5 * z.real
-            if f != f_prev:
-                with np.errstate(all="ignore"):
-                    sec = energy - f * (energy - e_prev) / (f - f_prev)
-                if np.isfinite(sec) and (sec - lo) * (energy - lo) > 0 \
-                        and (sec - hi) * (energy - hi) > 0:
-                    new_e = sec
-            e_prev, f_prev = energy, f
+            # H_eff'(E) alone; phi^T H_eff' phi / phi^T phi as one (1, N) row
+            dheff = opensys._heff_stack(m, np.array([energy]))[3]
+            row = phi_ref[None]
+            with np.errstate(all="ignore"):
+                dz = (row[:, None] @ dheff @ row[..., None]) \
+                    / (row[:, None] @ row[..., None])
+                newton = energy - f / (dz[0, 0, 0].real - 1.0)
+            if np.isfinite(newton) \
+                    and abs(newton - energy) <= max(2.0 * abs(f), n_last) \
+                    and (newton - lo) * (energy - lo) > 0 \
+                    and (newton - hi) * (energy - hi) > 0 and abs(f) < f_last:
+                new_e = newton
+            f_last, n_last = abs(f), abs(newton - energy)
             resid = abs(new_e - energy)
             energy = new_e
             if resid < 1e-10 * scale:
@@ -742,6 +819,36 @@ def same_state(a, b):
                 (s.converged, s.iterations),
                 [(x.dtype, x.shape, x.tobytes()) for x in (s.phi, s.gamma_c)])
     return fields(a) == fields(b)
+
+
+NAMED_MODELS = {
+    "fixture": lambda: cli._build_open_system(json.loads(
+        (DATA / "open_system.json").read_text())["parameters"]),
+    "standard": standard_model,
+    "strong": lambda: opensys.OpenSystemModel(
+        e_b=[-0.5, 0.5, 9.5], coupling=opensys.ConstantCoupling(
+            [[1.0, 0.6], [0.8, -0.9], [0.7, 1.2]]),
+        window=(-10.0, 10.0), grid_size=2001),
+    "outside": lambda: opensys.OpenSystemModel(
+        e_b=[-20.0, 0.0], coupling=opensys.ConstantCoupling([[0.1], [0.1]]),
+        window=(-10.0, 10.0), grid_size=401),
+    "continuum": lambda: continuum_model(np.random.default_rng(901)),
+    # a strong pair low in the window, where Newton steps need the guard
+    "guard": lambda: opensys.OpenSystemModel(
+        e_b=[-7.35, -7.1], coupling=opensys.ConstantCoupling([[-1.5], [1.43]]),
+        window=(-10.0, 10.0), grid_size=2001)}
+
+
+def continuum_model(rng):
+    """perfbench's continuum shape: 10 states, 2 channels, a semicircle."""
+    return opensys.OpenSystemModel(
+        e_b=np.sort(rng.uniform(-8.0, 8.0, 10)),
+        coupling=opensys.SemicircleCoupling(rng.uniform(0.1, 0.5, (10, 2))),
+        window=(-10.0, 10.0), grid_size=2001)
+
+
+def named_model(name):
+    return NAMED_MODELS[name]()
 
 
 @st.composite
@@ -788,30 +895,39 @@ class TestRoundsAgainstPerState:
         for a, b in zip(got, want):
             assert same_state(a, b), (a, b)
 
-    @pytest.mark.parametrize("name", ["fixture", "standard", "strong",
-                                      "outside", "continuum"])
+    @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
     def test_named_models(self, name):
-        rng = np.random.default_rng(901)    # continuum: perfbench's shape
-        models = {
-            "fixture": cli._build_open_system(json.loads(
-                (DATA / "open_system.json").read_text())["parameters"]),
-            "standard": standard_model(),
-            "strong": opensys.OpenSystemModel(
-                e_b=[-0.5, 0.5, 9.5], coupling=opensys.ConstantCoupling(
-                    [[1.0, 0.6], [0.8, -0.9], [0.7, 1.2]]),
-                window=(-10.0, 10.0), grid_size=2001),
-            "outside": opensys.OpenSystemModel(
-                e_b=[-20.0, 0.0],
-                coupling=opensys.ConstantCoupling([[0.1], [0.1]]),
-                window=(-10.0, 10.0), grid_size=401),
-            "continuum": opensys.OpenSystemModel(
-                e_b=np.sort(rng.uniform(-8.0, 8.0, 10)),
-                coupling=opensys.SemicircleCoupling(
-                    rng.uniform(0.1, 0.5, (10, 2))),
-                window=(-10.0, 10.0), grid_size=2001)}
-        m = models[name]
+        m = named_model(name)
         for a, b in zip(opensys.solve_resonances(m), per_state_resonances(m)):
             assert same_state(a, b)
+
+    def test_guard_model_converges(self):
+        # Newton steps guarded only against crossing a threshold do not
+        # converge on its lower state within 200 rounds, and the secant took
+        # 58; the guarded step takes 8
+        states = opensys.solve_resonances(named_model("guard"))
+        assert all(s.converged for s in states)
+        assert max(s.iterations for s in states) <= 20
+
+
+class TestSelfConsistency:
+    @settings(max_examples=80)
+    @given(open_models())
+    def test_converged_states_are_fixed_points(self, m):
+        # re-evaluated through assemble_heff, every converged state gives
+        # back its z, with Re z(E) = E
+        try:
+            states = opensys.solve_resonances(m)
+        except NhspecError:
+            return
+        scale = max(np.abs(m.e_b).max(), 10.0)
+        for s in states:
+            if s.converged:
+                w = np.linalg.eigvals(opensys.assemble_heff(
+                    m, s.energy).matrix.entries)
+                z = w[np.argmin(np.abs(w - s.z))]
+                assert abs(z - s.z) <= 1e-9 * scale, s
+                assert abs(z.real - s.energy) <= 1e-9 * scale, s
 
 
 class TestNonFiniteHeff:
