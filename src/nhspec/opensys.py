@@ -2,8 +2,10 @@
 
 The real part of the coupling correction is a principal-value integral
 over the window [E_lo, E_hi], in closed form for every coupling profile:
-g g^T is a quadratic on each segment of the window.  The imaginary part
-is the residuum -1/2 sum_c g_i^c g_j^c inside the window, zero outside.
+g g^T is a quadratic on each segment of the window.  pv_integral takes
+the same closed form for the linear interpolant of a sampled function.
+The imaginary part is the residuum -1/2 sum_c g_i^c g_j^c inside the
+window, zero outside.
 Includes the self-consistent resonance solver, mixing coefficients over
 reference bases, the interior-wavefunction phase rigidity, and the
 width-bifurcation toy model H0 - i alpha V V^T.
@@ -146,14 +148,15 @@ class OpenSystemModel(NamedTuple("OpenSystemModel", [
 # principal-value integration
 
 def _pv_kernel(edges, abc):
-    """E -> PV int f(E')/(E - E') dE' over the edges' span, (R, N, N), where f
+    """E -> PV int f(E')/(E - E') dE' over the edges' span, (R, ...), where f
     is alpha + beta x + gamma x^2, x in [-1, 1], on each segment [a, b] and
-    abc stacks its J alphas, betas and gammas (3J, N, N).  A segment gives Q0
-    alpha + Q1 beta + Q2 gamma with y = (2E - a - b)/(b - a), Q0 = ln|(y +
-    1)/(y - 1)|, Q1 = y Q0 - 2, Q2 = y Q1.  Also (2R, N, N) E-derivatives:
-    its own, Q0' = (b - a)/((E - a)(b - E)) (poles that cancel at a node, inf
-    on it), Q1' = y' Q0 + y Q0', Q2' = y' Q1 + y Q1', y' = 2/(b - a), and f's,
-    (beta + 2 gamma y) y' on the segment holding E, zero outside."""
+    abc stacks its J alphas, betas and gammas (3J, ...), of any trailing
+    shape.  A segment gives Q0 alpha + Q1 beta + Q2 gamma with y = (2E - a -
+    b)/(b - a), Q0 = ln|(y + 1)/(y - 1)|, Q1 = y Q0 - 2, Q2 = y Q1.  Also
+    (2R, ...) E-derivatives: its own, Q0' = (b - a)/((E - a)(b - E)) (poles
+    that cancel at a node, inf on it), Q1' = y' Q0 + y Q0', Q2' = y' Q1 + y
+    Q1', y' = 2/(b - a), and f's, (beta + 2 gamma y) y' on the segment
+    holding E, zero outside."""
     a, b, flat = edges[:-1], edges[1:], abc.reshape(len(abc), -1)
     s, w = a + b, b - a     # t: the rounding of s (TwoSum)
     t, log_w, k = (a - (s - (s - a))) + (b - (s - a)), np.log(w), 2.0 / w
@@ -181,67 +184,23 @@ def _pv_kernel(edges, abc):
 def pv_integral(f, grid, energy):
     """Principal value of int f(E') / (E - E') dE' over a uniform grid.
 
-    Subtraction method: the regularized integrand (f(E') - f(E))/(E - E')
-    is integrated by the trapezoid rule (with the limit -f'(E) at the
-    singular node), and the subtracted logarithmic part is added back in
-    closed form.  Converges at second order in the grid spacing.  The
-    rule is linear in f, so it is applied as one weight vector.
+    Exact for the piecewise-linear interpolant of f's samples on the grid
+    (f callable: f(grid)), f = alpha + beta x on each cell, through the
+    kernel of every coupling profile.  Converges at second order in the
+    grid spacing; f may be (M,) or (M, ...) matrix-valued.
     """
-    grid = np.asarray(grid, float)
-    (k,), (c_e,), (v,) = _pv_weights(grid, np.array([energy], float))
-    if callable(f):
-        # exact f(E): interpolating it is second order in h, but within
-        # ~h^2 of a node its error is amplified by 1/(E - E')
-        return np.tensordot(k, np.asarray(f(grid)), axes=1) \
-            + c_e * np.asarray(f(energy))
-    return np.tensordot(v, np.asarray(f), axes=1)[()]  # 1-D f: scalar
-
-
-def _pv_weights(grid, energies):
-    """Weights (k, c_e, v) with PV int f/(E - E') = k.f + c_e f(E) = v.f,
-    one row per energy, f(E) being np.interp of f on the grid.  The
-    derivative limit at a near node takes f'(E) ~ the interpolated
-    np.gradient(f), central inside the grid and one-sided at its ends."""
+    grid, energy = np.asarray(grid, float), float(energy)
     lo, hi = float(grid[0]), float(grid[-1])
     h = grid[1] - grid[0]
-    for energy in energies.tolist():
-        if not (lo < energy < hi):
-            raise EOutsideWindow(f"E = {energy!r} outside ({lo!r}, {hi!r})")
-        if energy - lo < 0.5 * h or hi - energy < 0.5 * h:
-            raise ETooCloseToThreshold(
-                f"E = {energy!r} within half a grid cell of a threshold")
-    m, rows = len(grid), np.arange(len(energies))
-    j = np.searchsorted(grid, energies, side="right") - 1
-    t = (energies - grid[j]) / (grid[j + 1] - grid[j])
-    a = np.stack([1.0 - t, t], axis=1)      # np.interp's weights on the
-    at = (rows[:, None], np.stack([j, j + 1], axis=1))  # nodes beside E
-    denom = energies[:, None] - grid
-    # nodes closer than the cancellation noise floor of f(E') - f(E) get
-    # the derivative limit; anything tighter than this amplifies roundoff
-    scale = np.maximum(max(abs(lo), abs(hi)), np.abs(energies))
-    near_tol = np.minimum(np.maximum(1e-12 * h, np.sqrt(np.finfo(float).eps)
-                                     * scale), 0.45 * h)
-    d, denom[at] = denom[at], np.inf
-    near = np.abs(d) < near_tol[:, None]    # no other node is within 0.45 h
-    w = h * np.r_[0.5, np.ones(m - 2), 0.5]     # trapezoid rule
-    k = w / denom
-    log = np.log((energies - lo) / (hi - energies))
-    rest = log - k.sum(axis=1)          # all nodes but the two beside E
-    k[at] = w[at[1]] / np.where(near, np.inf, d)
-    c_e = log - k.sum(axis=1)
-    w_near = (w[at[1]] * near).sum(axis=1)      # at most one node is near
-    for i in (0, 1):
-        lo_i, hi_i = np.maximum(j + i - 1, 0), np.minimum(j + i + 1, m - 1)
-        step = w_near * a[:, i] / ((hi_i - lo_i) * h)
-        k[rows, lo_i] += step
-        k[rows, hi_i] -= step
-    # without a near node k_j, k_j+1 and c_e ~ h/|E - E_j| cancel in k + c_e a,
-    # but t k_j = w_j / (E_j+1 - E_j), (t - 1) k_j+1 = w_j+1 / (E_j+1 - E_j)
-    r = w[at[1]].sum(axis=1) / (grid[j + 1] - grid[j])
-    v = k.copy()
-    v[at] = np.where(near.any(axis=1)[:, None], k[at] + c_e[:, None] * a,
-                     np.stack([r + (1.0 - t) * rest, t * rest - r], axis=1))
-    return k, c_e, v
+    if not (lo < energy < hi):
+        raise EOutsideWindow(f"E = {energy!r} outside ({lo!r}, {hi!r})")
+    if energy - lo < 0.5 * h or hi - energy < 0.5 * h:
+        raise ETooCloseToThreshold(
+            f"E = {energy!r} within half a grid cell of a threshold")
+    f = np.asarray(f(grid) if callable(f) else f)
+    p, q = 0.5 * (f[1:] + f[:-1]), 0.5 * (f[1:] - f[:-1])
+    return _pv_kernel(grid, np.concatenate([p, q, 0 * q]))(
+        np.array([energy]))[0][0]     # its E-derivatives go unused
 
 
 # ---------------------------------------------------------------------------

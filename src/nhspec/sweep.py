@@ -627,7 +627,8 @@ def encircle(spec, model):
     def point(theta):
         return spec.center + spec.radius * np.exp(1j * theta)
 
-    probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
+        probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     gaps = _pair_gaps(linalg.eig_stack(*family.stack(
         np.append(spec.center, probes)))[0])[1].min(axis=1)
     encloses = gaps[0] < gaps[1:].min() / 10.0

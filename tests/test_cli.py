@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -403,6 +404,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "nhspec: numerical failure: grid step of window (-1e+308, "
             "1e+308) overflows\n")
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_overflowing_contour_is_exit_3(self, tmp_path, capsys):
+        # a finite center and radius whose contour points overflow: the
+        # eigensolver refuses them, with no warning and nothing written
+        doc = json.loads((DATA / "two_level_sweep.json").read_text())
+        model = write_model(tmp_path, "two_level", doc["parameters"],
+                            encircle={"center": [0.0, 1e308], "radius": 1e308})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("encircle", "--model", str(model),
+                       "--out", str(tmp_path / "out")) == 3
+        assert not caught
+        assert capsys.readouterr().err == (
+            "nhspec: numerical failure: eigensolver failed: Array must not "
+            "contain infs or NaNs\n")
         assert not list((tmp_path / "out").glob("*"))
 
     def test_reversed_omega_plane_is_located(self, tmp_path):

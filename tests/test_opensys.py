@@ -84,62 +84,32 @@ class TestTabulatedCoupling:
 # ---------------------------------------------------------------------------
 # principal-value integration
 
-def _near_tol(grid, energy):
-    h = grid[1] - grid[0]
-    scale = max(abs(grid[0]), abs(grid[-1]), abs(energy))
-    return min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale), 0.45 * h)
-
-
-def _subtraction_rule(f, grid, energy):
-    """The PV subtraction rule evaluated term by term: interpolated f(E)
-    and f'(E), the derivative limit at a near node, the trapezoid rule
-    and the closed-form logarithm."""
-    lo, hi = grid[0], grid[-1]
-    h = grid[1] - grid[0]
-
-    def at_energy(g):
-        flat = g.reshape(len(grid), -1)
-        return np.array([np.interp(energy, grid, col) for col in flat.T]) \
-            .reshape(g.shape[1:])
-
-    f_e = at_energy(f)
-    fp_e = at_energy(np.gradient(f, h, axis=0))
-    denom = energy - grid
-    near = np.abs(denom) < _near_tol(grid, energy)
-    integrand = (f - f_e) / np.where(near, 1.0, denom)[:, None, None]
-    integrand[near] = -fp_e
-    reg = np.trapezoid(integrand, dx=h, axis=0)
-    return reg + f_e * np.log((energy - lo) / (hi - energy))
-
-
-def _exact_subtraction_rule(f, grid, energy):
-    """_subtraction_rule on the same float inputs, evaluated in 200-bit
-    arithmetic: a reference without rounding of its own."""
+def mp_interpolant_pv(f, grid, energy):
+    """PV int f/(E - E') dE' over the grid for the piecewise-linear
+    interpolant of the samples f (M, ...), in 200-bit arithmetic.  As in
+    mp_tabulated_shift, f = u + v t with t = E' - E on each cell [a, b],
+    so the cell is -int (u/t + v) dt, taken exactly; on a node its ln|t| =
+    ln 0 cancels with the next cell's."""
     with mp.workprec(200):
-        x, e = [mp.mpf(g) for g in grid], mp.mpf(energy)
-        h, m = mp.mpf(grid[1] - grid[0]), len(grid)
-        j = int(np.searchsorted(grid, energy, side="right")) - 1
-        t = (e - x[j]) / (x[j + 1] - x[j])
-        near = np.abs(energy - grid) < _near_tol(grid, energy)
+        e = mp.mpf(energy)
+        t = [mp.mpf(x) - e for x in grid]
+        log = [mp.log(abs(x)) if x else 0 for x in t]
         out = np.empty(f.shape[1:])
         for idx in np.ndindex(*f.shape[1:]):
             y = [mp.mpf(v) for v in f[(slice(None),) + idx]]
-            grad = [(y[1] - y[0]) / h] + [(y[i + 1] - y[i - 1]) / (2 * h)
-                                          for i in range(1, m - 1)] \
-                + [(y[-1] - y[-2]) / h]
-            f_e = y[j] + t * (y[j + 1] - y[j])
-            fp_e = grad[j] + t * (grad[j + 1] - grad[j])
-            terms = [-fp_e if near[i] else (y[i] - f_e) / (e - x[i])
-                     for i in range(m)]
-            reg = h * (mp.fsum(terms) - (terms[0] + terms[-1]) / 2)
-            out[idx] = float(reg + f_e * mp.log((e - x[0]) / (x[-1] - e)))
+            total = 0
+            for k in range(len(grid) - 1):
+                v = (y[k + 1] - y[k]) / (t[k + 1] - t[k])
+                u = y[k] - t[k] * v
+                total -= u * (log[k + 1] - log[k]) + v * (t[k + 1] - t[k])
+            out[idx] = float(total)
     return out
 
 
 def _draw_energy(draw, grid):
-    """An energy anywhere inside the window, within the derivative-limit
-    tolerance of an interior node, or in the first or last cell next to
-    the node beside the edge, where np.gradient is one-sided."""
+    """An energy anywhere inside the window, on or within sqrt(eps) of the
+    grid's scale of an interior node, or in the first or last cell next
+    to the node beside the edge."""
     m, h = len(grid), grid[1] - grid[0]
     u = draw(st.floats(0.0, 1.0))
     kind = draw(st.sampled_from(["generic", "near", "edge"]))
@@ -147,7 +117,10 @@ def _draw_energy(draw, grid):
         energy = grid[0] + h * (0.51 + u * (m - 2.02))
     elif kind == "near":
         node = grid[draw(st.integers(1, m - 2))]
-        energy = node + (2.0 * u - 1.0) * 0.99 * _near_tol(grid, node)
+        scale = max(abs(grid[0]), abs(grid[-1]), abs(node))
+        tol = min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale),
+                  0.45 * h)
+        energy = node + (2.0 * u - 1.0) * 0.99 * tol
     elif draw(st.booleans()):
         energy = grid[1] - 0.49 * u * h
     else:
@@ -224,29 +197,28 @@ class TestPvIntegral:
     @settings(max_examples=150)
     @given(pv_cases())
     @example(case=(np.linspace(-2.0, -1.0, 5), -1.2499925231933593, 0))
-    def test_weights_match_subtraction_rule(self, case):
+    def test_against_mpmath(self, case):
+        # on, near and between nodes and in the edge cells: exact for the
+        # interpolant of the samples
         grid, energy, seed = case
         f = np.random.default_rng(seed).standard_normal((len(grid), 2, 2))
         got = opensys.pv_integral(f, grid, energy)
-        h, d = grid[1] - grid[0], np.abs(energy - grid)
-        d = d[d >= _near_tol(grid, energy)].min()
-        # E closer than h / 1000 to a node outside the derivative limit:
-        # the in-test terms round to eps h / d, so the exact rule decides
-        want = _subtraction_rule(f, grid, energy) if h / d <= 1e3 \
-            else _exact_subtraction_rule(f, grid, energy)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(f).max()
+        want = mp_interpolant_pv(f, grid, energy)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(f).max()
 
-    @settings(max_examples=100)
-    @given(pv_cases(), st.data())
-    def test_stacked_weights_are_the_scalar_ones(self, case, data):
-        # rows of any kind, near nodes among them, stacked in one call
-        grid = case[0]
-        energies = [case[1]] + [_draw_energy(data.draw, grid)
-                                for _ in range(data.draw(st.integers(0, 5)))]
-        got = opensys._pv_weights(grid, np.array(energies))
-        for row, energy in enumerate(energies):
-            for x, y in zip(got, _scalar_pv_weights(grid, energy)):
-                assert np.array_equal(x[row], y)
+    def test_callable_is_sampled_on_the_grid(self):
+        # f callable is f(grid), bit for bit; |x - c| with c on a node is
+        # its own interpolant, so the rule gives its closed form
+        grid, e = self.grid(101), 0.7123
+        lo, hi, c = grid[0], grid[-1], grid[37]
+        for f in (lambda x: np.exp(x / 4), lambda x: np.abs(x - c)):
+            for energy in (e, c, grid[1] - 0.3 * (grid[1] - grid[0])):
+                assert opensys.pv_integral(f, grid, energy) \
+                    == opensys.pv_integral(f(grid), grid, energy)
+        oracle = (e - c) * np.log((e - c) ** 2 / ((hi - e) * (e - lo))) \
+            + 2.0 * c - lo - hi
+        assert abs(opensys.pv_integral(lambda x: np.abs(x - c), grid, e)
+                   - oracle) < 1e-13
 
     def test_outside_window_rejected(self):
         with pytest.raises(EOutsideWindow):
@@ -532,9 +504,9 @@ class TestGridOnlyForTabulated:
     # threshold exclusion and the solver's clamp
     @pytest.mark.parametrize("profile", PROFILES + [opensys.TabulatedCoupling])
     def test_analytic_profiles_take_no_grid(self, monkeypatch, profile):
-        # no PV weights and no profile evaluated on the continuum grid
-        monkeypatch.setattr(opensys, "_pv_weights",
-                            lambda *a: pytest.fail("_pv_weights called"))
+        # no grid PV rule and no profile evaluated on the continuum grid
+        monkeypatch.setattr(opensys, "pv_integral",
+                            lambda *a: pytest.fail("pv_integral called"))
         seen, on_grid = [], profile.on_grid
         monkeypatch.setattr(profile, "on_grid", lambda self, grid, window:
                             seen.append(grid) or on_grid(self, grid, window))
@@ -688,41 +660,6 @@ class TestSolveResonances:
                                   key=lambda s: s.z.real)
         assert bound.width == 0.0 and not np.signbit(bound.width)
         assert resonance.width.hex() == (-2.0 * resonance.z.imag).hex()
-
-
-def _scalar_pv_weights(grid, energy):
-    """The PV weights (k, c_e, v) of a single energy in scalar arithmetic:
-    the per-energy reference for the stacked _pv_weights."""
-    lo, hi = grid[0], grid[-1]
-    h = grid[1] - grid[0]
-    m = len(grid)
-    j = int(np.searchsorted(grid, energy, side="right")) - 1
-    t = (energy - grid[j]) / (grid[j + 1] - grid[j])
-    a = np.zeros(m)
-    a[j], a[j + 1] = 1.0 - t, t
-    denom = energy - grid
-    scale = max(abs(lo), abs(hi), abs(energy))
-    near_tol = min(max(1e-12 * h, np.sqrt(np.finfo(float).eps) * scale),
-                   0.45 * h)
-    near = np.abs(denom) < near_tol
-    w = np.full(m, h)
-    w[[0, -1]] = 0.5 * h
-    k = w / np.where(near, np.inf, denom)
-    log = np.log((energy - lo) / (hi - energy))
-    c_e = log - k.sum()
-    w_near = w[near].sum()
-    for i in (j, j + 1):
-        lo_i, hi_i = max(i - 1, 0), min(i + 1, m - 1)
-        step = w_near * a[i] / ((hi_i - lo_i) * h)
-        k[lo_i] += step
-        k[hi_i] -= step
-    v = k + c_e * a
-    if not near.any():
-        # the two nodes beside E in closed form, the rest summed apart
-        rest = log - np.where(a > 0.0, 0.0, k).sum()
-        r = (w[j] + w[j + 1]) / (grid[j + 1] - grid[j])
-        v[j], v[j + 1] = r + (1.0 - t) * rest, t * rest - r
-    return k, c_e, v
 
 
 def _scalar_heff(m, energy):
