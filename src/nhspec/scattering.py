@@ -181,11 +181,16 @@ def double_pole_lineshape(e_d, gamma_d, grid):
         raise GridTooCoarse("grid must span E_d +/- 10 Gamma_d")
     if grid[1] - grid[0] > gamma_d / 8.0:
         raise GridTooCoarse("grid must resolve the width by >= 8 points")
-    d = 1.0 / (grid - e_d + 0.5j * gamma_d)
-    s = 1.0 - 2j * gamma_d * d - gamma_d ** 2 * d ** 2
-    d_c = 1.0 / (0.0 + 0.5j * gamma_d)
-    s_center = 1.0 - 2j * gamma_d * d_c - gamma_d ** 2 * d_c ** 2
-    bw = np.abs(1j * gamma_d / (grid - e_d + 0.5j * gamma_d)) ** 2
+    # S depends on (E - E_d) / Gamma_d alone: in a power-of-two unit near
+    # Gamma_d no term overflows, and the rescaling is exact, so S keeps the
+    # bits of the unscaled formula wherever that held
+    unit = float(np.ldexp(1.0, np.frexp(gamma_d)[1] - 1))
+    x, g = (grid - e_d) / unit, gamma_d / unit
+    d = 1.0 / (x + 0.5j * g)
+    s = 1.0 - 2j * g * d - g ** 2 * d ** 2
+    d_c = 1.0 / (0.0 + 0.5j * g)
+    s_center = 1.0 - 2j * g * d_c - g ** 2 * d_c ** 2
+    bw = np.abs(1j * g / (x + 0.5j * g)) ** 2
     return _report(grid, s, float(abs(1.0 - s_center) ** 2),
                    _halfmax_span(grid, bw))
 

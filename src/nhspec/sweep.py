@@ -12,8 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, twolevel
-from .errors import (DegenerateInput, MatchingAmbiguous, NhspecError,
-                     NoConvergence, SaddleRejected)
+from .errors import (AtExceptionalPoint, DegenerateInput, MatchingAmbiguous,
+                     NhspecError, NoConvergence, SaddleRejected)
 
 MATCH_THRESHOLD = 0.5
 # an interval whose best overlap stays below MATCH_THRESHOLD is bisected
@@ -194,12 +194,11 @@ def _match(u_prev, u_new, z0=None, z1=None):
 
 
 def _pair_gaps(values):
-    """Differences z_i - z_j of the pairs i < j along the last axis, their
-    moduli (inf, without a warning, where they overflow) and the pairs."""
+    """Moduli |z_i - z_j| of the pairs i < j along the last axis (inf,
+    without a warning, where they overflow)."""
     i, j = np.triu_indices(values.shape[-1], 1)
     with np.errstate(over="ignore"):
-        diff = values[..., i] - values[..., j]
-        return diff, np.abs(diff), list(zip(i.tolist(), j.tolist()))
+        return np.abs(values[..., i] - values[..., j])
 
 
 class _Frame(NamedTuple):
@@ -335,7 +334,9 @@ def sweep(spec):
     local minima of the energy gap staying above DEFAULT_GAP_TOL times the
     largest matrix entry over the sweep (at least 1), and, for a
     complex-symmetric family, pairs whose backward error of coalescence is
-    at most EP_BACKWARD_TOL.
+    at most EP_BACKWARD_TOL.  They are evaluated one row of the pair
+    triangle at a time, the pairs (i, j > i) in triu_indices order, so
+    memory beyond _track's chunks of _STACK_BYTES is O(T n).
     """
     family = spec.model
     if not isinstance(family, MatrixFamily):
@@ -355,20 +356,26 @@ def sweep(spec):
     r[r < linalg.DEFECT_TOL] = 0.0
     with np.errstate(divide="ignore"):
         norms = 1.0 / r
-    diff, gap, pairs = _pair_gaps(values)
-    finite = np.isfinite(gap).all(axis=1)
+    gaps, events = np.full(len(params), np.inf), []
+    finite = np.ones(len(params), bool)
+    # eta = gap max(r_i, r_j) / max(peak, 1) is linalg.coalescence_error:
+    # for complex-symmetric H the left vector of u is conj(u), |u^T u| = r
+    tol = EP_BACKWARD_TOL * np.maximum(peak, 1.0)[:, None]
+    cs = getattr(family, "hint", None) == linalg.COMPLEX_SYMMETRIC
+    for i in range(values.shape[1] - 1):
+        with np.errstate(over="ignore"):    # an overflow is raised below
+            diff = values[:, i, None] - values[:, i + 1:]
+            gap = np.abs(diff)
+        finite &= np.isfinite(gap).all(axis=1)
+        if finite.all():    # else gap * r could warn, as inf * 0
+            np.minimum(gaps, gap.min(axis=1), out=gaps)
+            near = gap * np.maximum(r[:, i, None], r[:, i + 1:]) <= tol
+            events += _detect_events(params, i, diff, near & cs,
+                                     DEFAULT_GAP_TOL * scale)
     if not finite.all():
         raise NhspecError("eigenvalue pair gap overflows at param "
                           f"{float(params[~finite][0])!r}")
-    gaps = gap.min(axis=1, initial=np.inf)
-    # eta = gap max(r_i, r_j) / max(peak, 1) is linalg.coalescence_error:
-    # for complex-symmetric H the left vector of u is conj(u), |u^T u| = r
-    i, j = np.triu_indices(values.shape[1], 1)
-    near = gap * np.maximum(r[:, i], r[:, j]) <= EP_BACKWARD_TOL * np.maximum(
-        peak, 1.0)[:, None]
-    near &= getattr(family, "hint", None) == linalg.COMPLEX_SYMMETRIC
-    del gap                 # the (T, pairs) moduli are not needed for events
-    events = _detect_events(params, pairs, diff, near, DEFAULT_GAP_TOL * scale)
+    events.sort(key=lambda e: (e.param, e.kind, e.indices))
     return SweepResult(params, values, norms, r, gaps, events)
 
 
@@ -405,8 +412,9 @@ def _local_minima(gap, tol):
     return found
 
 
-def _detect_events(params, pairs, diff, near, gap_tol):
-    """Events on the (T, pairs) grid of _pair_gaps; near: the EP test."""
+def _detect_events(params, i, diff, near, gap_tol):
+    """Unsorted events of the pairs (i, j > i) of n levels, whose
+    differences z_i - z_j are diff, (T, n - 1 - i); near: the EP test."""
     found = [
         ("energy_crossing", _crossings(diff.real, gap_tol)),
         ("width_crossing", _crossings(diff.imag, gap_tol)),
@@ -417,9 +425,8 @@ def _detect_events(params, pairs, diff, near, gap_tol):
     for kind, count in found:
         ts, ks = np.nonzero(count)
         for t, k, c in zip(ts.tolist(), ks.tolist(), count[ts, ks].tolist()):
-            events += [Event(kind, float(params[t]), pairs[k])
+            events += [Event(kind, float(params[t]), (i, i + 1 + k))
                        for _ in range(c)]
-    events.sort(key=lambda e: (e.param, e.kind, e.indices))
     return events
 
 
@@ -630,14 +637,16 @@ def encircle(spec, model):
     with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
         probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     gaps = _pair_gaps(linalg.eig_stack(*family.stack(
-        np.append(spec.center, probes)))[0])[1].min(axis=1)
+        np.append(spec.center, probes)))[0]).min(axis=1)
     encloses = gaps[0] < gaps[1:].min() / 10.0
 
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
     track = _Frame._make(map(np.concatenate, zip(*_track(_Pencil(
         family.a, family.b, family.hint, coef=point), thetas))))
     n = track.values.shape[1]
-    start, _ = linalg.c_columns(track.vectors[0])
+    start, norms = linalg.c_columns(track.vectors[0])
+    if np.isinf(norms).any():       # no c-normalized frame to transport
+        raise AtExceptionalPoint("c-norm vanishes at the contour's start")
     h0 = np.linalg.norm(start, axis=0)
     cur_w, cur_s = init_w, init_s = start / h0, (1.0 / h0).astype(complex)
     # grid rows k * steps close the cycles; bisection midpoints lie between

@@ -422,6 +422,44 @@ class TestExitCodes:
             "contain infs or NaNs\n")
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_contour_on_the_ep_is_exit_3(self, tmp_path, capsys):
+        # radius 1e-300 about the EP omega = i: every contour point is the
+        # EP to rounding, so no c-normalized frame exists to transport
+        doc = json.loads((DATA / "two_level_sweep.json").read_text())
+        model = write_model(tmp_path, "two_level", doc["parameters"],
+                            encircle={"center": [0.0, 1.0], "radius": 1e-300,
+                                      "steps_per_cycle": 64, "cycles": 1})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("encircle", "--model", str(model),
+                       "--out", str(tmp_path / "out")) == 3
+        assert not caught
+        assert capsys.readouterr().err == (
+            "nhspec: numerical failure: c-norm vanishes at the contour's "
+            "start\n")
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_double_pole_far_below_unit_width(self, tmp_path):
+        # Gamma_d = 1e-300: Gamma_d^2 underflows and D^2 overflows, yet S
+        # depends on (E - E_d) / Gamma_d alone and is written in full
+        model = write_model(tmp_path, "smatrix",
+                            {"double_pole": {"e_d": 0.0, "gamma_d": 1e-300}},
+                            grid={"start": -1e-299, "stop": 1e-299,
+                                  "points": 4001})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("scatter", "--model", str(model),
+                       "--out", str(tmp_path)) == 0
+        assert not caught
+        rows = np.array(csv_rows(tmp_path / "smatrix.csv"))
+        assert rows.shape == (4001, 6) and np.isfinite(rows).all()
+        s = rows[:, 2] + 1j * rows[:, 3]
+        assert np.abs(np.abs(s) - 1.0).max() < 1e-15
+        assert rows[2000, 0] == 0.0 and abs(s[2000] - 1.0) < 1e-15
+        features = json.loads((tmp_path / "features.json").read_text())
+        assert features["minima"] == [0.0]
+        assert features["sigma_at_center"] < 1e-30
+
     def test_reversed_omega_plane_is_located(self, tmp_path):
         # (omega_im, omega_re) has no closed form: Newton alone finds the
         # EP omega = i (eps1 - eps2)/2 = 0.05 + 1i

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -127,6 +128,25 @@ class TestDoublePoleLineshape:
                                                self.grid(gamma, 3.0))
         assert any(abs(x) < 1e-9 for x in rep.minima)
         assert len(rep.maxima) == 2
+
+    @pytest.mark.parametrize("power", [-996, 1000])
+    def test_energies_scaled_by_a_power_of_two(self, power):
+        # S depends on (E - E_d) / Gamma_d alone; the rescaled grid is exact,
+        # so every S bit and every energy feature scaled back is the same,
+        # down to a width of 3e-301 and up to 2e300, where Gamma_d^2 and
+        # D^2 underflow or overflow
+        grid, unit = np.linspace(-3.0, 3.0, 4001), 2.0 ** power
+        want = scattering.double_pole_lineshape(0.5, 0.2, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scattering.double_pole_lineshape(0.5 * unit, 0.2 * unit,
+                                                   grid * unit)
+        for name in ("s_values", "sigma", "phase", "total_phase_change",
+                     "sigma_at_center"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("halfmax_span", "breit_wigner_span", "minima", "maxima"):
+            assert np.array_equal(np.divide(getattr(got, name), unit),
+                                  getattr(want, name))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nhspec import linalg, opensys, sweep, twolevel
-from nhspec.errors import MatchingAmbiguous, NoConvergence, SaddleRejected
+from nhspec.errors import (MatchingAmbiguous, NhspecError, NoConvergence,
+                           SaddleRejected)
 
 AC_KW = dict(e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0)
 
@@ -573,9 +575,9 @@ class TestPencil:
             fam.pairs(np.array([0.0, np.inf]))
 
     def test_eigenvectors_released_before_event_detection(self):
-        # a 64-level, 201-point sweep holds 12.6 MiB of frame eigenvectors;
-        # released before the (T, pairs) gap arrays are built, the traced
-        # peak is about 19 MiB instead of about 32
+        # a 64-level, 201-point sweep has 12.6 MiB of frame eigenvectors;
+        # only _track's chunks of them are held, and events take one
+        # triangle row at a time: the traced peak is about 1.4 MiB
         rng = np.random.default_rng(0)
         a, b = (random_complex_symmetric(rng, 64) for _ in range(2))
         spec = sweep.SweepSpec(sweep.MatrixFamily(fn=lambda t: a + t * b),
@@ -752,6 +754,167 @@ class TestArrayResults:
             assert row.min_gap == res.min_gap[k]
             for name in ("values", "norms_A", "rigidity_r"):
                 assert same_bits(getattr(row, name), getattr(res, name)[k])
+
+
+def dense_events(params, values, r, on_grid, peak, hint):
+    """min_gap and events of a sweep's frames from the whole (T, pairs)
+    table at once: the dense formulation that sweep() replaced by one
+    triangle row at a time, as it stood (_pair_gaps and one event pass)."""
+    i, j = np.triu_indices(values.shape[-1], 1)
+    with np.errstate(over="ignore"):
+        diff = values[..., i] - values[..., j]
+        gap = np.abs(diff)
+    finite = np.isfinite(gap).all(axis=1)
+    if not finite.all():
+        raise NhspecError("eigenvalue pair gap overflows at param "
+                          f"{float(params[~finite][0])!r}")
+    gaps = gap.min(axis=1, initial=np.inf)
+    near = gap * np.maximum(r[:, i], r[:, j]) <= sweep.EP_BACKWARD_TOL \
+        * np.maximum(peak, 1.0)[:, None]
+    near &= hint == linalg.COMPLEX_SYMMETRIC
+    tol = sweep.DEFAULT_GAP_TOL * max(peak[on_grid].max(), 1.0)
+    found = [
+        ("energy_crossing", sweep._crossings(diff.real, tol)),
+        ("width_crossing", sweep._crossings(diff.imag, tol)),
+        ("avoided_crossing", sweep._local_minima(np.abs(diff.real), tol)),
+        ("ep_candidate", sweep._first_of_runs(near)),
+    ]
+    pairs, events = list(zip(i.tolist(), j.tolist())), []
+    for kind, count in found:
+        ts, ks = np.nonzero(count)
+        for t, k, c in zip(ts.tolist(), ks.tolist(), count[ts, ks].tolist()):
+            events += [sweep.Event(kind, float(params[t]), pairs[k])
+                       for _ in range(c)]
+    events.sort(key=lambda e: (e.param, e.kind, e.indices))
+    return gaps, events
+
+
+def random_pencil_of(kind, seed, n):
+    """A + t B with A, B seeded random matrices of a symmetry kind."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2))
+    if kind == linalg.COMPLEX_SYMMETRIC:
+        a, b = a + a.T, b + b.T
+    elif kind == linalg.HERMITIAN:
+        a, b = a + a.conj().T, b + b.conj().T
+    return sweep._Pencil(a, b, kind)
+
+
+def sweep_and_oracle(monkeypatch, spec, family, columns=None):
+    """sweep(spec), or the error it raised, and the dense oracle on the
+    frames its _track yielded, their vectors replaced by columns if given."""
+    blocks, track = [], sweep._track
+
+    def recorded(fam, ts):
+        for b in track(fam, ts):
+            if columns is not None:
+                b = b._replace(vectors=np.broadcast_to(columns, b.vectors.shape))
+            blocks.append(b)
+            yield b
+
+    monkeypatch.setattr(sweep, "_track", recorded)
+    try:
+        got = sweep.sweep(spec)
+    except NhspecError as exc:
+        got = exc
+    frames = sweep._Frame._make(map(np.concatenate, zip(*blocks)))
+    r = np.abs(np.einsum("tik,tik->tk", frames.vectors, frames.vectors))
+    r[r < linalg.DEFECT_TOL] = 0.0
+    try:
+        want = dense_events(frames.t, frames.values, r, frames.on_grid,
+                            frames.peak, getattr(family, "hint", None))
+    except NhspecError as exc:
+        want = exc
+    return got, want
+
+
+class TestRowwiseEvents:
+    """sweep() detects pair events one triangle row at a time; min_gap and
+    the events are those of the whole (T, pairs) table at once."""
+
+    @pytest.mark.parametrize("kind", [linalg.COMPLEX_SYMMETRIC,
+                                      linalg.GENERAL, linalg.HERMITIAN])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_matches_dense_oracle(self, monkeypatch, kind, n):
+        fam = random_pencil_of(kind, 29 * n, n)
+        res, (gaps, events) = sweep_and_oracle(
+            monkeypatch, sweep.SweepSpec(fam, "t", -1.0, 1.0, 81), fam)
+        assert same_bits(res.min_gap, gaps)
+        assert res.events == events
+        assert events or n <= 2
+
+    @pytest.mark.parametrize("family,parameter,start,stop", [
+        (canonical_model(), "omega_im", 0.5, 1.5),      # an ep_candidate
+        (near_crossing(), "t", -1.0, 1.0),              # bisection midpoints
+        (sweep.MatrixFamily(fn=lambda t: random_pencil_of(
+            linalg.COMPLEX_SYMMETRIC, 5, 8)(t).entries), "t", -1.0, 1.0)])
+    def test_matches_dense_oracle_on_models(self, monkeypatch, family,
+                                            parameter, start, stop):
+        spec = sweep.SweepSpec(family, parameter, start, stop, 41)
+        if not isinstance(family, sweep.MatrixFamily):
+            family = sweep.make_family(family, parameter)
+        res, (gaps, events) = sweep_and_oracle(monkeypatch, spec, family)
+        assert same_bits(res.min_gap, gaps)
+        assert res.events == events
+        kinds = {e.kind for e in events}
+        assert "ep_candidate" in kinds or parameter == "t"
+
+    @pytest.mark.parametrize("kind,eps", [(linalg.COMPLEX_SYMMETRIC, 6),
+                                          (linalg.GENERAL, 0)])
+    def test_matches_dense_oracle_with_null_c_norms(self, monkeypatch, kind,
+                                                    eps):
+        # the even levels' vectors made isotropic (u^T u = 0, r = 0), the odd
+        # ones left at r = 1: the EP test takes max(r_i, r_j) of each pair,
+        # and only for a complex-symmetric family
+        fam = random_pencil_of(kind, 8, 8)
+        columns = np.eye(8, dtype=complex)
+        columns[1::2, ::2] = 1j * np.eye(4)
+        columns /= np.linalg.norm(columns, axis=0)
+        res, (gaps, events) = sweep_and_oracle(
+            monkeypatch, sweep.SweepSpec(fam, "t", -1.0, 1.0, 41), fam,
+            columns)
+        assert res.rigidity_r[0].tolist() == [0.0, 1.0] * 4
+        assert same_bits(res.min_gap, gaps)
+        assert res.events == events
+        assert sum(e.kind == "ep_candidate" for e in events) == eps
+
+    def test_overflow_names_the_first_param_of_any_row(self, monkeypatch):
+        # levels by real part -2, -1, 0, 1: the gap of pair (2, 3) overflows
+        # from t = 0.125 on, that of pair (0, 3), in the first row, from 0.5;
+        # with isotropic vectors (r = 0) a gap * r product of an overflowed
+        # row would warn, as inf * 0
+        a = np.diag([-2 + 0.4e308j, -1, 0.8e308j, 1 - 0.8e308j])
+        b = np.diag([0.4e308j, 0, 0.8e308j, -0.8e308j])
+        fam = sweep._Pencil(a, b, linalg.COMPLEX_SYMMETRIC)
+        columns = np.array([[1, 1, 0, 0], [1j, -1j, 0, 0], [0, 0, 1, 1],
+                            [0, 0, 1j, -1j]]) / np.sqrt(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, want = sweep_and_oracle(
+                monkeypatch, sweep.SweepSpec(fam, "t", 0.0, 1.0, 9), fam,
+                columns)
+        assert not caught
+        assert isinstance(got, NhspecError) and isinstance(want, NhspecError)
+        assert str(got) == str(want) == (
+            "eigenvalue pair gap overflows at param 0.125")
+
+    def test_event_detection_holds_no_pair_table(self):
+        # a 48-level, 101-point sweep: the (T, pairs) table and its moduli
+        # took a traced peak of about 5.5 MiB; one triangle row at a time
+        # the peak is _track's chunk budget, about 1 MiB
+        rng = np.random.default_rng(48)
+        a, b = (random_complex_symmetric(rng, 48) for _ in range(2))
+        spec = sweep.SweepSpec(sweep.MatrixFamily(fn=lambda t: a + t * b),
+                               "t", 0.0, 1.0, 101)
+        tracemalloc.start()
+        try:
+            res = sweep.sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.params) == 101 and len(res.events) > 0
+        assert peak <= 2 * 10 ** 6
 
 
 class TestStepOnlyWhereNeeded:
