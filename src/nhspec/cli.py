@@ -155,6 +155,8 @@ def _linspace_block(rec, where):
         _fail(f"{where} needs at least 2 points")
     if start == stop:
         _fail(f"{where} needs start != stop")
+    if np.isinf(stop - start):      # halving is exact in binary
+        return 2 * np.linspace(start / 2, stop / 2, points)
     return np.linspace(start, stop, points)
 
 

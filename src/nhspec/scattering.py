@@ -14,7 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
+from .errors import (GridTooCoarse, NhspecError, PoleOnRealAxis,
+                     SingularResolvent)
 
 _ON_POLE = "requested energy coincides with a zero-width pole"
 
@@ -77,6 +78,16 @@ def s_matrix_polesum(m, energy):
 
 
 def _s_diag(m, energies, channel):
+    """S_cc(E) over energies, refused where K or the pole sum overflows."""
+    with np.errstate(all="ignore"):     # a non-finite S is refused here
+        s = _s_cc(m, energies, channel)
+    if not (ok := np.isfinite(s)).all():
+        raise NhspecError("S is not finite at energy "
+                          f"{float(energies[~ok][0])!r}")
+    return s
+
+
+def _s_cc(m, energies, channel):
     """S_cc(E) over energies; K(E) = sum_n gamma_n gamma_n^T / (E - e_n)."""
     if not 0 <= channel < m.n_channels:
         raise ValueError(f"channel {channel} is not in 0..{m.n_channels - 1}")

@@ -52,6 +52,9 @@ class MatrixFamily:
         peaks = np.abs(mats).max(axis=(1, 2)).tolist()
         pairs = linalg.eig_stack(mats, hermitian)
         del mats
+        if not (ok := np.isfinite(pairs[0]).all(axis=1)).all():  # unmatchable
+            raise NoConvergence("eigenvalue not finite at param "
+                                f"{float(ts[~ok][0])!r}")
         return (peaks, *linalg.sort_pairs(*pairs))
 
 
@@ -193,14 +196,6 @@ def _match(u_prev, u_new, z0=None, z1=None):
     return cols, float(chosen.min())
 
 
-def _pair_gaps(values):
-    """Moduli |z_i - z_j| of the pairs i < j along the last axis (inf,
-    without a warning, where they overflow)."""
-    i, j = np.triu_indices(values.shape[-1], 1)
-    with np.errstate(over="ignore"):
-        return np.abs(values[..., i] - values[..., j])
-
-
 class _Frame(NamedTuple):
     t: float
     values: np.ndarray      # eigenvalues, in continuation order once matched
@@ -224,7 +219,7 @@ def _step(family, f0, f1, depth=0):
                        f1.on_grid, f1.peak)], perm
     if depth == MAX_BISECT:
         raise MatchingAmbiguous(
-            f"overlap {best:.3f} below threshold at param {f1.t!r}",
+            f"overlap {best:.3f} below threshold at param {float(f1.t)!r}",
             best_overlap=best)
     mid = _frame_at(family, 0.5 * (f0.t + f1.t), on_grid=False)
     left, _ = _step(family, f0, mid, depth=depth + 1)
@@ -358,25 +353,28 @@ def sweep(spec):
         norms = 1.0 / r
     gaps, events = np.full(len(params), np.inf), []
     finite = np.ones(len(params), bool)
-    # eta = gap max(r_i, r_j) / max(peak, 1) is linalg.coalescence_error:
-    # for complex-symmetric H the left vector of u is conj(u), |u^T u| = r
-    tol = EP_BACKWARD_TOL * np.maximum(peak, 1.0)[:, None]
     cs = getattr(family, "hint", None) == linalg.COMPLEX_SYMMETRIC
     for i in range(values.shape[1] - 1):
-        with np.errstate(over="ignore"):    # an overflow is raised below
-            diff = values[:, i, None] - values[:, i + 1:]
-            gap = np.abs(diff)
-        finite &= np.isfinite(gap).all(axis=1)
-        if finite.all():    # else gap * r could warn, as inf * 0
-            np.minimum(gaps, gap.min(axis=1), out=gaps)
-            near = gap * np.maximum(r[:, i, None], r[:, i + 1:]) <= tol
-            events += _detect_events(params, i, diff, near & cs,
-                                     DEFAULT_GAP_TOL * scale)
+        diff, gap, near = _pair_row(values, r, peak, i)
+        finite &= np.isfinite(gap).all(axis=1)  # an overflow is raised below
+        np.minimum(gaps, gap.min(axis=1), out=gaps)
+        events += _detect_events(params, i, diff, near & cs,
+                                 DEFAULT_GAP_TOL * scale)
     if not finite.all():
         raise NhspecError("eigenvalue pair gap overflows at param "
                           f"{float(params[~finite][0])!r}")
     events.sort(key=lambda e: (e.param, e.kind, e.indices))
     return SweepResult(params, values, norms, r, gaps, events)
+
+
+def _pair_row(values, r, peak, i):
+    """z_i - z_j of the pairs (i, j > i), their gaps (inf past overflow) and
+    the EP test gap max(r_i, r_j) <= EP_BACKWARD_TOL max(peak, 1): that is
+    linalg.coalescence_error for complex-symmetric H, left vector conj(u)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is no EP
+        gap = np.abs(diff := values[:, i, None] - values[:, i + 1:])
+        return diff, gap, gap * np.maximum(r[:, i, None], r[:, i + 1:]) \
+            <= EP_BACKWARD_TOL * np.maximum(peak, 1.0)[:, None]
 
 
 def _first_of_runs(mask):
@@ -626,27 +624,25 @@ def encircle(spec, model):
     Reports the eigenvalue permutation and accumulated eigenvector phase
     after each cycle.  Around a coalescence the eigenvalues swap each
     cycle (restored after two) and the vectors pick up the
-    +/-i, -1, -/+i, +1 pattern (restored after four).
-    """
+    +/-i, -1, -/+i, +1 pattern (restored after four).  encloses_ep: the
+    first cycle swaps the pair, as around one (not both) of the EPs omega =
+    +/-i (eps1 - eps2) / 2.  A contour through an EP (sweep's test on any
+    row) raises AtExceptionalPoint."""
     family = make_family(model, "omega")
     steps = spec.steps_per_cycle
-
-    def point(theta):
-        return spec.center + spec.radius * np.exp(1j * theta)
-
-    with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
-        probes = point(np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    gaps = _pair_gaps(linalg.eig_stack(*family.stack(
-        np.append(spec.center, probes)))[0]).min(axis=1)
-    encloses = gaps[0] < gaps[1:].min() / 10.0
-
     thetas = 2 * np.pi * np.arange(steps * spec.cycles + 1) / steps
     track = _Frame._make(map(np.concatenate, zip(*_track(_Pencil(
-        family.a, family.b, family.hint, coef=point), thetas))))
+        family.a, family.b, family.hint,
+        coef=lambda th: spec.center + spec.radius * np.exp(1j * th)),
+        thetas))))
     n = track.values.shape[1]
     start, norms = linalg.c_columns(track.vectors[0])
     if np.isinf(norms).any():       # no c-normalized frame to transport
         raise AtExceptionalPoint("c-norm vanishes at the contour's start")
+    r = np.abs(np.einsum("tik,tik->tk", track.vectors, track.vectors))
+    if (near := _pair_row(track.values, r, track.peak, 0)[2][:, 0]).any():
+        raise AtExceptionalPoint("the contour passes through a coalescence "
+                                 f"at theta {float(track.t[near][0])!r}")
     h0 = np.linalg.norm(start, axis=0)
     cur_w, cur_s = init_w, init_s = start / h0, (1.0 / h0).astype(complex)
     # grid rows k * steps close the cycles; bisection midpoints lie between
@@ -667,7 +663,8 @@ def encircle(spec, model):
              if rec.permutation == tuple(range(n))]
     phased = [c for c in ident if np.allclose(cycles[c - 1].phases, 1.0,
                                               atol=1e-3)]
-    return CycleReport(cycles=cycles, encloses_ep=encloses,
+    return CycleReport(cycles=cycles,
+                       encloses_ep=cycles[0].permutation != tuple(range(n)),
                        eigenvalue_period=(ident + [None])[0],
                        eigenvector_period=(phased + [None])[0],
                        theta=track.t[track.on_grid],

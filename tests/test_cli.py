@@ -1,15 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nhspec import cli, linalg, opensys, scattering, sweep
 
@@ -1001,6 +1005,106 @@ def test_readme_flags_are_the_parsers_options():
         options = {o for a in parser._actions for o in a.option_strings}
         assert options - {"-h", "--help"} == named
 
+
+# ---------------------------------------------------------------------------
+# extreme finite values: every command exits 0, 2 or 3 without a warning or
+# a traceback, and writes nothing on a failure
+
+def fixture(name, **blocks):
+    return {**json.loads((DATA / name).read_text()), **blocks}
+
+
+TRAP_ALPHAS = fixture("trapping_chain.json")["alphas"]
+# (command, model, exit code, stderr) of inputs that once warned, wrote an
+# artifact before failing, or reported a contour through an EP as clean
+REPRODUCER_IDS = ["contour_through_ep", "pole_sum_overflows",
+                  "grid_span_overflows", "alphas_span_overflows",
+                  "alpha_eigenvalue_overflows"]
+REPRODUCERS = [
+    ("encircle", fixture("two_level_sweep.json", encircle={
+        "center": [0.0, 0.5], "radius": 0.5, "steps_per_cycle": 64,
+        "cycles": 2}), 3, "numerical failure: the contour passes through a "
+     "coalescence at theta 1.5707963267948966"),
+    ("scatter", {"version": "1", "kind": "smatrix", "parameters": {
+        "poles": [[0.0, -1e-300]], "couplings": [[1e200]]},
+        "grid": {"start": -1.0, "stop": 1.0, "points": 11}}, 3,
+     "numerical failure: S is not finite at energy -1.0"),
+    ("scatter", fixture("double_pole.json", grid={
+        "start": -1e308, "stop": 1e308, "points": 11}), 3,
+     "numerical failure: grid must resolve the width by >= 8 points"),
+    ("trap", fixture("trapping_chain.json", alphas={
+        **TRAP_ALPHAS, "start": -1e308, "stop": 1e308}), 2,
+     "input error: alphas must be non-negative and strictly monotone"),
+    ("trap", fixture("trapping_chain.json", alphas={
+        **TRAP_ALPHAS, "start": 1e308}), 3,
+     "numerical failure: eigenvalue not finite at param 1e+308"),
+]
+COMMANDS_OF_KIND = {"toy_trapping": ["trap"], "smatrix": ["scatter"],
+                    "open_system": ["heff"]}
+FIXTURES = sorted(p.name for p in DATA.glob("*.json")
+                  if p.name not in ("golden_artifacts.json",
+                                    "bad_missing_omega.json"))
+
+
+def numeric_fields(node, path=()):
+    """Paths to every number in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for key, value in items
+                for p in numeric_fields(value, path + (key,))]
+    return [path] if type(node) in (int, float) else []
+
+
+@st.composite
+def extreme_field(draw):
+    """A fixture, one of its commands, and one of its numbers set to an
+    extreme finite value."""
+    doc = fixture(draw(st.sampled_from(FIXTURES)))
+    command = draw(st.sampled_from(COMMANDS_OF_KIND.get(doc["kind"], [
+        c for c in ("sweep", "locate", "encircle") if c in doc])))
+    *parents, last = draw(st.sampled_from(numeric_fields(doc)))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = draw(st.sampled_from([1e300, -1e300, 1e-300, -1e-300,
+                                       1e308, -1e308]))
+    return command, doc
+
+
+def run_strict(command, doc):
+    """cli.main in process with every warning an error: the exit code,
+    stderr and the names of the files written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp) / "model.json", Path(tmp) / "out"
+        model.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run(command, "--model", str(model), "--out", str(out))
+        return code, err.getvalue(), sorted(p.name for p in out.glob("*"))
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("command,doc,code,message", REPRODUCERS,
+                             ids=REPRODUCER_IDS)
+    def test_reproducer(self, command, doc, code, message):
+        assert run_strict(command, doc) == (code, f"nhspec: {message}\n", [])
+
+    @settings(max_examples=150)
+    @given(case=extreme_field())
+    @example(case=REPRODUCERS[0][:2])
+    @example(case=REPRODUCERS[1][:2])
+    @example(case=REPRODUCERS[2][:2])
+    @example(case=REPRODUCERS[3][:2])
+    @example(case=REPRODUCERS[4][:2])
+    def test_exits_cleanly(self, case):
+        code, err, written = run_strict(*case)
+        assert code in (0, 2, 3), err
+        if code:
+            # heff keeps its table, with the failing states marked, where a
+            # state did not converge
+            kept = ["resonances.csv"] if "did not converge" in err else []
+            assert written in ([], kept), err
 
 # ---------------------------------------------------------------------------
 # determinism

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhspec import scattering
-from nhspec.errors import GridTooCoarse, PoleOnRealAxis, SingularResolvent
+from nhspec.errors import (GridTooCoarse, NhspecError, PoleOnRealAxis,
+                           SingularResolvent)
 
 from conftest import random_real_symmetric
 
@@ -177,6 +178,20 @@ class TestLineshape:
         with pytest.raises(PoleOnRealAxis) as exc:
             scattering.lineshape(m, np.linspace(-2.0, 2.0, 401))
         assert exc.value.energy == 0.5
+
+    def test_non_finite_s_is_refused(self):
+        # gamma^2 = 1e400 overflows in the pole sum: S is refused at its
+        # first energy, with no warning, by the lineshape and the BIC scan
+        grid = np.linspace(-1.0, 1.0, 11)
+        m = scattering.SMatrixModel(poles=[-1e-300j], couplings=[[1e200]],
+                                    energy_grid=grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NhspecError, match=r"S is not finite at "
+                               r"energy -1\.0$"):
+                scattering.lineshape(m, grid)
+            with pytest.raises(NhspecError, match="S is not finite at "):
+                scattering.detect_bic(m)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),

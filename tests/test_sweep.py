@@ -445,6 +445,20 @@ class TestEncircle:
             assert c.permutation == (0, 1)
             assert np.abs(c.phases - 1.0).max() < 1e-6
 
+    def test_off_centre_contour_encloses_the_ep(self):
+        # the EP omega = i lies 0.3 off the centre, inside radius 0.4
+        rep = self.report(center=0.3 + 1j, radius=0.4)
+        assert rep.encloses_ep
+        assert (rep.eigenvalue_period, rep.eigenvector_period) == (2, 4)
+
+    def test_contour_around_both_eps_restores_the_pair(self):
+        # radius 3 about 0 winds once around each EP omega = +-i: the two
+        # exchanges cancel, so the first cycle is the identity
+        rep = self.report(center=0.0, radius=3.0)
+        assert not rep.encloses_ep
+        assert rep.eigenvalue_period == 1
+        assert rep.cycles[0].permutation == (0, 1)
+
     def test_refinement_handles_coarse_steps(self):
         spec = sweep.EncircleSpec(center=1j, radius=0.5, steps_per_cycle=64,
                                   cycles=2)
@@ -453,10 +467,12 @@ class TestEncircle:
 
     def test_every_cycle_closes_after_many_turns(self, monkeypatch):
         # past about 1e4 turns t / 2 pi rounds by more than 1e-12: the grid
-        # rows k * steps_per_cycle close the cycles, whatever t rounds to
+        # rows k * steps_per_cycle close the cycles, whatever t rounds to;
+        # the two levels stay 2 apart, so no row is a coalescence
         def track(family, ts):
             n = len(ts)
-            yield sweep._Frame(ts, np.zeros((n, 2), complex), np.broadcast_to(
+            yield sweep._Frame(ts, np.broadcast_to(np.array([1, -1], complex),
+                                                   (n, 2)), np.broadcast_to(
                 np.eye(2, dtype=complex), (n, 2, 2)), np.ones(n, bool),
                 np.ones(n))
 
