@@ -155,9 +155,7 @@ def _linspace_block(rec, where):
         _fail(f"{where} needs at least 2 points")
     if start == stop:
         _fail(f"{where} needs start != stop")
-    if np.isinf(stop - start):      # halving is exact in binary
-        return 2 * np.linspace(start / 2, stop / 2, points)
-    return np.linspace(start, stop, points)
+    return sweep.linspace(start, stop, points)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +400,13 @@ def cmd_heff(doc, out, emit):
                   "converged iterations residual".split(),
                   [np.arange(len(states)), z.real, z.imag, width, energy,
                    converged, iterations, residual])
-    failed = np.flatnonzero(~converged).tolist()
-    if failed:
-        raise SelfConsistencyFailure(f"states {failed} did not converge")
+    if failed := np.flatnonzero(~converged).tolist():  # name the threshold
+        h = model.grid[1] - model.grid[0]   # whose clamp edge holds a state
+        at = [f"root at threshold {t!r}" + ("" if ks == failed else f" for {ks}")
+              for t in model.window
+              if (ks := [k for k in failed if abs(energy[k] - t) < h])]
+        raise SelfConsistencyFailure(f"states {failed} did not converge"
+                                     + (": " + "; ".join(at) if at else ""))
     return 0
 
 

@@ -276,51 +276,50 @@ class ResonanceState(NamedTuple):
 def solve_resonances(m):
     """Solve (H_eff(E) - z) phi = 0 self-consistently in the real energy.
 
-    Newton steps E <- E - F/F' on F(E) = Re z_k(E) - E per state, the state
-    tracked by eigenvector overlap, F' = Re(phi^T H_eff' phi / phi^T phi) - 1
-    (Hellmann-Feynman, H_eff complex symmetric).  Where the step is not
-    finite, would cross a threshold (a kink of H_eff) or is longer than both
-    2|F| and the last round's Newton step, or where |F| did not fall from the
-    last round, the step is the damped E <- (E + Re z_k(E))/2.
-    Stops at a step below 1e-10 * scale, else unconverged after 200.
-    States whose self-consistent energy falls outside the window come
-    out with zero width and ordinary orthonormal vectors.
-
-    The unconverged states advance together, one round per step: one
-    (R, N, N) stack of H_eff's energy-dependent terms and one stacked
-    eigensolve, picked on LAPACK's own unit vectors, each state's iterates
-    as when solved alone; `iterations` is the round a state converged in.
-    One more round solves every state at its final energy, sorted.
+    State k solves F(E) = Re z(E) - E for the eigenvalue z of H_eff(E) of
+    k-th smallest real part, from the k-th level of h_bound(), in a bracket
+    that each F narrows (F > 0: the root lies above E): a Newton step (F'
+    by Hellmann-Feynman) where it lands strictly inside, else the midpoint,
+    else E + 2F while an end is infinite.  Stops at a step below 1e-10 *
+    scale, after 200 rounds, or where the threshold clamp holds the next
+    iterate in place (unconverged, a root in the excluded half cell, the
+    residual |F| at the clamp edge).  All states advance together, one
+    stacked eigensolve per round, each as if solved alone.  A final round
+    reads the k-th sorted pair at state k's energy, the lowest of those
+    within 1e-10 * scale; states outside the window have zero width.
     """
     lo, hi = m.window
     h, h_b, *_ = consts = _heff_consts(m)
     n, tol = m.n_states, 1e-10 * np.abs([*m.e_b, lo, hi, 1.0]).max()
-    energy, phi_ref = np.linalg.eigh(h_b)
-    phi_ref = phi_ref.T.astype(complex)         # row k: state k's vector
-    f_last, n_last = np.full(n, np.inf), np.zeros(n)    # |F|, Newton's step
-    resid, iterations = np.full(n, np.inf), np.zeros(n, int)
-    act, edges = np.arange(n), np.array([[lo], [hi]])   # unconverged states
+    energy = _clamp_energy(np.linalg.eigh(h_b)[0], lo, hi, h)
+    below, above = np.full(n, -np.inf), np.full(n, np.inf)  # root brackets
+    act, resid, iterations = np.arange(n), np.full(n, np.inf), np.zeros(n, int)
     for it in range(1, 201):
-        e = _clamp_energy(energy[act], lo, hi, h)
-        heff, inside, _, dheff = _heff_stack(m, e, consts)
-        z, u = _follow(phi_ref[act], *linalg.eig_stack(heff, ~inside))
+        heff, inside, _, dheff = _heff_stack(m, e := energy[act], consts)
+        w, u = linalg.eig_stack(heff, ~inside)
+        rows = np.arange(len(act))
+        idx = np.argsort(w.real)[rows, act]     # state k: the k-th real part
+        z, u = w[rows, idx], u[rows, :, idx]
         f, v, col = z.real - e, u[:, None], u[..., None]
+        a = below[act] = np.where(f > 0, e, below[act])
+        b = above[act] = np.where(f < 0, e, above[act])
         with np.errstate(all="ignore"):     # not finite on a node or an EP
             new_e = e - f / ((v @ dheff @ col / (v @ col))[:, 0, 0].real - 1.0)
-            newton = np.isfinite(new_e) & (np.abs(f) < f_last[act]) & (
-                (new_e - edges) * (e - edges) > 0).all(0)
-            newton &= np.abs(new_e - e) <= np.fmax(2.0 * np.abs(f), n_last[act])
-        phi_ref[act], f_last[act], n_last[act], iterations[act] = \
-            u, np.abs(f), np.abs(new_e - e), it
-        energy[act] = new_e = np.where(newton, new_e, 0.5 * e + 0.5 * z.real)
-        resid[act] = step = np.abs(new_e - e)
-        act = act[~(step < tol)]
+            new_e = np.where((a < new_e) & (new_e < b), new_e, np.where(
+                np.isinf(a) | np.isinf(b), e + 2.0 * f, 0.5 * a + 0.5 * b))
+        energy[act] = _clamp_energy(new_e, lo, hi, h)
+        done = (step := np.abs(new_e - e)) < tol
+        held = (energy[act] == e) & ~done   # put back by the threshold clamp
+        resid[act], iterations[act] = np.where(held, np.abs(f), step), it
+        act = act[~(done | held)]
         if not len(act):
             break
-    energy = _clamp_energy(energy, lo, hi, h)
+    s = energy[order := np.argsort(energy, kind="stable")]  # states within
+    s[1:] = np.where(np.diff(s) > tol, s[1:], -np.inf)  # tol of each other
+    energy[order] = np.maximum.accumulate(s)            # read at the lowest
     heff, inside, g, _ = _heff_stack(m, energy, consts)
-    z, phis = _follow(phi_ref, *linalg.sort_pairs(*linalg.eig_stack(heff,
-                                                                     ~inside)))
+    w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
+    z, phis = np.diagonal(w), np.diagonal(u, 0, 0, 2).T.copy()  # k-th pair
     phis[inside] = linalg.c_columns(phis[inside].T)[0].T
     states = []
     for k, (z, phi, e, r) in enumerate(zip(z.tolist(), phis, energy.tolist(),
@@ -332,13 +331,6 @@ def solve_resonances(m):
         states.append(ResonanceState(z, phi, np.asarray(phi @ g[k], complex),
                                      e, bool(r < tol), iterations[k].item(), r))
     return states
-
-
-def _follow(phi_ref, w, u):
-    """Each row's eigenpair of largest |phi_ref^H u|, u at unit norm."""
-    rows = np.arange(len(w))
-    idx = np.abs(phi_ref.conj()[:, None] @ u)[:, 0].argmax(axis=1)
-    return w[rows, idx], u[rows, :, idx]
 
 
 def _clamp_energy(energy, lo, hi, h):   # clear of the half-cell exclusion

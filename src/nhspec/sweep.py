@@ -322,6 +322,11 @@ class SweepResult(NamedTuple):
                     self.norms_A, self.rigidity_r, self.min_gap.tolist())))
 
 
+def linspace(start, stop, num):     # halved where stop - start overflows
+    k = 2.0 if np.isinf(float(stop) - float(start)) else 1.0
+    return k * np.linspace(start / k, stop / k, num)
+
+
 def sweep(spec):
     """Sweep a model parameter, continuing eigenpairs by overlap matching.
 
@@ -343,8 +348,8 @@ def sweep(spec):
     # flagged (r = 0, A = inf) where the c-norm has numerically vanished
     blocks = [(b.t, b.values, np.abs(np.einsum("tik,tik->tk", b.vectors,
                                                b.vectors)), b.on_grid, b.peak)
-              for b in _track(family, np.linspace(spec.start, spec.stop,
-                                                  spec.steps))]
+              for b in _track(family, linspace(spec.start, spec.stop,
+                                               spec.steps))]
     params, values, r, on_grid, peak = map(np.concatenate, zip(*blocks))
     del blocks
     scale = max(peak[on_grid].max(), 1.0)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nhspec import cli, linalg, opensys, scattering, sweep
+from nhspec.errors import ModelFileError
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,6 +273,30 @@ class TestHeffCommand:
             "must have one row per entry of e_b\n"
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize("e_b,held,message", [
+        ([-9.8], [0], "states [0] did not converge: root at threshold -10.0"),
+        ([-9.8, 0.0, 9.8], [0, 2], "states [0, 2] did not converge: root "
+         "at threshold -10.0 for [0]; root at threshold 10.0 for [2]")],
+        ids=["lower", "both"])
+    def test_root_at_threshold_is_named(self, tmp_path, capsys, e_b, held,
+                                        message):
+        # a level 0.2 inside a window of 1-wide cells: its root lies in the
+        # half cell excluded at the threshold, so the state stops in round 1
+        # at the clamp edge 0.51 cells in, unconverged, with |F| there
+        model = write_model(tmp_path, "open_system", {
+            "e_b": e_b, "coupling": {"profile": "semicircle",
+                                     "strengths": [[0.1]] * len(e_b)},
+            "window": [-10.0, 10.0], "grid_size": 21})
+        assert run("heff", "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == \
+            f"nhspec: numerical failure: {message}\n"
+        rows = csv_rows(tmp_path / "out" / "resonances.csv")
+        assert [k for k, r in enumerate(rows) if not r[5]] == held
+        for r in (rows[k] for k in held):
+            assert abs(r[4]) == 9.49 and r[6] == 1     # energy, iterations
+            assert r[7] == abs(r[1] - r[4])             # residual |Re z - E|
+
     def test_unconverged_state_is_numerical_failure(self, tmp_path,
                                                      monkeypatch, capsys):
         solve = opensys.solve_resonances
@@ -314,6 +339,16 @@ class TestExitCodes:
         bad.write_text(json.dumps({"version": "99", "kind": "two_level",
                                    "parameters": {}}))
         assert run("sweep", "--model", str(bad), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("text", [
+        "{not json", json.dumps({"version": "99", "kind": "two_level",
+                                 "parameters": {}})],
+        ids=["invalid_json", "wrong_version"])
+    def test_model_file_error(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ModelFileError):
+            cli.load_model_file(bad)
 
     @pytest.mark.parametrize("parameter", ["alpha", "a"])
     def test_unknown_sweep_path_is_input_error(self, tmp_path, capsys,
@@ -1105,6 +1140,26 @@ class TestExtremeValues:
             # state did not converge
             kept = ["resonances.csv"] if "did not converge" in err else []
             assert written in ([], kept), err
+
+    def test_sweep_span_overflows(self, tmp_path):
+        # the grid of a span past the float range is taken at half scale and
+        # doubled: finite rows, and the EP eps1 - eps2 = 2 Im omega found at
+        # eps1_re = 0.0 exactly
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(fixture("two_level_sweep.json", sweep={
+            "parameter": "eps1_re", "start": -1e308, "stop": 1e308,
+            "steps": 11})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("sweep", "--model", str(model),
+                       "--out", str(tmp_path / "out")) == 0
+        rows = csv_rows(tmp_path / "out" / "sweep.csv")
+        assert len(rows) == 22 and np.isfinite(rows).all()
+        assert rows[0][0] == -1e308 and rows[-1][0] == 1e308
+        events = (tmp_path / "out" / "events.jsonl").read_text().splitlines()
+        assert {"indices": [0, 1], "kind": "ep_candidate", "param": 0.0} \
+            in map(json.loads, events)
+
 
 # ---------------------------------------------------------------------------
 # determinism
