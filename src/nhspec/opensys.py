@@ -76,7 +76,7 @@ class TabulatedCoupling(NamedTuple("TabulatedCoupling", [
         grid, values = np.asarray(grid, float), np.asarray(values, float)
         if values.shape[0] != len(grid):
             raise ValueError("values must be tabulated on the grid")
-        if np.any(np.diff(grid) <= 0):
+        if np.any(grid[1:] <= grid[:-1]):  # a diff of 1e308 nodes overflows
             raise ValueError("tabulation grid must be strictly increasing")
         return super().__new__(cls, grid, values)
 
@@ -315,7 +315,8 @@ def solve_resonances(m):
         if not len(act):
             break
     s = energy[order := np.argsort(energy, kind="stable")]  # states within
-    s[1:] = np.where(np.diff(s) > tol, s[1:], -np.inf)  # tol of each other
+    with np.errstate(over="ignore"):    # inf > tol: a float range apart
+        s[1:] = np.where(np.diff(s) > tol, s[1:], -np.inf)  # tol of each other
     energy[order] = np.maximum.accumulate(s)            # read at the lowest
     heff, inside, g, _ = _heff_stack(m, energy, consts)
     w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))

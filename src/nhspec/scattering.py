@@ -101,11 +101,13 @@ def _s_cc(m, energies, channel):
     g, c = m.level_couplings, m.n_channels
     r = energies - m.levels[:, None]     # (N, E); inverted in place, as a
     hit = (r == 0.0).any(axis=0)         # second one costs more than K does
-    r[:, hit] = np.inf                   # S is set apart there
+    if on_level := hit.any():
+        r[:, hit] = np.inf               # S is set apart there
     k = np.divide(1.0, r, out=r).T @ (g[:, :, None] * g[:, None]).reshape(
         len(g), c * c)                   # K(E) as (E, C^2)
     if c == 1:                          # on a level K -> infinity, S -> -1
-        return np.where(hit, -1.0, (2.0 - 1j * k[:, 0]) / (2.0 + 1j * k[:, 0]))
+        s = (2.0 - (ik := 1j * k[:, 0])) / (2.0 + ik)
+        return np.where(hit, -1.0, s) if on_level else s
     ik, two = 1j * k.reshape(-1, c, c), 2.0 * np.eye(c)
     s = np.linalg.solve(two + ik, (two - ik)[..., [channel]])[:, channel, 0]
     for i in np.flatnonzero(hit):
@@ -146,7 +148,18 @@ class LineshapeReport(NamedTuple):
 
 
 def _unwrapped_phase(s_values):
-    return 0.5 * np.unwrap(np.angle(s_values))
+    """0.5 * np.unwrap(np.angle(s_values)) to the bit: each step dp with
+    |dp| >= pi is wrapped into [-pi, pi) (to +pi where dp > 0 gives -pi), and
+    p gains the running sum of the corrections, taken over those steps only:
+    the +0.0 numpy adds at the others leaves a sum that is never -0.0 as is."""
+    p = np.angle(s_values)
+    at = np.flatnonzero(~(np.abs(d := p[1:] - p[:-1]) < np.pi))
+    w = np.mod((dp := d[at]) + np.pi, 2 * np.pi) - np.pi
+    w[(w == -np.pi) & (dp > 0)] = np.pi
+    ends = np.concatenate(([0], at, [len(d)]))
+    p[1:] += np.repeat(np.concatenate(([0.0], np.cumsum(w - dp))),
+                       ends[1:] - ends[:-1])
+    return np.multiply(p, 0.5, out=p)
 
 
 def _extrema(grid, y):
@@ -156,10 +169,8 @@ def _extrema(grid, y):
 
 
 def _halfmax_span(grid, sigma):
-    peak = sigma.max()
-    above = sigma >= 0.5 * peak
-    idx = np.flatnonzero(above)
-    return float(grid[idx[-1]] - grid[idx[0]]) if len(idx) else 0.0
+    idx = np.flatnonzero(sigma >= 0.5 * sigma.max())  # floats overflow quietly
+    return float(grid[idx[-1]]) - float(grid[idx[0]]) if len(idx) else 0.0
 
 
 def _report(grid, s, sigma_at_center=None, breit_wigner_span=0.0):
@@ -169,12 +180,14 @@ def _report(grid, s, sigma_at_center=None, breit_wigner_span=0.0):
     minima, maxima = _extrema(grid, sigma)
     if sigma_at_center is None:
         sigma_at_center = float(sigma[len(grid) // 2])
+    total, span = float(phase[-1] - phase[0]), _halfmax_span(grid, sigma)
+    if not np.isfinite([total, span]).all():
+        raise NhspecError(f"halfmax_span {span!r} and total_phase_change "
+                          f"{total!r} must be finite")
     return LineshapeReport(
-        grid=grid, s_values=s, sigma=sigma, phase=phase,
-        total_phase_change=float(phase[-1] - phase[0]),
-        sigma_at_center=sigma_at_center,
-        halfmax_span=_halfmax_span(grid, sigma),
-        breit_wigner_span=breit_wigner_span, minima=minima, maxima=maxima)
+        grid=grid, s_values=s, sigma=sigma, phase=phase, minima=minima,
+        maxima=maxima, total_phase_change=total, halfmax_span=span,
+        sigma_at_center=sigma_at_center, breit_wigner_span=breit_wigner_span)
 
 
 def double_pole_lineshape(e_d, gamma_d, grid):
@@ -190,7 +203,7 @@ def double_pole_lineshape(e_d, gamma_d, grid):
     grid = np.asarray(grid, float)
     if grid[0] > e_d - 10 * gamma_d or grid[-1] < e_d + 10 * gamma_d:
         raise GridTooCoarse("grid must span E_d +/- 10 Gamma_d")
-    if grid[1] - grid[0] > gamma_d / 8.0:
+    if float(grid[1]) - float(grid[0]) > gamma_d / 8.0:
         raise GridTooCoarse("grid must resolve the width by >= 8 points")
     # S depends on (E - E_d) / Gamma_d alone: in a power-of-two unit near
     # Gamma_d no term overflows, and the rescaling is exact, so S keeps the
@@ -212,9 +225,9 @@ def lineshape(m, grid, channel=0):
     widths = -2.0 * m.poles.imag
     # zero-width states can never be resolved on a real grid; they are the
     # business of detect_bic, so only displayable widths gate the step size
-    span = grid[-1] - grid[0]
+    span = float(grid[-1]) - float(grid[0])    # as floats, overflow is quiet
     finite = widths[widths > 1e-12 * span]
-    if len(finite) and grid[1] - grid[0] > finite.min() / 8.0:
+    if len(finite) and float(grid[1]) - float(grid[0]) > finite.min() / 8.0:
         raise GridTooCoarse("grid must resolve the narrowest width by >= 8 points")
     return _report(grid, _s_diag(m, grid, channel))
 
@@ -251,7 +264,7 @@ def detect_bic(m, channel=0):
         phase = _unwrapped_phase(_s_diag(m, local, channel))
         jump = float(phase[-1] - phase[0])
         coarse = m.energy_grid if m.energy_grid is not None else local
-        step = coarse[1] - coarse[0] if len(coarse) > 1 else half
+        step = float(coarse[1]) - float(coarse[0]) if len(coarse) > 1 else half
         sig_lo, sig_hi = np.abs(1.0 - _s_diag(
             m, z.real + np.array([-0.5, 0.5]) * step, channel)) ** 2
         resolved = abs(sig_hi - sig_lo) > 0.1 * max(sig_hi, sig_lo, 1e-300)

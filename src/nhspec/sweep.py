@@ -162,8 +162,8 @@ def _affine(model, paths):
         else:
             slopes.append(at(*x).entries - base.entries)
         before = _set_path(before, path, 0.0)
-    if not np.array_equal(sum(slopes, base.entries),
-                          at(*[1.0] * len(paths)).entries):
+    if not np.array_equal(at(*[1.0] * len(paths)).entries,  # raises on inf
+                          sum(slopes, base.entries)):  # before this overflows
         raise ValueError(f"parameter paths {paths} give no pencil A + x B")
     return base.entries, slopes, base.symmetry_hint
 
@@ -191,7 +191,8 @@ def _match(u_prev, u_new, z0=None, z1=None):
     # Hermitian overlap: the unconjugated product collapses near a
     # coalescence along with the phase rigidity and cannot identify states
     ov = np.abs(u_prev.conj().T @ u_new)
-    cols = linalg._assign(ov, None if z0 is None else np.abs(z0[:, None] - z1))
+    with np.errstate(over="ignore"):    # values a float range apart: inf
+        cols = linalg._assign(ov, None if z0 is None else abs(z0[:, None] - z1))
     chosen = ov[np.arange(len(cols)), cols]
     return cols, float(chosen.min())
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -1049,12 +1050,35 @@ def fixture(name, **blocks):
     return {**json.loads((DATA / name).read_text()), **blocks}
 
 
+def set_field(doc, path, value):
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def with_fields(name, **fields):
+    """A fixture with the numbers at the given paths (keys joined by '.')
+    replaced."""
+    doc = fixture(name)
+    for path, value in fields.items():
+        set_field(doc, [int(k) if k.isdigit() else k
+                        for k in path.split(".")], value)
+    return doc
+
+
 TRAP_ALPHAS = fixture("trapping_chain.json")["alphas"]
 # (command, model, exit code, stderr) of inputs that once warned, wrote an
-# artifact before failing, or reported a contour through an EP as clean
+# artifact before failing, or reported a contour through an EP as clean;
+# the first five set one field, the rest two under one parent node (the
+# stderr of an exit 0 is empty)
 REPRODUCER_IDS = ["contour_through_ep", "pole_sum_overflows",
                   "grid_span_overflows", "alphas_span_overflows",
-                  "alpha_eigenvalue_overflows"]
+                  "alpha_eigenvalue_overflows", "lineshape_span_overflows",
+                  "match_cost_overflows", "tabulation_step_overflows",
+                  "pencil_sum_overflows", "level_gap_overflows"]
 REPRODUCERS = [
     ("encircle", fixture("two_level_sweep.json", encircle={
         "center": [0.0, 0.5], "radius": 0.5, "steps_per_cycle": 64,
@@ -1073,11 +1097,30 @@ REPRODUCERS = [
     ("trap", fixture("trapping_chain.json", alphas={
         **TRAP_ALPHAS, "start": 1e308}), 3,
      "numerical failure: eigenvalue not finite at param 1e+308"),
+    ("scatter", fixture("bic_pair.json", grid={
+        "start": -1e308, "stop": 1e308, "points": 1001}), 3,
+     "numerical failure: halfmax_span inf and total_phase_change -2e-308 "
+     "must be finite"),
+    ("trap", with_fields("trapping_chain.json", **{
+        "parameters.h0.0": 1e308, "parameters.h0.1": -1e308}), 3,
+     "numerical failure: overlap 0.167 below threshold at param "
+     "0.010163799894957984"),
+    ("heff", with_fields("open_system_tabulated.json", **{
+        "parameters.coupling.energies.0": 1e308,
+        "parameters.coupling.energies.1": -1e308}), 2,
+     "input error: tabulation grid must be strictly increasing"),
+    ("sweep", with_fields("avoided_iv.json", **{
+        "parameters.e1_0": 1e308, "parameters.e1_slope": 1e308}), 2,
+     "input error: entries must be finite"),
+    ("heff", with_fields("open_system.json", **{
+        "parameters.e_b.0": 1e308, "parameters.e_b.1": -1e308}), 0, None),
 ]
+EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308]
 COMMANDS_OF_KIND = {"toy_trapping": ["trap"], "smatrix": ["scatter"],
                     "open_system": ["heff"]}
 FIXTURES = sorted(p.name for p in DATA.glob("*.json")
                   if p.name not in ("golden_artifacts.json",
+                                    "golden_lineshapes.json",
                                     "bad_missing_omega.json"))
 
 
@@ -1090,19 +1133,39 @@ def numeric_fields(node, path=()):
     return [path] if type(node) in (int, float) else []
 
 
+def sibling_fields(doc):
+    """Pairs of numbers under one parent node: two fields of one block (as
+    both ends of a grid) or two entries of one array."""
+    by_parent = {}
+    for path in numeric_fields(doc):
+        by_parent.setdefault(path[:-1], []).append(path)
+    return [pair for paths in by_parent.values()
+            for pair in itertools.combinations(paths, 2)]
+
+
+def fixture_and_command(draw):
+    doc = fixture(draw(st.sampled_from(FIXTURES)))
+    return doc, draw(st.sampled_from(COMMANDS_OF_KIND.get(doc["kind"], [
+        c for c in ("sweep", "locate", "encircle") if c in doc])))
+
+
 @st.composite
 def extreme_field(draw):
     """A fixture, one of its commands, and one of its numbers set to an
     extreme finite value."""
-    doc = fixture(draw(st.sampled_from(FIXTURES)))
-    command = draw(st.sampled_from(COMMANDS_OF_KIND.get(doc["kind"], [
-        c for c in ("sweep", "locate", "encircle") if c in doc])))
-    *parents, last = draw(st.sampled_from(numeric_fields(doc)))
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = draw(st.sampled_from([1e300, -1e300, 1e-300, -1e-300,
-                                       1e308, -1e308]))
+    doc, command = fixture_and_command(draw)
+    path = draw(st.sampled_from(numeric_fields(doc)))
+    return command, set_field(doc, path, draw(st.sampled_from(EXTREMES)))
+
+
+@st.composite
+def extreme_pair(draw):
+    """A fixture, one of its commands, and two numbers under one parent
+    node, each set to an extreme finite value: a failure that needs both
+    ends of a span extreme is out of reach of extreme_field."""
+    doc, command = fixture_and_command(draw)
+    for path in draw(st.sampled_from(sibling_fields(doc))):
+        set_field(doc, path, draw(st.sampled_from(EXTREMES)))
     return command, doc
 
 
@@ -1123,7 +1186,20 @@ class TestExtremeValues:
     @pytest.mark.parametrize("command,doc,code,message", REPRODUCERS,
                              ids=REPRODUCER_IDS)
     def test_reproducer(self, command, doc, code, message):
-        assert run_strict(command, doc) == (code, f"nhspec: {message}\n", [])
+        # a failure writes nothing, and a success its artifacts
+        got, err, written = run_strict(command, doc)
+        assert (got, err) == (code, f"nhspec: {message}\n" if code else "")
+        assert bool(written) == (code == 0)
+
+    @staticmethod
+    def exits_cleanly(case):
+        code, err, written = run_strict(*case)
+        assert code in (0, 2, 3), err
+        if code:
+            # heff keeps its table, with the failing states marked, where a
+            # state did not converge
+            kept = ["resonances.csv"] if "did not converge" in err else []
+            assert written in ([], kept), err
 
     @settings(max_examples=150)
     @given(case=extreme_field())
@@ -1133,13 +1209,17 @@ class TestExtremeValues:
     @example(case=REPRODUCERS[3][:2])
     @example(case=REPRODUCERS[4][:2])
     def test_exits_cleanly(self, case):
-        code, err, written = run_strict(*case)
-        assert code in (0, 2, 3), err
-        if code:
-            # heff keeps its table, with the failing states marked, where a
-            # state did not converge
-            kept = ["resonances.csv"] if "did not converge" in err else []
-            assert written in ([], kept), err
+        self.exits_cleanly(case)
+
+    @settings(max_examples=150)
+    @given(case=extreme_pair())
+    @example(case=REPRODUCERS[5][:2])
+    @example(case=REPRODUCERS[6][:2])
+    @example(case=REPRODUCERS[7][:2])
+    @example(case=REPRODUCERS[8][:2])
+    @example(case=REPRODUCERS[9][:2])
+    def test_pairs_exit_cleanly(self, case):
+        self.exits_cleanly(case)
 
     def test_sweep_span_overflows(self, tmp_path):
         # the grid of a span past the float range is taken at half scale and

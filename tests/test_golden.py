@@ -1,4 +1,5 @@
-"""Golden artifacts: the SHA-256 of every file the fixture commands write.
+"""Golden artifacts: the SHA-256 of every file the fixture commands write,
+and of the lineshape arrays of four continuum-shaped pole models.
 
 Reruns only show that a build agrees with itself; these hashes show that
 it agrees with the recorded one.  Floating-point bits depend on numpy and
@@ -21,10 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhspec import cli
+from nhspec import cli, scattering
 
 DATA = Path(__file__).parent / "data"
 RECORD = DATA / "golden_artifacts.json"
+LINESHAPE_RECORD = DATA / "golden_lineshapes.json"
+LINESHAPE_SEEDS = (0, 1, 2, 901)
 EMIT = "csv,json,svg"
 RUNS = (
     ("sweep", "two_level_sweep.json"),
@@ -60,17 +63,45 @@ def outcome(command, model, out):
                           for p in files}}
 
 
-def test_artifacts_match_the_record(tmp_path):
-    recorded = json.loads(RECORD.read_text())
+def continuum_lineshape(seed):
+    """The lineshape of the pole model drawn as perfbench's `continuum`
+    workload draws it (8 levels near -3.5..3.5, one channel, 20001
+    energies), after its open-system draws."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(-8.0, 8.0, 10)
+    rng.uniform(0.1, 0.5, (10, 2))
+    h_b = np.diag(np.linspace(-3.5, 3.5, 8) + rng.uniform(-0.2, 0.2, 8))
+    gamma_hat = rng.uniform(0.2, 0.4, (8, 1))
+    m = scattering.SMatrixModel.from_effective_hamiltonian(h_b, gamma_hat)
+    rep = scattering.lineshape(m, np.linspace(-6.0, 6.0, 20001))
+    return {"seed": seed, **{name: hashlib.sha256(
+        getattr(rep, name).tobytes()).hexdigest()
+        for name in ("s_values", "sigma", "phase")}}
+
+
+def recorded_here(path):
+    recorded = json.loads(path.read_text())
     here = toolchain()
     if {k: recorded[k] for k in here} != here:
-        pytest.skip(f"artifacts recorded with {recorded['numpy']=}, "
+        pytest.skip(f"recorded with {recorded['numpy']=}, "
                     f"{recorded['blas']=}; this is {here}")
+    return recorded
+
+
+def test_artifacts_match_the_record(tmp_path):
+    recorded = recorded_here(RECORD)
     assert recorded["emit"] == EMIT
     assert [[r["command"], r["model"]] for r in recorded["runs"]] \
         == [list(r) for r in RUNS]
     for idx, (run, want) in enumerate(zip(RUNS, recorded["runs"])):
         assert outcome(*run, tmp_path / str(idx)) == want
+
+
+@pytest.mark.parametrize("seed", LINESHAPE_SEEDS)
+def test_lineshapes_match_the_record(seed):
+    recorded = recorded_here(LINESHAPE_RECORD)
+    want, = [r for r in recorded["lineshapes"] if r["seed"] == seed]
+    assert continuum_lineshape(seed) == want
 
 
 if __name__ == "__main__":
@@ -79,3 +110,6 @@ if __name__ == "__main__":
                 for idx, run in enumerate(RUNS)]
     RECORD.write_text(json.dumps({**toolchain(), "emit": EMIT, "runs": runs},
                                  indent=1) + "\n")
+    LINESHAPE_RECORD.write_text(json.dumps({**toolchain(), "lineshapes": [
+        continuum_lineshape(seed) for seed in LINESHAPE_SEEDS]}, indent=1)
+        + "\n")

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhspec import scattering
 from nhspec.errors import (GridTooCoarse, NhspecError, PoleOnRealAxis,
@@ -348,6 +348,81 @@ class TestKMatrix:
         for t in range(0, len(grid), 10):
             assert abs(rep.s_values[t] - mp_s(h_b, p["gamma_hat"], grid[t])) \
                 <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the phase unwrapping and of the one-channel K path
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)),
+                          np.signbit(want.view(float)))
+
+
+def k_path_s_plain(m, energies):
+    """The one-channel K path written plainly: every energy on a level set
+    apart, 1j * K formed twice and -1 chosen by np.where everywhere."""
+    g = m.level_couplings
+    r = energies - m.levels[:, None]
+    hit = (r == 0.0).any(axis=0)
+    r[:, hit] = np.inf
+    k = np.divide(1.0, r, out=r).T @ (g[:, :, None] * g[:, None]).reshape(
+        len(g), 1)
+    return np.where(hit, -1.0, (2.0 - 1j * k[:, 0]) / (2.0 + 1j * k[:, 0]))
+
+
+# arg S exactly 0, -0.0, +-pi/2 and +-pi, next to the branch cut, and
+# anywhere; steps between them are exactly +-pi, or near +-2 pi
+ON_AXES = [1 + 0j, complex(1, -0.0), complex(0.0, -0.0), 0j, 1j, -1j,
+           complex(-1, 0.0), complex(-1, -0.0), complex(-0.0, -0.0),
+           complex(-1, 1e-300), complex(-1, -1e-300)]
+S_VALUES = st.one_of(
+    st.sampled_from(ON_AXES),
+    st.builds(complex, st.floats(-2.0, -1e-3), st.floats(-1e-3, 1e-3)),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False))
+
+
+@st.composite
+def s_sequences(draw):
+    """S values of length 1 to 3, of any length, or jumping across the
+    branch cut of arg at every step."""
+    form = draw(st.sampled_from(["short", "long", "every_step"]))
+    if form == "every_step":
+        eps = draw(st.floats(0.0, 1e-3))
+        return [complex(-1.0, eps if k % 2 else -eps)
+                for k in range(draw(st.integers(1, 40)))]
+    return draw(st.lists(S_VALUES, min_size=1,
+                         max_size=3 if form == "short" else 40))
+
+
+class TestBitIdentity:
+    @settings(max_examples=400)
+    @given(s=s_sequences())
+    @example(s=[complex(1, -0.0)])
+    @example(s=[1 + 0j, complex(-1, 0.0)])              # a step of +pi
+    @example(s=[complex(-1, 0.0), 1 + 0j, 1j, -1j])     # -pi, +pi/2, -pi
+    @example(s=[complex(-1, -0.0), 1 + 0j, complex(-1, 0.0)])
+    @example(s=[complex(-1, 1e-300), complex(-1, -1e-300)] * 3)
+    def test_unwrapped_phase_is_numpys(self, s):
+        s = np.array(s, complex)
+        assert_same_bits(scattering._unwrapped_phase(s),
+                         0.5 * np.unwrap(np.angle(s)))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           on_level=st.booleans())
+    def test_one_channel_k_path_is_the_plain_form(self, seed, n, on_level):
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(-1.5, 1.5, (n, 1))
+        g[rng.random(n) < 0.2] = 0.0        # decoupled levels drop out
+        m = scattering.SMatrixModel.from_effective_hamiltonian(
+            random_real_symmetric(rng, n), g)
+        energies = np.linspace(-4.0, 4.0, 201)
+        if on_level:
+            energies = np.sort(np.concatenate([energies, m.levels]))
+        assert_same_bits(scattering._s_cc(m, energies, 0),
+                         k_path_s_plain(m, energies))
 
 
 def _extrema_loop(grid, y):
