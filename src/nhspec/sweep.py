@@ -47,15 +47,17 @@ class MatrixFamily:
                 np.array([m.symmetry_hint == linalg.HERMITIAN for m in mats]))
 
     def pairs(self, ts):
-        """Largest entry of each matrix over ts, then its sort_pairs."""
+        """Largest entries over ts, then the eigenpairs in LAPACK's order."""
         mats, hermitian = self.stack(ts)
         peaks = np.abs(mats).max(axis=(1, 2)).tolist()
-        pairs = linalg.eig_stack(mats, hermitian)
+        w, vr = linalg.eig_stack(mats, hermitian)
         del mats
-        if not (ok := np.isfinite(pairs[0]).all(axis=1)).all():  # unmatchable
+        if not (ok := np.isfinite(w).all(axis=1)).all():  # unmatchable
             raise NoConvergence("eigenvalue not finite at param "
                                 f"{float(ts[~ok][0])!r}")
-        return (peaks, *linalg.sort_pairs(*pairs))
+        vr = np.ascontiguousarray(vr.swapaxes(1, 2))  # unit as in sort_pairs
+        vr /= np.linalg.norm(vr, axis=-1, keepdims=True)
+        return peaks, w, vr.swapaxes(1, 2)
 
 
 class _Pencil(MatrixFamily):
@@ -99,7 +101,6 @@ class _SecularPencil(_Pencil):
         except np.linalg.LinAlgError:   # for eig_stack to retry or report
             return super().pairs(ts)
         del mats
-        z = np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), -1)
         w = self.w[:, 0]
         with np.errstate(all="ignore"):      # non-finite chunks fall back
             y = w / (self.d - z[..., None])  # row j: (D - z_j)^-1 W
@@ -189,12 +190,15 @@ class PlaneFamily:
 
 def _match(u_prev, u_new, z0=None, z1=None):
     # Hermitian overlap: the unconjugated product collapses near a
-    # coalescence along with the phase rigidity and cannot identify states
-    ov = np.abs(u_prev.conj().T @ u_new)
+    # coalescence along with the phase rigidity and cannot identify states;
+    # columns in (Re, Im) order of z1 break a tie alike in any input order
+    order = np.arange(len(u_new)) if z1 is None \
+        else np.lexsort((z1.imag, z1.real))
+    ov = np.abs(u_prev.conj().T @ u_new.T[order].T)
     with np.errstate(over="ignore"):    # values a float range apart: inf
-        cols = linalg._assign(ov, None if z0 is None else abs(z0[:, None] - z1))
-    chosen = ov[np.arange(len(cols)), cols]
-    return cols, float(chosen.min())
+        cols = linalg._assign(ov, None if z0 is None
+                              else abs(z0[:, None] - z1[order]))
+    return order[cols], float(ov[np.arange(len(cols)), cols].min())
 
 
 class _Frame(NamedTuple):
@@ -205,9 +209,10 @@ class _Frame(NamedTuple):
     peak: float             # largest entry magnitude of the matrix at t
 
 
-def _frame_at(family, t, on_grid=True):
+def _frame_at(family, t, on_grid=True):    # sorted as linalg.sort_pairs
     (peak,), (values,), (vectors,) = family.pairs(np.array([t]))
-    return _Frame(t, values, vectors, on_grid, peak)
+    order = np.lexsort((values.imag, values.real))
+    return _Frame(t, values[order], vectors.T[order].T, on_grid, peak)
 
 
 def _step(family, f0, f1, depth=0):
@@ -232,19 +237,19 @@ def _track(family, ts):
     """Continue the eigenpairs of a MatrixFamily along the parameters ts,
     yielding the matched frames in blocks: _Frames of arrays, one row per
     frame, bisection midpoints included before their grid rows.  Chunks
-    are diagonalized, sorted and overlap-matched in batch: where the row
-    maxima of |U_{k-1}^H U_k| are distinct columns, all at least
-    MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find (a
-    row's argmax ignores row order); other steps go through _step from the
-    row before, in order, and take cols_k = identity.  The prefixes Q_k =
-    cols_k[Q_{k-1}] are then one log-depth scan (Hillis & Steele, CACM 29
-    (1986) 1170), and the rows from a _step order P_k to the next are
-    P_j = Q_j[Q_k^-1[P_k]].  A chunk is then reordered by its P_k at once."""
+    are diagonalized and overlap-matched in batch, in LAPACK's order: where
+    the row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
+    MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find; other
+    steps go through _step from the row before, in order, and take cols_k
+    = identity.  The prefixes Q_k = cols_k[Q_{k-1}] are one log-depth scan
+    (Hillis & Steele, CACM 29 (1986) 1170) over the rows whose cols_k moves
+    a column, and the rows from a _step order P_k to the next are P_j =
+    Q_j[Q_k^-1[P_k]].  A chunk is then reordered by its P_k at once."""
     prev = _frame_at(family, ts[0])
     yield _Frame._make(np.array([x]) for x in prev)
-    # five chunk-sized arrays are live at the peak, inside family.pairs:
-    # LAPACK's vectors, their sort_pairs copy, the two temporaries of its
-    # norm and the block the caller holds; the rest has been released
+    # at most five chunk-sized arrays are live, inside family.pairs: LAPACK's
+    # vectors, then their transposed copy and the two temporaries of its
+    # norm, and the block the caller holds; the rest has been released
     size = max(1, _STACK_BYTES // (5 * prev.vectors.nbytes))
     for lo in range(1, len(ts), size):
         chunk = ts[lo:lo + size]
@@ -252,13 +257,22 @@ def _track(family, ts):
         ov = np.concatenate([prev.vectors[None], vr[:-1]])
         ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
         perms, ident = ov.argmax(axis=2), np.arange(ov.shape[2])
-        clean = (ov.max(axis=2).min(axis=1) >= MATCH_THRESHOLD) \
-            & (np.sort(perms, axis=1) == ident).all(axis=1)
-        del ov
-        perms[~clean], shift = ident, 1
-        while shift < len(perms):       # perms[k] becomes Q_k
-            perms[shift:] = np.take_along_axis(perms[shift:], perms[:-shift], 1)
+        top = np.take_along_axis(ov, perms[..., None], 2)
+        if np.count_nonzero(tied := ov == top) != perms.size:
+            # a tied maximum takes its first column in (Re, Im) order, as _match
+            for k in np.flatnonzero(tied.sum(axis=(1, 2)) > len(ident)):
+                order = np.lexsort((w[k].imag, w[k].real))
+                perms[k] = order[ov[k][:, order].argmax(axis=1)]
+        clean = np.zeros(perms.shape, bool)     # a column two rows pick: False
+        np.put_along_axis(clean, perms, top[..., 0] >= MATCH_THRESHOLD, 1)
+        clean = clean.all(axis=1)
+        del ov, top, tied
+        perms[~clean] = ident
+        q, shift = perms[moved := (perms != ident).any(axis=1)], 1
+        while shift < len(q):       # q[m] becomes the m-th moved row's Q
+            q[shift:] = np.take_along_axis(q[shift:], q[:-shift], 1)
             shift *= 2
+        perms = np.insert(q, 0, ident, axis=0)[np.cumsum(moved)]
         unclean, mids = np.flatnonzero(~clean).tolist(), []
         for k, end in zip(unclean, unclean[1:] + [len(chunk)]):
             if k:               # row k - 1 is in continued order by now
@@ -268,8 +282,10 @@ def _track(family, ts):
                                                      True, peaks[k]))
             mids += [(k, f) for f in steps[:-1]]
             perms[k:end] = perms[k:end][:, np.argsort(perms[k])[perm]]
-        block = _Frame(chunk, np.take_along_axis(w, perms, 1),
-                       np.take_along_axis(vr, perms[:, None], 2),
+        if not (perms == ident).all():
+            w, vr = (np.take_along_axis(w, perms, 1),
+                     np.take_along_axis(vr, perms[:, None], 2))
+        block = _Frame(chunk, w, np.ascontiguousarray(vr),  # C-ordered
                        np.ones(len(chunk), bool), np.array(peaks))
         del w, vr
         if mids:
@@ -650,20 +666,19 @@ def encircle(spec, model):
         raise AtExceptionalPoint("the contour passes through a coalescence "
                                  f"at theta {float(track.t[near][0])!r}")
     h0 = np.linalg.norm(start, axis=0)
-    cur_w, cur_s = init_w, init_s = start / h0, (1.0 / h0).astype(complex)
+    w, s = _transport(track.vectors, start / h0, (1.0 / h0).astype(complex))
+    phi, cycles = w / s[:, None], []    # the continued c-normalized frames
     # grid rows k * steps close the cycles; bisection midpoints lie between
-    cycles, ends = [], set(np.flatnonzero(track.on_grid)[steps::steps].tolist())
-    for row in range(1, len(track.t)):
-        cur_w, cur_s = _carry(cur_w, cur_s, track.vectors[row])
-        if row in ends:
-            perm, phases = _compare_to_start(init_w, init_s, cur_w, cur_s)
-            # the continued c-normalized frame gives a sign per state;
-            # swapped states carry the half-turn of the norm branch, written
-            # as a factor i so two swap cycles compose to the measured -1
-            swapped = perm != np.arange(n)
-            phases = np.where(swapped, 1j * phases, phases)
-            cycles.append(CycleRecord(permutation=tuple(int(x) for x in perm),
-                                      phases=phases))
+    for row in np.flatnonzero(track.on_grid)[steps::steps].tolist():
+        perm, _ = _match(w[row], w[0])  # perm[k]: start index matching k
+        # the continued c-normalized frame gives a sign per state; swapped
+        # states carry the half-turn of the norm branch, written as a
+        # factor i so two swap cycles compose to the measured -1
+        phases = np.array([phi[0][:, p] @ phi[row][:, k]
+                           for k, p in enumerate(perm.tolist())])
+        cycles.append(CycleRecord(permutation=tuple(perm.tolist()),
+                                  phases=np.where(perm != np.arange(n),
+                                                  1j * phases, phases)))
 
     ident = [c for c, rec in enumerate(cycles, start=1)
              if rec.permutation == tuple(range(n))]
@@ -677,23 +692,24 @@ def encircle(spec, model):
                        values=track.values[track.on_grid])
 
 
-def _carry(w, s, u):
-    """Carry (w, s) onto the matched frame u: a Hermitian-unit frame with
-    phase continuity and the branch-continuous square root of its
-    unconjugated norms.  The analytically continued c-normalized frame is
-    w / s, which picks up the half-winding factors of the norm branch."""
-    new = u / np.linalg.norm(u, axis=0)
-    s_new = np.empty_like(s)
-    for k in range(new.shape[1]):
-        z = np.vdot(new[:, k], w[:, k])
-        new[:, k] = new[:, k] * (z / abs(z))
-        cand = np.sqrt(new[:, k] @ new[:, k])
-        s_new[k] = cand if abs(cand - s[k]) <= abs(cand + s[k]) else -cand
-    return new, s_new
-
-
-def _compare_to_start(init_w, init_s, cur_w, cur_s):
-    perm, _ = _match(cur_w, init_w)   # perm[k]: start index matching current k
-    phi0, phi1 = init_w / init_s, cur_w / cur_s
-    return perm, np.array([phi0[:, perm[k]] @ phi1[:, k]
-                           for k in range(len(perm))])
+def _transport(vectors, w, s):
+    """Every row's Hermitian-unit frame and norm branch, carried from (w, s)
+    along the matched frames vectors[1:], all columns at once: each phased
+    so that its overlap with the last is real positive, each root of its
+    unconjugated norms signed as the nearer to the last (+ at a tie).  The
+    continued c-normalized frame frame / branch picks up the half-windings."""
+    w = np.insert(vectors[1:] / np.linalg.norm(vectors[1:], axis=1,
+                                                keepdims=True), 0, w, axis=0)
+    for new, last in zip(w[1:], w):
+        z = np.vecdot(new, last, axis=0)        # np.vdot's bits
+        new *= z / np.hypot(z.real, z.imag)     # abs(z)'s bits
+    cols = w[1:, None].swapaxes(1, 3)           # x @ x's bits, per column
+    s = np.insert(np.sqrt(cols.swapaxes(2, 3) @ cols)[..., 0, 0], 0, s, 0)
+    d, e = s[1:] - s[:-1], s[1:] + s[:-1]
+    near, far = np.hypot(d.real, d.imag), np.hypot(e.real, e.imag)
+    # a root is negated where an odd number of flips follows the last tie
+    flips = np.cumsum(np.insert(~(near <= far), 0, False, 0), axis=0)
+    tie = np.maximum.accumulate(np.insert(np.where(
+        near == far, np.arange(1, len(s))[:, None], 0), 0, 0, 0))
+    odd = (flips - np.take_along_axis(flips, tie, 0)) % 2 == 1
+    return w, np.negative(s, out=s, where=odd)

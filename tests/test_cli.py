@@ -1078,7 +1078,8 @@ REPRODUCER_IDS = ["contour_through_ep", "pole_sum_overflows",
                   "grid_span_overflows", "alphas_span_overflows",
                   "alpha_eigenvalue_overflows", "lineshape_span_overflows",
                   "match_cost_overflows", "tabulation_step_overflows",
-                  "pencil_sum_overflows", "level_gap_overflows"]
+                  "pencil_sum_overflows", "level_gap_overflows",
+                  "cross_section_overflows"]
 REPRODUCERS = [
     ("encircle", fixture("two_level_sweep.json", encircle={
         "center": [0.0, 0.5], "radius": 0.5, "steps_per_cycle": 64,
@@ -1114,14 +1115,17 @@ REPRODUCERS = [
      "input error: entries must be finite"),
     ("heff", with_fields("open_system.json", **{
         "parameters.e_b.0": 1e308, "parameters.e_b.1": -1e308}), 0, None),
+    ("scatter", {"version": "1", "kind": "smatrix", "parameters": {
+        "poles": [[0.0, -1.0]], "couplings": [[1e153]]},
+        "grid": {"start": -1.0, "stop": 1.0, "points": 11}}, 3,
+     "numerical failure: cross section is not finite at energy -1.0"),
 ]
 EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308]
 COMMANDS_OF_KIND = {"toy_trapping": ["trap"], "smatrix": ["scatter"],
                     "open_system": ["heff"]}
 FIXTURES = sorted(p.name for p in DATA.glob("*.json")
-                  if p.name not in ("golden_artifacts.json",
-                                    "golden_lineshapes.json",
-                                    "bad_missing_omega.json"))
+                  if not p.name.startswith("golden_")
+                  and p.name != "bad_missing_omega.json")
 
 
 def numeric_fields(node, path=()):

@@ -477,7 +477,9 @@ class TestEncircle:
                 np.ones(n))
 
         monkeypatch.setattr(sweep, "_track", track)
-        monkeypatch.setattr(sweep, "_carry", lambda w, s, u: (w, s))
+        monkeypatch.setattr(sweep, "_transport", lambda vectors, w, s: (
+            np.broadcast_to(w, vectors.shape),
+            np.broadcast_to(s, vectors.shape[:2])))
         spec = sweep.EncircleSpec(center=1j, radius=0.5, steps_per_cycle=65,
                                   cycles=10000)
         rep = sweep.encircle(spec, canonical_model())
@@ -718,32 +720,164 @@ class TestBatchedTrack:
         assert_same_frames(chunked, sequential_frames(fam, ts))
 
 
+def scan_case(kind, seed, n, delta, steps):
+    """A family and its grid: a random pencil, near_crossing, the two-level
+    omega_im sweep through the EP at omega_im = 1 (n = 2), or a Hermitian
+    pencil of levels 1 apart under a coupling of at most about delta, which
+    never cross, so LAPACK's ascending order is the continued one."""
+    if kind == "ep":
+        return (sweep.make_family(canonical_model(), "omega_im"),
+                np.linspace(0.5, 1.5, steps))
+    if kind == "still":
+        c = np.random.default_rng(seed).standard_normal((n, n))
+        return (sweep._Pencil(np.diag(np.arange(n, dtype=float)),
+                              delta * (c + c.T) / 2, linalg.HERMITIAN),
+                np.linspace(-1.0, 1.0, steps))
+    return (near_crossing(n, delta) if kind == "near"
+            else random_pencil(seed, n)), np.linspace(-1.0, 1.0, steps)
+
+
+def tracked_in_chunks(family, ts, per_chunk):
+    """tracked() with chunks of per_chunk frames."""
+    budget = sweep._STACK_BYTES
+    try:
+        # _track's chunks hold five arrays of n x n complex frames
+        sweep._STACK_BYTES = per_chunk * 5 * sweep._frame_at(
+            family, ts[0]).vectors.nbytes
+        return tracked(family, ts)
+    finally:
+        sweep._STACK_BYTES = budget
+
+
+class Shuffled:
+    """A family whose pairs come in a drawn column order per matrix, as
+    another eigensolver might return them."""
+
+    def __init__(self, family, seed):
+        self.family, self.rng = family, np.random.default_rng(seed)
+
+    def pairs(self, ts):
+        peaks, w, vr = self.family.pairs(ts)
+        order = self.rng.permuted(np.tile(np.arange(w.shape[1]), (len(w), 1)),
+                                  axis=1)
+        ut = np.take_along_axis(vr.swapaxes(1, 2), order[..., None], 1)
+        return peaks, np.take_along_axis(w, order, 1), ut.swapaxes(1, 2)
+
+
 class TestScanTrack:
-    """_track composes each chunk's steps in one log-depth scan, with one
+    """_track matches chunks in LAPACK's order and composes each chunk's
+    steps in one log-depth scan over the rows that move a column, with one
     gather after each unclean step; chunks of one to four frames mix clean
     steps, unclean ones and bisection midpoints."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
            delta=st.floats(0.005, 0.05), steps=st.integers(2, 24),
-           per_chunk=st.integers(1, 4), near=st.booleans())
+           per_chunk=st.integers(1, 4),
+           kind=st.sampled_from(["random", "near", "ep", "still"]))
     # near_crossing chunks of c U U, U U c c and c c U c (c clean, U not);
     # the first two take midpoints
-    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=3, near=True)
-    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=4, near=True)
-    @example(seed=0, n=6, delta=0.02, steps=13, per_chunk=4, near=True)
+    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=3, kind="near")
+    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=4, kind="near")
+    @example(seed=0, n=6, delta=0.02, steps=13, per_chunk=4, kind="near")
+    # the sweep_small sweep through the EP in one chunk: one row of 2000
+    # moves a column in LAPACK's order
+    @example(seed=0, n=2, delta=0.0, steps=2001, per_chunk=4096, kind="ep")
+    # a chunk where no row moves a column: no scan and no gather
+    @example(seed=0, n=5, delta=0.03, steps=24, per_chunk=32, kind="still")
     def test_matches_sequential_chain(self, seed, n, delta, steps, per_chunk,
-                                      near):
-        fam = near_crossing(n, delta) if near else random_pencil(seed, n)
-        ts = np.linspace(-1.0, 1.0, steps)
-        budget = sweep._STACK_BYTES
-        try:
-            # _track's chunks hold five arrays of n x n complex frames
-            sweep._STACK_BYTES = per_chunk * 5 * n * n * 16
-            got = tracked(fam, ts)
-        finally:
-            sweep._STACK_BYTES = budget
-        assert_same_frames(got, sequential_frames(fam, ts))
+                                      kind):
+        fam, ts = scan_case(kind, seed, n, delta, steps)
+        assert_same_frames(tracked_in_chunks(fam, ts, per_chunk),
+                           sequential_frames(fam, ts))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+           delta=st.floats(0.005, 0.05), steps=st.integers(2, 24),
+           per_chunk=st.integers(1, 4),
+           kind=st.sampled_from(["random", "near", "ep", "still"]))
+    @example(seed=0, n=8, delta=0.03, steps=11, per_chunk=3, kind="near")
+    @example(seed=0, n=2, delta=0.0, steps=2001, per_chunk=4096, kind="ep")
+    def test_column_order_does_not_matter(self, seed, n, delta, steps,
+                                          per_chunk, kind):
+        # the frames are LAPACK's columns, gathered into continued order:
+        # whichever order they come in, they are the same bits
+        fam, ts = scan_case(kind, seed, n, delta, steps)
+        assert_same_frames(tracked_in_chunks(Shuffled(fam, seed), ts,
+                                             per_chunk),
+                           tracked_in_chunks(fam, ts, per_chunk))
+
+
+def carry_chain(vectors, w, s):
+    """Every row's frame and norm branch from the per-column transport
+    encircle used before it took all columns at once (its _carry), applied
+    one row at a time."""
+    frames, branches = [w], [s]
+    for u in vectors[1:]:
+        new = u / np.linalg.norm(u, axis=0)
+        s_new = np.empty_like(s)
+        for k in range(new.shape[1]):
+            z = np.vdot(new[:, k], w[:, k])
+            new[:, k] = new[:, k] * (z / abs(z))
+            cand = np.sqrt(new[:, k] @ new[:, k])
+            s_new[k] = cand if abs(cand - s[k]) <= abs(cand + s[k]) else -cand
+        w, s = new, s_new
+        frames.append(w)
+        branches.append(s)
+    return np.array(frames), np.array(branches)
+
+
+def contour_frames(eps1, eps2, center, radius, steps, cycles):
+    """The matched frames of a two-level omega contour and encircle's start
+    frame and branch, or None where encircle would refuse the contour."""
+    omega = sweep.make_family(twolevel.TwoLevelModel(eps1, eps2, 0.5j),
+                              "omega")
+    thetas = 2 * np.pi * np.arange(steps * cycles + 1) / steps
+    try:
+        vectors = np.concatenate([b.vectors for b in sweep._track(
+            sweep._Pencil(omega.a, omega.b, omega.hint,
+                          coef=lambda th: center + radius * np.exp(1j * th)),
+            thetas)])
+    except NhspecError:
+        return None
+    start, norms = linalg.c_columns(vectors[0])
+    if np.isinf(norms).any():
+        return None
+    h0 = np.linalg.norm(start, axis=0)
+    return vectors, start / h0, (1.0 / h0).astype(complex)
+
+
+def tie_frames():
+    """Columns (cos a, i sin a) and (i sin a, cos a) for a from 0 to pi/2:
+    w^T w = cos 2a is real, so its root turns from real to imaginary past
+    pi/4, where |root - s| = |root + s| exactly.  The branch starts at -1,
+    and at the tie it resets to +."""
+    a = np.linspace(0.0, np.pi / 2, 9)[:, None, None]
+    vectors = np.where(np.eye(2, dtype=bool), np.cos(a), 1j * np.sin(a))
+    return vectors, vectors[0], -np.ones(2, complex)
+
+
+class TestTransport:
+    """encircle's transport takes all columns at once and keeps the bits
+    of the per-column chain, frame and norm branch, on every row."""
+
+    @settings(max_examples=40)
+    @given(case=st.builds(contour_frames, complexes, complexes, complexes,
+                          st.floats(0.01, 3.0), st.integers(64, 160),
+                          st.integers(1, 3)))
+    # around the EP omega = i: the branch flips once in each column
+    @example(case=contour_frames(1.0, -1.0, 1j, 0.5, 64, 2))
+    @example(case=tie_frames())
+    def test_matches_the_carry_chain(self, case):
+        assume(case is not None)
+        frames, branches = sweep._transport(*case)
+        want_frames, want_branches = carry_chain(*case)
+        assert same_bits(frames, want_frames)
+        assert same_bits(branches, want_branches)
+
+    def test_tie_resets_the_branch(self):
+        _, branches = sweep._transport(*tie_frames())
+        assert (branches[:5].real < 0).all() and (branches[5:].imag > 0).all()
 
 
 class TestArrayResults:
