@@ -178,8 +178,7 @@ def _report(grid, s, sigma_at_center=None, breit_wigner_span=0.0):
     with np.errstate(over="ignore"):    # finite S past |1 - S| ~ 1e154
         sigma = np.abs(1.0 - s) ** 2
     if not (ok := np.isfinite(sigma)).all():
-        raise NhspecError("cross section is not finite at energy "
-                          f"{float(grid[~ok][0])!r}")
+        raise NhspecError(f"sigma overflows at energy {float(grid[~ok][0])!r}")
     phase = _unwrapped_phase(s)
     minima, maxima = _extrema(grid, sigma)
     if sigma_at_center is None:

@@ -667,14 +667,15 @@ def encircle(spec, model):
                                  f"at theta {float(track.t[near][0])!r}")
     h0 = np.linalg.norm(start, axis=0)
     w, s = _transport(track.vectors, start / h0, (1.0 / h0).astype(complex))
-    phi, cycles = w / s[:, None], []    # the continued c-normalized frames
+    cycles = []
     # grid rows k * steps close the cycles; bisection midpoints lie between
     for row in np.flatnonzero(track.on_grid)[steps::steps].tolist():
         perm, _ = _match(w[row], w[0])  # perm[k]: start index matching k
-        # the continued c-normalized frame gives a sign per state; swapped
-        # states carry the half-turn of the norm branch, written as a
-        # factor i so two swap cycles compose to the measured -1
-        phases = np.array([phi[0][:, p] @ phi[row][:, k]
+        # the continued c-normalized frames phi give a sign per state;
+        # swapped states carry the half-turn of the norm branch, written as
+        # a factor i so two swap cycles compose to the measured -1
+        phi = w[[0, row]] / s[[0, row], None]
+        phases = np.array([phi[0][:, p] @ phi[1][:, k]
                            for k, p in enumerate(perm.tolist())])
         cycles.append(CycleRecord(permutation=tuple(perm.tolist()),
                                   phases=np.where(perm != np.arange(n),
@@ -692,19 +693,19 @@ def encircle(spec, model):
                        values=track.values[track.on_grid])
 
 
-def _transport(vectors, w, s):
-    """Every row's Hermitian-unit frame and norm branch, carried from (w, s)
+def _transport(vectors, w0, s0):
+    """Every row's Hermitian-unit frame and norm branch, carried from (w0, s0)
     along the matched frames vectors[1:], all columns at once: each phased
     so that its overlap with the last is real positive, each root of its
-    unconjugated norms signed as the nearer to the last (+ at a tie).  The
-    continued c-normalized frame frame / branch picks up the half-windings."""
-    w = np.insert(vectors[1:] / np.linalg.norm(vectors[1:], axis=1,
-                                                keepdims=True), 0, w, axis=0)
+    unconjugated norms signed as the nearer to the last (+ at a tie).
+    frame / branch is the continued c-normalized frame, half-windings too."""
+    w = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    w[0] = w0
     for new, last in zip(w[1:], w):
         z = np.vecdot(new, last, axis=0)        # np.vdot's bits
         new *= z / np.hypot(z.real, z.imag)     # abs(z)'s bits
     cols = w[1:, None].swapaxes(1, 3)           # x @ x's bits, per column
-    s = np.insert(np.sqrt(cols.swapaxes(2, 3) @ cols)[..., 0, 0], 0, s, 0)
+    s = np.insert(np.sqrt(cols.swapaxes(2, 3) @ cols)[..., 0, 0], 0, s0, 0)
     d, e = s[1:] - s[:-1], s[1:] + s[:-1]
     near, far = np.hypot(d.real, d.imag), np.hypot(e.real, e.imag)
     # a root is negated where an odd number of flips follows the last tie

@@ -1118,7 +1118,7 @@ REPRODUCERS = [
     ("scatter", {"version": "1", "kind": "smatrix", "parameters": {
         "poles": [[0.0, -1.0]], "couplings": [[1e153]]},
         "grid": {"start": -1.0, "stop": 1.0, "points": 11}}, 3,
-     "numerical failure: cross section is not finite at energy -1.0"),
+     "numerical failure: sigma overflows at energy -1.0"),
 ]
 EXTREMES = [1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308]
 COMMANDS_OF_KIND = {"toy_trapping": ["trap"], "smatrix": ["scatter"],

@@ -809,9 +809,9 @@ class TestScanTrack:
 
 
 def carry_chain(vectors, w, s):
-    """Every row's frame and norm branch from the per-column transport
-    encircle used before it took all columns at once (its _carry), applied
-    one row at a time."""
+    """Every row's frame and norm branch from a transport that takes one
+    column of one row at a time, with np.vdot, scalar abs and x @ x: the
+    reference for _transport."""
     frames, branches = [w], [s]
     for u in vectors[1:]:
         new = u / np.linalg.norm(u, axis=0)
