@@ -374,8 +374,7 @@ def mixing_coefficients(states, basis=UNPERTURBED_BASIS, model=None,
     else:
         raise ValueError(f"unknown basis {basis!r}")
     flagged = np.abs(b) > cap
-    if flagged.any():
-        b = np.where(flagged, cap * b / np.abs(b), b)
+    b[flagged] = cap * b[flagged] / np.abs(b[flagged])
     residual = float(np.abs(b @ b.T - np.eye(len(states))).max())
     return MixingResult(matrix=b, sum_rule_residual=residual, flagged=flagged)
 
@@ -427,6 +426,8 @@ def toy_trapping(h0, v, alphas, trapped_fraction=0.1):
         raise ValueError("v needs one finite row per level of h0, and fewer "
                          "columns (channels) than levels")
     alphas = np.asarray(alphas, float)
+    if len(alphas) < 2:
+        raise ValueError("alphas needs at least 2 points")
     dal = np.diff(alphas)
     if (alphas < 0).any() or not ((dal > 0).all() or (dal < 0).all()):
         raise ValueError("alphas must be non-negative and strictly monotone")

@@ -225,6 +225,8 @@ def double_pole_lineshape(e_d, gamma_d, grid):
 def lineshape(m, grid, channel=0):
     """Elastic cross section and unwrapped phase for a pole model."""
     grid = np.asarray(grid, float)
+    if len(grid) < 2:
+        raise GridTooCoarse("grid needs at least 2 points")
     widths = -2.0 * m.poles.imag
     # zero-width states can never be resolved on a real grid; they are the
     # business of detect_bic, so only displayable widths gate the step size

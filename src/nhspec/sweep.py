@@ -239,12 +239,8 @@ def _track(family, ts):
     frame, bisection midpoints included before their grid rows.  Chunks
     are diagonalized and overlap-matched in batch, in LAPACK's order: where
     the row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
-    MATCH_THRESHOLD, P_k = cols_k[P_{k-1}] is what _match would find; other
-    steps go through _step from the row before, in order, and take cols_k
-    = identity.  The prefixes Q_k = cols_k[Q_{k-1}] are one log-depth scan
-    (Hillis & Steele, CACM 29 (1986) 1170) over the rows whose cols_k moves
-    a column, and the rows from a _step order P_k to the next are P_j =
-    Q_j[Q_k^-1[P_k]].  A chunk is then reordered by its P_k at once."""
+    MATCH_THRESHOLD, the order is P_k = cols_k[P_{k-1}], as _match finds;
+    any other row k takes P_k from _step, from row k - 1 in order P_{k-1}."""
     prev = _frame_at(family, ts[0])
     yield _Frame._make(np.array([x]) for x in prev)
     # at most five chunk-sized arrays are live, inside family.pairs: LAPACK's
@@ -267,21 +263,20 @@ def _track(family, ts):
         np.put_along_axis(clean, perms, top[..., 0] >= MATCH_THRESHOLD, 1)
         clean = clean.all(axis=1)
         del ov, top, tied
-        perms[~clean] = ident
-        q, shift = perms[moved := (perms != ident).any(axis=1)], 1
-        while shift < len(q):       # q[m] becomes the m-th moved row's Q
-            q[shift:] = np.take_along_axis(q[shift:], q[:-shift], 1)
-            shift *= 2
-        perms = np.insert(q, 0, ident, axis=0)[np.cumsum(moved)]
-        unclean, mids = np.flatnonzero(~clean).tolist(), []
-        for k, end in zip(unclean, unclean[1:] + [len(chunk)]):
-            if k:               # row k - 1 is in continued order by now
-                prev = _Frame(chunk[k - 1], w[k - 1, perms[k - 1]],
-                              vr[k - 1][:, perms[k - 1]], True, peaks[k - 1])
-            steps, perm = _step(family, prev, _Frame(chunk[k], w[k], vr[k],
-                                                     True, peaks[k]))
-            mids += [(k, f) for f in steps[:-1]]
-            perms[k:end] = perms[k:end][:, np.argsort(perms[k])[perm]]
+        p, last, mids = ident, 0, []
+        for k in np.flatnonzero(~clean | (perms != ident).any(axis=1)):
+            perms[last:k] = p           # the rows between act on no column
+            if clean[k]:
+                p = perms[k][p]
+            else:
+                if k:                   # row k - 1 in continued order
+                    prev = _Frame(chunk[k - 1], w[k - 1, p], vr[k - 1][:, p],
+                                  True, peaks[k - 1])
+                steps, p = _step(family, prev, _Frame(chunk[k], w[k], vr[k],
+                                                      True, peaks[k]))
+                mids += [(k, f) for f in steps[:-1]]
+            perms[k], last = p, k + 1
+        perms[last:] = p
         if not (perms == ident).all():
             w, vr = (np.take_along_axis(w, perms, 1),
                      np.take_along_axis(vr, perms[:, None], 2))

@@ -1010,11 +1010,14 @@ class TestMixing:
             assert res.sum_rule_residual <= 1e-10
 
     def test_cap_flags_large_entries(self):
+        # the last state's exact zero is not capped and stays 0, with no 0/0
         states = [fake_state(0.0 - 0.1j, [3.0, 4.0]),
-                  fake_state(0.2 - 0.1j, [4.0, -3.0])]
+                  fake_state(0.2 - 0.1j, [4.0, -3.0]),
+                  fake_state(0.4 - 0.1j, [0.0, 0.5])]
         res = opensys.mixing_coefficients(states, cap=1.0)
         assert res.flagged.any()
         assert np.abs(res.matrix).max() <= 1.0 + 1e-12
+        assert res.matrix[2, 0] == 0 and res.matrix[2, 1] == 0.5
 
 
 class TestInteriorRigidity:
@@ -1096,6 +1099,9 @@ class TestToyTrapping:
         with pytest.raises(ValueError):
             opensys.toy_trapping(np.diag([1.0, 2.0]), np.eye(2),
                                  np.array([0.0, 0.5]))
+        for alphas in ([], [0.5]):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                opensys.toy_trapping(h0, v, np.array(alphas))
 
     @pytest.mark.parametrize("alphas", [[0.1, 0.1, 0.2, 0.3],
                                         [0.5, 0.5, 0.5], [0.1, 0.3, 0.2]])

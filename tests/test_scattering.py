@@ -171,6 +171,9 @@ class TestLineshape:
         m = one_pole_model(gamma=0.01)
         with pytest.raises(GridTooCoarse):
             scattering.lineshape(m, np.linspace(-1.0, 1.0, 101))
+        for grid in ([], [0.0]):
+            with pytest.raises(GridTooCoarse, match="at least 2 points"):
+                scattering.lineshape(m, np.array(grid))
 
     def test_zero_width_pole_on_grid_rejected(self):
         m = scattering.SMatrixModel(poles=[0.5 + 0.0j, 0.0 - 0.2j],

@@ -765,10 +765,10 @@ class Shuffled:
 
 
 class TestScanTrack:
-    """_track matches chunks in LAPACK's order and composes each chunk's
-    steps in one log-depth scan over the rows that move a column, with one
-    gather after each unclean step; chunks of one to four frames mix clean
-    steps, unclean ones and bisection midpoints."""
+    """_track matches chunks in LAPACK's order and carries one running
+    order over the rows that move a column or are matched one at a time;
+    chunks of one to four frames mix clean steps, unclean ones and
+    bisection midpoints."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
@@ -783,7 +783,7 @@ class TestScanTrack:
     # the sweep_small sweep through the EP in one chunk: one row of 2000
     # moves a column in LAPACK's order
     @example(seed=0, n=2, delta=0.0, steps=2001, per_chunk=4096, kind="ep")
-    # a chunk where no row moves a column: no scan and no gather
+    # a chunk where no row moves a column: no row visited and no gather
     @example(seed=0, n=5, delta=0.03, steps=24, per_chunk=32, kind="still")
     def test_matches_sequential_chain(self, seed, n, delta, steps, per_chunk,
                                       kind):
