@@ -1,6 +1,8 @@
 """Golden artifacts: the SHA-256 of every file the fixture commands write,
-of the lineshape arrays of four continuum-shaped pole models, and of the
-outputs of the continuation ops on four sweep_small-shaped inputs.
+of the lineshape arrays of four continuum-shaped pole models, of the
+outputs of the continuation ops on four sweep_small-shaped inputs, and of
+the resonances, BIC detections and EP locations the other ops of those
+workloads return.
 
 Reruns only show that a build agrees with itself; these hashes show that
 it agrees with the recorded one.  Floating-point bits depend on numpy and
@@ -31,6 +33,7 @@ LINESHAPE_RECORD = DATA / "golden_lineshapes.json"
 LINESHAPE_SEEDS = (0, 1, 2, 901)
 SWEEP_RECORD = DATA / "golden_sweeps.json"
 SWEEP_SEEDS = (0, 1, 2, 7)
+OPS_RECORD = DATA / "golden_ops.json"
 EMIT = "csv,json,svg"
 RUNS = (
     ("sweep", "two_level_sweep.json"),
@@ -66,16 +69,28 @@ def outcome(command, model, out):
                           for p in files}}
 
 
-def continuum_lineshape(seed):
-    """The lineshape of the pole model drawn as perfbench's `continuum`
-    workload draws it (8 levels near -3.5..3.5, one channel, 20001
-    energies), after its open-system draws."""
+def continuum_models(seed):
+    """The open-system model (10 levels, two semicircle channels, a
+    2001-point grid), the pole model (8 levels near -3.5..3.5, one channel)
+    and the BIC pair, drawn as perfbench's `continuum` workload draws them."""
     rng = np.random.default_rng(seed)
-    rng.uniform(-8.0, 8.0, 10)
-    rng.uniform(0.1, 0.5, (10, 2))
+    model = opensys.OpenSystemModel(
+        e_b=np.sort(rng.uniform(-8.0, 8.0, 10)),
+        coupling=opensys.SemicircleCoupling(rng.uniform(0.1, 0.5, (10, 2))),
+        window=(-10.0, 10.0), grid_size=2001)
     h_b = np.diag(np.linspace(-3.5, 3.5, 8) + rng.uniform(-0.2, 0.2, 8))
     gamma_hat = rng.uniform(0.2, 0.4, (8, 1))
-    m = scattering.SMatrixModel.from_effective_hamiltonian(h_b, gamma_hat)
+    poles = scattering.SMatrixModel.from_effective_hamiltonian(h_b, gamma_hat)
+    delta = 3e-7 * rng.uniform(0.9, 1.1)
+    bic = scattering.SMatrixModel.from_effective_hamiltonian(
+        np.diag([-delta, delta]), np.array([[1.0], [1.0]]),
+        energy_grid=np.linspace(-5.0, 5.0, 1001))
+    return model, poles, bic
+
+
+def continuum_lineshape(seed):
+    """The lineshape of the continuum pole model on 20001 energies."""
+    _, m, _ = continuum_models(seed)
     rep = scattering.lineshape(m, np.linspace(-6.0, 6.0, 20001))
     return {"seed": seed, **{name: hashlib.sha256(
         getattr(rep, name).tobytes()).hexdigest()
@@ -89,21 +104,52 @@ def sha(*arrays):
     return h.hexdigest()
 
 
-def sweep_outputs(seed):
-    """The continuation ops on the inputs drawn as perfbench's `sweep_small`
-    workload draws them: a two-level omega_im sweep and an avoided-crossing
-    sweep (2001 points each), encircling the EP 256 x 4 steps and the
-    21-state trapping model over 1200 alphas."""
+def typed(value):
+    """A value's type name, dtype and bytes, for sha."""
+    return (type(value).__name__.encode(), np.asarray(value).dtype.str.encode(),
+            np.asarray(value))
+
+
+def fields_sha(records, fields):
+    """Per field, the SHA-256 of every record's typed value of that field."""
+    return {field: sha(*(x for r in records for x in typed(getattr(r, field))))
+            for field in fields}
+
+
+def continuum_ops(seed):
+    """solve_resonances and detect_bic on the continuum models."""
+    model, _, bic = continuum_models(seed)
+    states = opensys.solve_resonances(model)
+    found = scattering.detect_bic(bic)
+    return {"seed": seed, "states": len(states), "bics": len(found),
+            "solve_resonances": fields_sha(
+                states, opensys.ResonanceState._fields),
+            "detect_bic": fields_sha(found, scattering.BicDetection._fields)}
+
+
+def sweep_small_inputs(seed):
+    """The two-level and avoided-crossing models, the trapping model's h0
+    and v, and the EP search seed, drawn as perfbench's `sweep_small`
+    workload draws them."""
     rng = np.random.default_rng(seed)
     d1, d2 = rng.uniform(0.0, 0.05, 2)
     two = twolevel.TwoLevelModel(eps1=1.0 + d1, eps2=-1.0 - d2, omega=0.5j)
     avoided = twolevel.AvoidedCrossingModel(
         e1_0=-1.0, e1_slope=1.0, e2_0=1.0, e2_slope=-1.0, gamma1_0=0.0,
         gamma2_0=0.0, omega=0.3 * (1.0 + rng.uniform(-0.1, 0.1)))
-    loop = sweep.EncircleSpec(center=0.5j * (two.eps1 - two.eps2).real,
-                              radius=0.5, steps_per_cycle=256, cycles=4)
     h0 = np.arange(-10.0, 11.0) + rng.uniform(-0.1, 0.1, 21)
     v = rng.uniform(0.8, 1.2, 21)
+    locate_seed = (0.1, 0.8) + rng.uniform(-0.05, 0.05, 2)
+    return two, avoided, h0, v, locate_seed
+
+
+def sweep_outputs(seed):
+    """The continuation ops on the sweep_small inputs: a two-level omega_im
+    sweep and an avoided-crossing sweep (2001 points each), encircling the
+    EP 256 x 4 steps and the 21-state trapping model over 1200 alphas."""
+    two, avoided, h0, v, _ = sweep_small_inputs(seed)
+    loop = sweep.EncircleSpec(center=0.5j * (two.eps1 - two.eps2).real,
+                              radius=0.5, steps_per_cycle=256, cycles=4)
     out = {"seed": seed}
     for name, spec in (
             ("sweep_two_level", sweep.SweepSpec(two, "omega_im", 0.5, 1.5,
@@ -122,6 +168,20 @@ def sweep_outputs(seed):
     out["toy_trapping"] = {"values": sha(opensys.toy_trapping(
         h0, v, np.linspace(0.01, 5.0, 1200)).values)}
     return out
+
+
+def locate_outputs(seed):
+    """Both locate_ep ops of sweep_small: the two-level model in the
+    coupling plane from the drawn seed, and the fixed plane family without
+    a closed form."""
+    two, _, _, _, locate_seed = sweep_small_inputs(seed)
+    plane = sweep.PlaneFamily(fn=lambda p1, p2: np.array(
+        [[1.0 + 0.2 * p1 ** 2, p1 + 1j * p2], [p1 + 1j * p2, -1.0 + 0.1j]]))
+    return {"seed": seed, **{name: fields_sha([loc], sweep.EpLocation._fields)
+                             for name, loc in (
+        ("locate_closed_form", sweep.locate_ep(
+            two, tuple(locate_seed), p1="omega_re", p2="omega_im")),
+        ("locate_no_closed_form", sweep.locate_ep(plane, (0.05, 0.9))))}}
 
 
 def recorded_here(path):
@@ -156,6 +216,20 @@ def test_sweeps_match_the_record(seed):
     assert sweep_outputs(seed) == want
 
 
+@pytest.mark.parametrize("seed", LINESHAPE_SEEDS)
+def test_continuum_ops_match_the_record(seed):
+    recorded = recorded_here(OPS_RECORD)
+    want, = [r for r in recorded["continuum"] if r["seed"] == seed]
+    assert continuum_ops(seed) == want
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_locate_ops_match_the_record(seed):
+    recorded = recorded_here(OPS_RECORD)
+    want, = [r for r in recorded["locate"] if r["seed"] == seed]
+    assert locate_outputs(seed) == want
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = [outcome(*run, Path(tmp) / str(idx))
@@ -167,3 +241,8 @@ if __name__ == "__main__":
         + "\n")
     SWEEP_RECORD.write_text(json.dumps({**toolchain(), "sweeps": [
         sweep_outputs(seed) for seed in SWEEP_SEEDS]}, indent=1) + "\n")
+    OPS_RECORD.write_text(json.dumps({
+        **toolchain(),
+        "continuum": [continuum_ops(seed) for seed in LINESHAPE_SEEDS],
+        "locate": [locate_outputs(seed) for seed in SWEEP_SEEDS]}, indent=1)
+        + "\n")
