@@ -25,21 +25,17 @@ B_CAP = 1e12
 def invalid(a, hint):
     """Mask of the matrices of the (..., n, n) stack a that are not finite,
     or differ from their transpose (hint COMPLEX_SYMMETRIC) or conjugate
-    transpose (HERMITIAN) by over _SYMMETRY_TOL * max(max |a|, 1); hint is
-    one for the stack or one per matrix (GENERAL: finiteness alone)."""
+    transpose (HERMITIAN) by over _SYMMETRY_TOL * max(max |a|, 1); one hint
+    for the whole stack (GENERAL: finiteness alone)."""
     finite = np.isfinite(a.view(float))
     bad = np.zeros(a.shape[:-2], bool) if finite.all() \
         else ~finite.all(axis=(-2, -1))
-    hint = np.asarray(hint)
-    herm = hint == HERMITIAN
-    check = herm | (hint == COMPLEX_SYMMETRIC)
-    if check.any():
+    if hint != GENERAL:
         t = a.swapaxes(-1, -2)
         with np.errstate(all="ignore"):     # inf - inf, or |a| overflowing
-            off = np.abs(a - (np.where(herm[..., None, None], t.conj(), t)
-                              if herm.any() else t))
+            off = np.abs(a - (t.conj() if hint == HERMITIAN else t))
             scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
-            bad |= check & ~(off.max(axis=(-2, -1)) <= _SYMMETRY_TOL * scale)
+            bad |= ~(off.max(axis=(-2, -1)) <= _SYMMETRY_TOL * scale)
     return bad
 
 

@@ -218,7 +218,7 @@ def assemble_heff(m, energy):
     zero outside: complex symmetric (Hermitian outside the window).
     """
     (heff,), (inside,), *_ = _heff_stack(m, np.array([energy], float))
-    return EffectiveHamiltonian(linalg.ComplexMatrix._make((   # checked above
+    return EffectiveHamiltonian(linalg.ComplexMatrix._make((   # finite above
         heff, linalg.COMPLEX_SYMMETRIC if inside else linalg.HERMITIAN)))
 
 
@@ -233,7 +233,7 @@ def _heff_consts(m):     # per solve: the grid step, h_bound(), the PV kernel
 def _heff_stack(m, energies, consts=None):
     """(R, N, N) H_eff at real energies, the terms of _heff_consts(m) plus
     their own, the mask of those inside the window, g(E) (R, N, C), zero
-    outside, and H_eff'; linalg.invalid checks H_eff (SelfConsistencyFailure)."""
+    outside, and H_eff'; a non-finite H_eff raises SelfConsistencyFailure."""
     lo, hi = m.window
     h, h_b, kernel = consts or _heff_consts(m)
     inside = (lo < energies) & (energies < hi)
@@ -247,12 +247,9 @@ def _heff_stack(m, energies, consts=None):
         g[inside] = m.coupling.on_grid(energies[inside], m.window)
         shift, dq = kernel(energies)
         heff = h_b + shift / (2.0 * np.pi) - 1j * (0.5 * g @ g.swapaxes(1, 2))
-    bad = linalg.invalid(heff, linalg.COMPLEX_SYMMETRIC if inside.all() else
-                         np.where(inside, linalg.COMPLEX_SYMMETRIC,
-                                  linalg.HERMITIAN))
-    if bad.any():
-        raise SelfConsistencyFailure("H_eff is not finite or not symmetric at "
-                                     f"E = {energies[bad].tolist()[0]!r}")
+    if (bad := ~np.isfinite(heff).all(axis=(1, 2))).any():
+        raise SelfConsistencyFailure(
+            f"H_eff is not finite at E = {energies[bad].tolist()[0]!r}")
     return heff, inside, g, dq[::2] / (2.0 * np.pi) - 0.5j * dq[1::2]
 
 
@@ -277,7 +274,7 @@ def solve_resonances(m):
     """Solve (H_eff(E) - z) phi = 0 self-consistently in the real energy.
 
     State k solves F(E) = Re z(E) - E for the eigenvalue z of H_eff(E) of
-    k-th smallest real part, from the k-th level of h_bound(), in a bracket
+    rank k in (Re, Im) order, from the k-th level of h_bound(), in a bracket
     that each F narrows (F > 0: the root lies above E): a Newton step (F'
     by Hellmann-Feynman) where it lands strictly inside, else the midpoint,
     else E + 2F while an end is infinite.  Stops at a step below 1e-10 *
@@ -285,8 +282,8 @@ def solve_resonances(m):
     iterate in place (unconverged, a root in the excluded half cell, the
     residual |F| at the clamp edge).  All states advance together, one
     stacked eigensolve per round, each as if solved alone.  A final round
-    reads the k-th sorted pair at state k's energy, the lowest of those
-    within 1e-10 * scale; states outside the window have zero width.
+    reads the k-th pair at state k's energy, the lowest of those within
+    1e-10 * scale; states outside the window have zero width.
     """
     lo, hi = m.window
     h, h_b, *_ = consts = _heff_consts(m)
@@ -296,10 +293,7 @@ def solve_resonances(m):
     act, resid, iterations = np.arange(n), np.full(n, np.inf), np.zeros(n, int)
     for it in range(1, 201):
         heff, inside, _, dheff = _heff_stack(m, e := energy[act], consts)
-        w, u = linalg.eig_stack(heff, ~inside)
-        rows = np.arange(len(act))
-        idx = np.argsort(w.real)[rows, act]     # state k: the k-th real part
-        z, u = w[rows, idx], u[rows, :, idx]
+        z, u = _kth_pairs(heff, inside, act)
         f, v, col = z.real - e, u[:, None], u[..., None]
         a = below[act] = np.where(f > 0, e, below[act])
         b = above[act] = np.where(f < 0, e, above[act])
@@ -319,8 +313,8 @@ def solve_resonances(m):
         s[1:] = np.where(np.diff(s) > tol, s[1:], -np.inf)  # tol of each other
     energy[order] = np.maximum.accumulate(s)            # read at the lowest
     heff, inside, g, _ = _heff_stack(m, energy, consts)
-    w, u = linalg.sort_pairs(*linalg.eig_stack(heff, ~inside))
-    z, phis = np.diagonal(w), np.diagonal(u, 0, 0, 2).T.copy()  # k-th pair
+    z, phis = _kth_pairs(heff, inside, np.arange(n))
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)     # as sort_pairs
     phis[inside] = linalg.c_columns(phis[inside].T)[0].T
     states = []
     for k, (z, phi, e, r) in enumerate(zip(z.tolist(), phis, energy.tolist(),
@@ -332,6 +326,12 @@ def solve_resonances(m):
         states.append(ResonanceState(z, phi, np.asarray(phi @ g[k], complex),
                                      e, bool(r < tol), iterations[k].item(), r))
     return states
+
+
+def _kth_pairs(heff, inside, k):    # row r's pair of rank k[r] in (Re, Im)
+    w, u = linalg.eig_stack(heff, ~inside)
+    idx = np.lexsort((w.imag, w.real), axis=-1)[rows := np.arange(len(k)), k]
+    return w[rows, idx], u[rows, :, idx]    # LAPACK's vector, a contiguous row
 
 
 def _clamp_energy(energy, lo, hi, h):   # clear of the half-cell exclusion

@@ -204,6 +204,8 @@ def double_pole_lineshape(e_d, gamma_d, grid):
     if gamma_d <= 0:
         raise ValueError("gamma_d must be positive")
     grid = np.asarray(grid, float)
+    if len(grid) < 2:
+        raise GridTooCoarse("grid needs at least 2 points")
     if grid[0] > e_d - 10 * gamma_d or grid[-1] < e_d + 10 * gamma_d:
         raise GridTooCoarse("grid must span E_d +/- 10 Gamma_d")
     if float(grid[1]) - float(grid[0]) > gamma_d / 8.0:

@@ -657,7 +657,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,model,checks", [
         ("sweep", "two_level_sweep.json", 3),
         ("encircle", "two_level_sweep.json", 3),
-        ("trap", "trapping_chain.json", 1)])
+        ("trap", "trapping_chain.json", 1),
+        ("heff", "open_system.json", 1),
+        ("heff", "open_system_tabulated.json", 1)])
     def test_each_matrix_checked_once(self, tmp_path, monkeypatch, command,
                                       model, checks):
         # the model's matrices are checked where they enter; the pencils

@@ -614,16 +614,28 @@ class TestSolveResonances:
                                for r in range(1, max(its) + 1)]
         assert len(set(its)) > 1
 
-    def test_only_the_final_round_is_sorted(self, monkeypatch):
-        # the rounds pick on LAPACK's own unit vectors; sort_pairs orders and
-        # normalizes the pairs of the final round alone, whose vectors are
-        # returned
-        calls, sort_pairs = [], linalg.sort_pairs
-        monkeypatch.setattr(linalg, "sort_pairs",
-                            lambda w, u: calls.append(len(w)) or sort_pairs(w, u))
-        states = opensys.solve_resonances(standard_model())
-        assert calls == [len(states)]
-        assert max(s.iterations for s in states) > 1
+    def test_states_read_the_kth_sorted_pair(self):
+        # one rank rule: state k returns, to the bit, the k-th pair that
+        # sort_pairs gives for H_eff at its energy, its vector then
+        # c-normalized inside the window and made real outside it; the
+        # census seeds hold bound states, a direct interaction, both
+        # profiles and an unconverged state
+        seen = set()
+        for m in (standard_model(), *map(census_model, (1, 2, 7, 15))):
+            for k, s in enumerate(opensys.solve_resonances(m)):
+                heff = opensys.assemble_heff(m, s.energy).matrix
+                w, u = linalg.eig_pairs(heff)
+                if m.window[0] < s.energy < m.window[1]:
+                    want = linalg.c_columns(u[:, k:k + 1])[0][:, 0]
+                    assert s.z == w[k] and np.array_equal(s.phi, want)
+                else:
+                    seen.add("bound")
+                    p = u[:, k].real if np.isrealobj(s.phi) else u[:, k]
+                    assert s.z == complex(w[k].real, 0.0)
+                    assert np.array_equal(s.phi, p / np.linalg.norm(p))
+            if m.v_direct is not None:
+                seen.add("v_direct")
+        assert seen == {"bound", "v_direct"}
 
     def test_strong_coupling_is_self_consistent(self):
         m = opensys.OpenSystemModel(

@@ -156,6 +156,9 @@ class TestDoublePoleLineshape:
             scattering.double_pole_lineshape(0.0, 0.2, np.linspace(-1, 1, 801))
         with pytest.raises(GridTooCoarse):
             scattering.double_pole_lineshape(0.0, 0.2, np.linspace(-3, 3, 51))
+        for grid in ([], [0.0]):
+            with pytest.raises(GridTooCoarse, match="at least 2 points"):
+                scattering.double_pole_lineshape(0.0, 0.2, np.array(grid))
 
 
 class TestLineshape:
