@@ -168,6 +168,66 @@ def eig_stack(a, hermitian):
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
 
+def _two_sum(x, y):
+    """x + y and its rounding error, componentwise (Knuth)."""
+    s = x + y
+    return s, (x - (s - (z := s - x))) + (y - z)
+
+
+def _dot2(s, c, pairs):
+    """(s, c) plus u.view(float) * v.view(float) for each pair of complex
+    arrays (u, v), real parts times real parts and imaginary parts times
+    imaginary parts, summed as if in twice the precision into a new (s, c)
+    with Dekker's exact products (Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26 (2005) 1955)."""
+    for u, v in pairs:
+        u, v = u.view(float), v.view(float)
+        (uh, ul), (vh, vl) = ((h, x - h) for x in (u, v) for t in
+                              [134217729.0 * x] for h in [t - (t - x)])
+        s, q = _two_sum(s, p := u * v)
+        c = c + (q + (((uh * vh - p) + uh * vl + ul * vh) + ul * vl))
+    return s, c
+
+
+def eig2_stack(a):
+    """The largest entry magnitudes and eig_stack of a (T, 2, 2) stack
+    [[a, b], [c, d]] in closed form, vectors at unit norm.  Each matrix is
+    scaled by a power of 2 near its largest entry; the eigenvalues are
+    (a + d)/2 +/- r, r^2 = D = ((a - d)/2)^2 + bc, with the sums and D as
+    if in twice the precision and one Newton step on D - r^2; each vector
+    is the longer of (b, z - a) and (z - d, c), so a coalesced pair has two
+    equal columns, and a scalar matrix has e1 and e2.  A non-finite entry
+    is refused with LAPACK's message."""
+    if not np.isfinite(a.view(float)).all():
+        raise NoConvergence("eigensolver failed: Array must not contain "
+                            "infs or NaNs")
+    a, b, c, d = a.reshape(-1, 4).T.copy()
+    peaks = np.maximum(np.maximum(abs(a), abs(b)), np.maximum(abs(c), abs(d)))
+    k = np.clip(np.frexp(np.fmin(peaks, 1e308))[1], -1020, 1020)
+    with np.errstate(all="ignore"):     # underflow, and inf eigenvalues
+        a, b, c, d = (x * np.ldexp(1.0, -k) for x in (a, b, c, d))
+        (m, dm), (h, dh) = _two_sum(a, d), _two_sum(a, -d)
+        m, dm, h, hd = 0.5 * m, 0.5 * dm, 0.5 * h, 0.5 * h * dh
+        # (a - d)/2 = h + dh/2, so D = h^2 + hd + bc + O(dh^2), with parts
+        # Re D = hr hr - hi hi + br cr - bi ci, Im D = 2 hr hi + bi cr + br ci
+        D = _dot2(hd.view(float), 0.0, [
+            (h.real * (1 + 2j), h), (b, c.real * (1 + 1j)),
+            (1j * b.real - h.imag, h.imag + 1j * c.imag),
+            (-b.imag + 0j, c.imag + 0j)])
+        r = np.sqrt(sum(D).view(complex))  # to r + lo, lo = (D - r^2) / 2r
+        D = _dot2(*D, [(r.real * (-1 - 2j), r), (r.imag + 0j, r.imag + 0j)])
+        lo = np.where(r != 0, sum(D).view(complex) / (2 * r), 0)
+        z, dz = _two_sum(m[:, None], np.stack([r, -r], 1))
+        z, dz = _two_sum(z, dz + (dm[:, None] + np.stack([lo, -lo], 1)))
+        x = np.broadcast_arrays(b[:, None], (z - a[:, None]) + dz)
+        y = np.broadcast_arrays((z - d[:, None]) + dz, c[:, None])
+        nx, ny = (np.hypot(abs(p), abs(q)) for p, q in (x, y))
+        v = np.where(nx >= ny, x, y) / np.maximum(nx, ny)   # [row, t, root]
+        v = np.where(np.isfinite(v), v, np.eye(2)[:, None]).transpose(1, 2, 0)
+        return (peaks, z * np.ldexp(1.0, k)[:, None],
+                np.ascontiguousarray(v).swapaxes(1, 2))     # unit columns
+
+
 def sort_pairs(w, vr):
     """Eigenpairs ordered ascending by (Re, Im), vectors at unit norm."""
     order = np.lexsort((w.imag, w.real), axis=-1)
@@ -200,9 +260,12 @@ def coalescence_error(a):
     Near a coalescence s shrinks with the gap, so the error is O(gap^2)
     and reaches eps where a dense eigensolver leaves the gap at sqrt(eps);
     for a normal pair s = 1 and it is gap / scale.  Parallel right
-    vectors give 0.
+    vectors give 0.  A LAPACK failure raises NoConvergence.
     """
-    w, vr = np.linalg.eig(a)
+    try:
+        w, vr = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
     i, j = closest_pair(w)
     try:
         rows = np.linalg.inv(vr)[[i, j]]

@@ -19,7 +19,7 @@ MATCH_THRESHOLD = 0.5
 # an interval whose best overlap stays below MATCH_THRESHOLD is bisected
 # at most this deep (1/256 of its length) before continuation gives up
 MAX_BISECT = 8
-# matrices are diagonalized in stacks of about this many bytes: one LAPACK
+# matrices are diagonalized in stacks of about this many bytes: one solver
 # call per stack, without holding a whole long grid in memory at once
 _STACK_BYTES = 1 << 20
 DEFAULT_GAP_TOL = 1e-8
@@ -47,23 +47,28 @@ class MatrixFamily:
                 np.array([m.symmetry_hint == linalg.HERMITIAN for m in mats]))
 
     def pairs(self, ts):
-        """Largest entries over ts, then the eigenpairs in LAPACK's order."""
+        """Largest entries over ts, then the eigenpairs in the solver's order,
+        with unit vectors: in closed form for n = 2 (linalg.eig2_stack),
+        else from LAPACK."""
         mats, hermitian = self.stack(ts)
-        peaks = np.abs(mats).max(axis=(1, 2)).tolist()
-        w, vr = linalg.eig_stack(mats, hermitian)
+        n2 = len(mats[0]) == 2
+        peaks, w, vr = linalg.eig2_stack(mats) if n2 else (
+            np.abs(mats).max(axis=(1, 2)), *linalg.eig_stack(mats, hermitian))
         del mats
         if not (ok := np.isfinite(w).all(axis=1)).all():  # unmatchable
             raise NoConvergence("eigenvalue not finite at param "
                                 f"{float(ts[~ok][0])!r}")
+        if n2:                  # unit vectors, laid out as below
+            return peaks.tolist(), w, vr
         vr = np.ascontiguousarray(vr.swapaxes(1, 2))  # unit as in sort_pairs
         vr /= np.linalg.norm(vr, axis=-1, keepdims=True)
-        return peaks, w, vr.swapaxes(1, 2)
+        return peaks.tolist(), w, vr.swapaxes(1, 2)
 
 
 class _Pencil(MatrixFamily):
     """Affine family t -> A + c(t) B (c the identity unless given).  A and B
     come from checked input and are not checked again, nor are their sums:
-    a non-finite one fails in the eigensolver (eig_stack) as NoConvergence."""
+    a non-finite one fails in the eigensolver (pairs) as NoConvergence."""
 
     def __init__(self, a, b, hint, coef=None):
         super().__init__(fn=lambda t: linalg.ComplexMatrix._make((
@@ -237,7 +242,7 @@ def _track(family, ts):
     """Continue the eigenpairs of a MatrixFamily along the parameters ts,
     yielding the matched frames in blocks: _Frames of arrays, one row per
     frame, bisection midpoints included before their grid rows.  Chunks
-    are diagonalized and overlap-matched in batch, in LAPACK's order: where
+    are diagonalized and overlap-matched in batch, in solver order: where
     the row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
     MATCH_THRESHOLD, the order is P_k = cols_k[P_{k-1}], as _match finds;
     any other row k takes P_k from _step, from row k - 1 in order P_{k-1}."""

@@ -398,15 +398,21 @@ class TestExitCodes:
         assert "'open_system' has no sweep interpretation" \
             in capsys.readouterr().err
 
+    # sweep's 2x2 frames take no LAPACK call; heff's H_eff stack and
+    # locate's backward error (linalg.coalescence_error) do
+    @pytest.mark.parametrize("command,model", [
+        ("heff", "open_system.json"), ("locate", "two_level_sweep.json")])
     def test_eigensolver_failure_is_exit_3(self, tmp_path, monkeypatch,
-                                          capsys):
+                                          capsys, command, model):
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", no_convergence)
-        assert run("sweep", "--model", str(DATA / "two_level_sweep.json"),
+        assert run(command, "--model", str(DATA / model),
                    "--out", str(tmp_path)) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("nhspec: numerical failure: "
+                                           "eigensolver failed: Eigenvalues "
+                                           "did not converge\n")
 
     def test_non_finite_json_is_exit_3(self, tmp_path, monkeypatch, capsys):
         nan_gap = sweep.EpLocation(p1=0.0, p2=1.0, z0=0j, gap=float("nan"),
@@ -1230,7 +1236,7 @@ class TestExtremeValues:
     def test_sweep_span_overflows(self, tmp_path):
         # the grid of a span past the float range is taken at half scale and
         # doubled: finite rows, and the EP eps1 - eps2 = 2 Im omega found at
-        # eps1_re = 0.0 exactly
+        # eps1_re = 0.0 exactly, where the pair has coalesced (r = 0, A = inf)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(fixture("two_level_sweep.json", sweep={
             "parameter": "eps1_re", "start": -1e308, "stop": 1e308,
@@ -1239,8 +1245,12 @@ class TestExtremeValues:
             warnings.simplefilter("error")
             assert run("sweep", "--model", str(model),
                        "--out", str(tmp_path / "out")) == 0
-        rows = csv_rows(tmp_path / "out" / "sweep.csv")
-        assert len(rows) == 22 and np.isfinite(rows).all()
+        rows = np.array(csv_rows(tmp_path / "out" / "sweep.csv"))
+        at_ep = rows[:, 0] == 0.0
+        assert len(rows) == 22 and at_ep.sum() == 2
+        assert np.isfinite(rows[~at_ep]).all()
+        assert (rows[at_ep, 5] == 0.0).all() and np.isposinf(rows[at_ep, 4]).all()
+        assert np.isfinite(np.delete(rows[at_ep], 4, axis=1)).all()
         assert rows[0][0] == -1e308 and rows[-1][0] == 1e308
         events = (tmp_path / "out" / "events.jsonl").read_text().splitlines()
         assert {"indices": [0, 1], "kind": "ep_candidate", "param": 0.0} \

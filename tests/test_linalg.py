@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -221,6 +222,118 @@ class TestEigStack:
         with pytest.raises(NoConvergence, match="did not converge"):
             linalg.eig_stack(np.eye(2, dtype=complex)[None],
                              np.array([False]))
+
+
+TWO_BY_TWO_KINDS = ("general", "complex_symmetric", "hermitian", "near_ep",
+                    "rounded_ep", "exact_ep", "jordan", "scalar")
+
+
+@st.composite
+def two_by_two_stacks(draw):
+    """A (T, 2, 2) stack of frames of the kinds above, one kind per frame,
+    scaled by 1, 2**+-997 (exactly) or 1e+-300 (rounded): entries near
+    1e+-300.  An exact EP is [[m + h, s h], [-h / s, m - h]] with m, h in
+    eighths and s a power of 2 times a unit, so that a - d and
+    ((a - d)/2)^2 + bc = 0 hold in floating point; a near EP moves its c by
+    a relative 1e-12 or 1e-8, and a rounded EP is a general a, b, d with
+    c = -((a - d)/2)^2 / b in floating point.  Also each frame's kind and
+    whether its scaling kept it exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frames, kinds, exact = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(TWO_BY_TWO_KINDS))
+        a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if kind == "complex_symmetric":
+            c = b
+        elif kind == "hermitian":
+            a, d, c = a.real, d.real, b.conjugate()
+        elif kind in ("near_ep", "exact_ep"):
+            m, h = (complex(*rng.integers(-16, 17, 2)) / 8 for _ in range(2))
+            h = h or 1.0
+            s = 2.0 ** rng.integers(-3, 4) * 1j ** rng.integers(4)
+            a, b, c, d = m + h, s * h, -h / s, m - h
+            if kind == "near_ep":
+                c *= 1.0 + draw(st.sampled_from([1e-12, 1e-8]))
+        elif kind == "rounded_ep":
+            c = -((a - d) / 2) ** 2 / b
+        elif kind == "jordan":
+            b, d = 0.0, a
+        elif kind == "scalar":
+            b, c, d = 0.0, 0.0, a
+        scale = draw(st.sampled_from([1.0, 2.0 ** 997, 2.0 ** -997, 1e300,
+                                      1e-300]))
+        frames.append(scale * np.array([[a, b], [c, d]], complex))
+        kinds.append(kind)
+        exact.append(np.frexp(scale)[0] == 0.5)
+    return np.array(frames), kinds, exact
+
+
+def exact_eigenvalues(m):
+    """(a + d)/2 +/- sqrt(((a - d)/2)^2 + bc) of the floats of m, at 40
+    digits (the products of doubles are exact there)."""
+    with mpmath.workdps(40):
+        (a, b), (c, d) = ([mpmath.mpc(complex(x)) for x in row] for row in m)
+        r = mpmath.sqrt(((a - d) / 2) ** 2 + b * c)
+        return [(a + d) / 2 + r, (a + d) / 2 - r]
+
+
+def eigenvalue_error(w, exact):
+    """The largest distance of the pair w from the exact pair, matched in
+    the better of the two orders."""
+    return min(float(max(abs(mpmath.mpc(complex(z)) - e)
+                         for z, e in zip(w, order)))
+               for order in (exact, exact[::-1]))
+
+
+class TestEig2Stack:
+    @given(case=two_by_two_stacks())
+    @example(case=(np.array([T_DEFECTIVE, np.eye(2) * 3.0]),
+                   ["exact_ep", "scalar"], [True, True]))
+    # within 1 ulp of the exact pair only with the Newton step on r
+    @example(case=(np.array([[[1.33, 0.902 - 1.579j],
+                              [0.902 + 1.579j, -1.001]]]), ["hermitian"],
+                   [True]))
+    def test_closed_form(self, case):
+        stack, kinds, exact = case
+        hermitian = np.array([k == "hermitian" for k in kinds])
+        peaks, w, v = linalg.eig2_stack(stack)
+        lapack, _ = linalg.eig_stack(stack, hermitian)
+        eps = np.finfo(float).eps
+        assert np.array_equal(peaks, np.abs(stack).max(axis=(1, 2)))
+        for t, (m, kind) in enumerate(zip(stack, kinds)):
+            # as close to the exact pair as LAPACK, or within 1 ulp of the
+            # largest entry
+            ref = exact_eigenvalues(m)
+            assert eigenvalue_error(w[t], ref) <= max(
+                2 * eigenvalue_error(lapack[t], ref), np.spacing(peaks[t]))
+            assert np.abs(m @ v[t] - v[t] * w[t]).max() <= 4 * eps * peaks[t]
+            assert np.abs(np.linalg.norm(v[t], axis=0) - 1).max() <= 2 * eps
+            if kind in ("exact_ep", "jordan") and exact[t]:
+                assert w[t, 0] == w[t, 1]
+                assert np.array_equal(v[t][:, 0], v[t][:, 1])
+            if kind == "scalar":
+                assert abs(np.linalg.det(v[t])) == 1.0
+            if kind == "hermitian":
+                assert (w[t].imag == 0.0).all()
+
+    def test_non_finite_entry_refused_as_lapack_does(self):
+        stack = np.array([np.eye(2), [[1.0, np.inf], [0.0, 1.0]]], complex)
+        with pytest.raises(NoConvergence) as closed:
+            linalg.eig2_stack(stack)
+        with pytest.raises(NoConvergence) as lapack:
+            linalg.eig_stack(stack, np.zeros(2, bool))
+        assert str(closed.value) == str(lapack.value) == (
+            "eigensolver failed: Array must not contain infs or NaNs")
+
+    def test_entries_near_the_float_range_are_scaled(self):
+        # |1e308 (1 + i)| overflows, the eigenvalues do not; no warning
+        m = 1e308 * np.array([[1 + 1j, 0.5], [0.5, -1 - 1j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, w, v = linalg.eig2_stack(m[None])
+        ref = exact_eigenvalues(m)
+        assert eigenvalue_error(w[0], ref) <= np.spacing(1e308)
+        assert np.isfinite(v).all()
 
 
 @st.composite

@@ -1085,10 +1085,14 @@ class TestStepOnlyWhereNeeded:
         return calls
 
     def test_clean_sweep_takes_no_step(self, monkeypatch):
+        # only the grid point on the EP, omega_im = 1.0, whose two columns
+        # are equal, and the row after it are not clean; neither bisects
         calls = self.spy(monkeypatch)
+        ts = np.linspace(0.5, 1.5, 2001)
         res = sweep.sweep(sweep.SweepSpec(canonical_model(), "omega_im",
                                           0.5, 1.5, 2001))
-        assert len(res.rows) == 2001 and calls == []
+        assert len(res.rows) == 2001
+        assert [(f.t, depth) for f, depth in calls] == [(1.0, 0), (ts[1001], 0)]
 
     def test_near_crossing_steps_only_where_unclean(self, monkeypatch):
         fam, ts = near_crossing(), np.linspace(-1.0, 1.0, 6)
@@ -1107,6 +1111,25 @@ class TestStepOnlyWhereNeeded:
         params = [r.param for r in res.rows]
         assert mids and set(params) == set(ts) | mids
         assert params == sorted(params)
+
+
+class TestLabelsPastTheEp:
+    """The 2x2 frames come in closed form, so a grid point on the EP has two
+    equal columns and the continuation past it does not depend on
+    eigensolver rounding."""
+
+    def test_same_column_on_every_grid(self):
+        # the canonical model crosses its EP at omega_im = 1.0, a grid point
+        # for odd steps only; past it +i sqrt(1.25) ends in one column on
+        # every grid
+        cols = set()
+        for steps in [*range(2, 81), 101, 201, 2001]:
+            res = sweep.sweep(sweep.SweepSpec(canonical_model(), "omega_im",
+                                              0.5, 1.5, steps))
+            dist = np.abs(res.values[-1] - 1j * np.sqrt(1.25))
+            assert dist.min() <= 1e-15
+            cols.add(int(dist.argmin()))
+        assert len(cols) == 1
 
 
 # ---------------------------------------------------------------------------
