@@ -244,8 +244,10 @@ def eig_pairs(H):
 
 
 def closest_pair(w):
-    """Indices (i, j), i < j, of the closest pair among the eigenvalues w."""
-    i, j = np.triu_indices(len(w), 1)
+    """(i, j), i < j, of the closest pair in w; the first in triu order."""
+    if len(w) < 2:
+        raise ValueError(f"no eigenvalue pair among {len(w)} eigenvalue(s)")
+    i, j = divmod(np.flatnonzero(~np.tri(len(w), dtype=bool)), len(w))
     k = np.argmin(np.abs(w[i] - w[j]))
     return i[k], j[k]
 

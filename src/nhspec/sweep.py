@@ -214,10 +214,10 @@ class _Frame(NamedTuple):
     peak: float             # largest entry magnitude of the matrix at t
 
 
-def _frame_at(family, t, on_grid=True):    # sorted as linalg.sort_pairs
-    (peak,), (values,), (vectors,) = family.pairs(np.array([t]))
-    order = np.lexsort((values.imag, values.real))
-    return _Frame(t, values[order], vectors.T[order].T, on_grid, peak)
+def _frame_at(family, t, on_grid=True, pairs=None):  # sorted as sort_pairs
+    peaks, w, vr = pairs or family.pairs(np.array([t]))
+    order = np.lexsort((w[0].imag, w[0].real))
+    return _Frame(t, w[0, order], vr[0][:, order], on_grid, peaks[0])
 
 
 def _step(family, f0, f1, depth=0):
@@ -246,17 +246,23 @@ def _track(family, ts):
     the row maxima of |U_{k-1}^H U_k| are distinct columns, all at least
     MATCH_THRESHOLD, the order is P_k = cols_k[P_{k-1}], as _match finds;
     any other row k takes P_k from _step, from row k - 1 in order P_{k-1}."""
-    prev = _frame_at(family, ts[0])
-    yield _Frame._make(np.array([x]) for x in prev)
     # at most five chunk-sized arrays are live, inside family.pairs: LAPACK's
     # vectors, then their transposed copy and the two temporaries of its
     # norm, and the block the caller holds; the rest has been released
-    size = max(1, _STACK_BYTES // (5 * prev.vectors.nbytes))
-    for lo in range(1, len(ts), size):
+    size = max(1, _STACK_BYTES // (5 * family.stack(ts[:1])[0].nbytes))
+    for lo in range(0, len(ts), size):
         chunk = ts[lo:lo + size]
         peaks, w, vr = family.pairs(chunk)
-        ov = np.concatenate([prev.vectors[None], vr[:-1]])
-        ov = np.abs(np.conjugate(ov, out=ov).swapaxes(1, 2) @ vr)
+        if lo == 0:     # the first frame: row 0 of pairs from ts[0]
+            prev = _frame_at(family, chunk[0], pairs=(peaks, w, vr))
+            yield _Frame._make(np.array([x]) for x in prev)
+            chunk, peaks, w, vr = chunk[1:], peaks[1:], w[1:], vr[1:]
+            if not len(chunk):
+                continue
+        ov = np.concatenate([prev.vectors[None], vr[:-1]]).conj()
+        # |U_{k-1}^H U_k|, for n = 2 summed entrywise: no BLAS call per frame
+        ov = np.abs(sum(ov[:, k, :, None] * vr[:, k, None] for k in range(2))
+                    if len(vr[0]) == 2 else ov.swapaxes(1, 2) @ vr)
         perms, ident = ov.argmax(axis=2), np.arange(ov.shape[2])
         top = np.take_along_axis(ov, perms[..., None], 2)
         if np.count_nonzero(tied := ov == top) != perms.size:
@@ -475,21 +481,28 @@ class EpLocation(NamedTuple):
     iterations: int
 
 
-def _pair_state(family, p):
-    """(gap, squared difference, mean) of the closest eigenvalue pair at p."""
-    point = (float(p[0]), float(p[1]))
+def _pair_state(family, points):
+    """(gap, squared difference, mean) of the closest pair at each point."""
+    states = []
     with np.errstate(all="ignore"):     # a non-finite pair raises below
         try:
-            w = np.linalg.eigvals(family(p[0], p[1]).entries)
+            ws = np.linalg.eigvals(np.stack([family(*q).entries
+                                             for q in points]))
         except np.linalg.LinAlgError as exc:
+            if len(points) > 1:         # the first failing point raises
+                return [s for q in points for s in _pair_state(family, [q])]
+            point = tuple(map(float, points[0]))
             raise NoConvergence(f"eigensolver failed at {point}: {exc}",
                                 point=point) from exc
-        i, j = linalg.closest_pair(w)
-        diff = w[i] - w[j]
-        state = float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])
-    if not (np.isfinite(w).all() and np.isfinite(state).all()):
-        raise NoConvergence(f"eigenvalues not finite at {point}", point=point)
-    return state
+        for q, w in zip(points, ws):
+            i, j = linalg.closest_pair(w)
+            diff = w[i] - w[j]
+            states.append((float(abs(diff)), diff ** 2, 0.5 * (w[i] + w[j])))
+            if not (np.isfinite(w).all() and np.isfinite(states[-1]).all()):
+                point = tuple(map(float, q))
+                raise NoConvergence(f"eigenvalues not finite at {point}",
+                                    point=point)
+    return states
 
 
 def locate_ep(family, seed, p1=None, p2=None):
@@ -572,13 +585,13 @@ def _newton_on_sq_gap(family, p):
     that found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
-    state, step, last = _pair_state(family, p), 0.0, np.inf
+    (state,), step, last = _pair_state(family, [p]), 0.0, np.inf
     for it in range(1, 61):
         width = max(np.abs(p).max(), 1.0)
         h, ulps = 1e-7 * width, 4.0 * np.finfo(float).eps * width
-        d = [(_pair_state(family, p + dp)[1] - _pair_state(family, p - dp)[1])
-             / (2.0 * h) for dp in (np.array([h, 0.0]), np.array([0.0, h]))]
-        f = state[1]
+        f, f4 = state[1], [s[1] for s in _pair_state(family, [  # one eigvals
+            q for dp in h * np.eye(2) for q in (p + dp, p - dp)])]
+        d = [(f4[k] - f4[k + 1]) / (2.0 * h) for k in (0, 2)]
         jac = [[d[0].real, d[1].real], [d[0].imag, d[1].imag]]
         try:
             sv = np.linalg.svd(jac, compute_uv=False)
@@ -588,14 +601,15 @@ def _newton_on_sq_gap(family, p):
                 s = np.linalg.solve(jac, [-f.real, -f.imag])
         except np.linalg.LinAlgError:
             return p, state, step, it, True
-        full = float(np.hypot(*s))
+        with np.errstate(over="ignore"):    # an overflowing step: not finite
+            full = float(np.hypot(*s))
         if not np.isfinite(full):
             return p, state, step, it, True
         if full <= ulps:
             return p, state, full, it, False
         t, last = 2.0 if 0.4 <= full / last <= 0.6 else 1.0, full
         while True:
-            trial = _pair_state(family, p + t * s)
+            (trial,) = _pair_state(family, [p + t * s])
             if abs(trial[1]) < abs(f):
                 break
             t *= 0.5

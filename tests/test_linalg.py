@@ -574,6 +574,46 @@ class TestCoalescenceError:
         assert d <= eta <= 4.0 * d * (1 + 1e-6)
 
 
+def triu_closest_pair(w):
+    """The closest pair as an argmin over np.triu_indices: the reference."""
+    i, j = np.triu_indices(len(w), 1)
+    k = np.argmin(np.abs(w[i] - w[j]))
+    return int(i[k]), int(j[k])
+
+
+class TestClosestPair:
+    @pytest.mark.parametrize("w, pair", [
+        # every pair 1 apart: the first in triu order
+        (np.array([0.0, 1.0, 2.0, 3.0]) + 0j, (0, 1)),
+        ([2.0, 0.0, 1.0], (0, 2)),
+        ([5.0, 1.0, 3.0, 1.0, 3.0], (1, 3)),
+        # every gap inf: still the first pair, never a masked one
+        ([np.inf, 2.5e276], (0, 1)),
+        ([0.0, np.inf, -np.inf], (0, 1)),
+        # a NaN gap comes first, as numpy's argmin has it
+        ([1.0, 1.0, np.nan], (0, 2)),
+    ])
+    def test_ties_take_the_first_pair_in_triu_order(self, w, pair):
+        w = np.asarray(w, complex)
+        assert tuple(map(int, linalg.closest_pair(w))) == pair
+        assert triu_closest_pair(w) == pair
+
+    @given(w=st.lists(st.complex_numbers(max_magnitude=1e3),
+                      min_size=2, max_size=12),
+           snap=st.booleans())
+    def test_matches_the_triu_form(self, w, snap):
+        w = np.array(w, complex)
+        if snap:                # exact ties between many pairs
+            w = np.round(w.real) + 1j * np.round(w.imag)
+        assert tuple(map(int, linalg.closest_pair(w))) == \
+            triu_closest_pair(w)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_values_have_no_pair(self, n):
+        with pytest.raises(ValueError, match=f"among {n} eigenvalue"):
+            linalg.closest_pair(np.zeros(n, complex))
+
+
 class TestJordanChain:
     def test_canonical_chain(self):
         phi, phia = linalg.jordan_chain(linalg.as_matrix(T_DEFECTIVE), 0.0)

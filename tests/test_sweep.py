@@ -285,16 +285,18 @@ class TestLocateEp:
         # eps1 == eps2: the gap is linear in |omega|, so F = (z_i - z_j)^2
         # has a double root at omega = 0 where plain Newton only halves
         # its step; the doubled step takes it there in a few iterations
+        # (five iterations: the seed, five stacked Jacobians of four points
+        # and four line-search trials, 25 matrices in 10 calls)
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: calls.append(1) or eigvals(a))
+                            lambda a: calls.append(len(a)) or eigvals(a))
         model = twolevel.TwoLevelModel(eps1=0.5 + 0.1j, eps2=0.5 + 0.1j,
                                        omega=0.3)
         loc = sweep.locate_ep(model, seed=(0.3, 0.0), p1="omega_re",
                               p2="omega_im")
         assert abs(complex(loc.p1, loc.p2)) < 1e-12
-        assert len(calls) <= 40
+        assert len(calls) <= 10 and sum(calls) <= 25
 
     def test_generic_family_without_closed_form(self):
         # embedded two-level block with a spectator level; the coalescence
@@ -317,7 +319,7 @@ class TestLocateEp:
         eigvals = np.linalg.eigvals
 
         def counted(a):
-            calls.append(1)
+            calls.append(len(a))
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
@@ -327,7 +329,8 @@ class TestLocateEp:
         loc = sweep.locate_ep(fam, seed=(0.05, 0.9))
         assert abs(complex(loc.p1, loc.p2) - complex(0.05, 1.00025)) < 1e-12
         assert loc.backward_error <= 1e-14
-        assert len(calls) <= 100
+        # each Jacobian's four points in one stacked call: 25 matrices in 10
+        assert len(calls) <= 10 and sum(calls) <= 25
 
     def test_a_with_overwritten_level_is_a_plane(self):
         # eps1_re overwrites the level that a moves, so a moves e2 alone and
@@ -382,6 +385,73 @@ class TestLocateEp:
                               p1="omega_re", p2="omega_im")
         assert loc.iterations >= 2 and loc.backward_error <= 1e-10
         assert 1 <= len(built) <= 5
+
+    def test_one_level_family_is_refused(self):
+        # a 1x1 family has no pair: refused at the seed, before any Newton
+        # step, not certified as a coalescence of gap 0
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: np.array([[p1 + 1j * p2]]))
+        with pytest.raises(ValueError, match="no eigenvalue pair among 1 "):
+            sweep.locate_ep(fam, (0.1, 0.2))
+
+    def test_singular_jacobian_stalls(self):
+        # F does not move: the Jacobian is zero and Newton stalls at once
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag([1.0, -1.0]))
+        p, state, step, it, stalled = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
+        assert p.tolist() == [0.1, 0.2] and state[0] == 2.0
+        assert (step, it, stalled) == (0.0, 1, True)
+        with pytest.raises(SaddleRejected) as info:
+            sweep.locate_ep(fam, (0.1, 0.2))
+        assert info.value.residual == 2.0
+
+    def test_overflowing_step_stalls_without_warning(self):
+        # F = 1e-10 (p1 + i p2): the Newton step is -p, whose length
+        # overflows from p = (1.5e308, 1.5e308); the suite turns a
+        # RuntimeWarning into an error
+        seed = (1.5e308, 1.5e308)
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag(
+            [0.0, np.sqrt(1e-10 * complex(p1, p2))]))
+        p, _, step, it, stalled = sweep._newton_on_sq_gap(fam, seed)
+        assert tuple(p) == seed and (step, it, stalled) == (0.0, 1, True)
+        with pytest.raises(SaddleRejected):
+            sweep.locate_ep(fam, seed)
+
+    def test_line_search_stall_near_a_coalescence_is_no_convergence(self):
+        # test_normal_near_crossing_is_not_certified with the gap at 2e-8:
+        # no trial lowers |F| near p = 0, and a backward error between
+        # EP_BACKWARD_TOL and 1e4 times it is no saddle to reject
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: rot @ np.diag(
+            [0.5, 0.5 + 2e-8 + p1 ** 2 + 1j * p2 ** 2]) @ rot.T)
+        _, state, _, it, stalled = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
+        assert stalled and it < 60 and 2e-8 <= state[0] <= 2.2e-8
+        with pytest.raises(NoConvergence, match="above tolerance") as info:
+            sweep.locate_ep(fam, (0.1, 0.2))
+        assert 2e-8 <= info.value.residual <= 2.2e-8
+
+    def test_slow_descent_ends_after_60_iterations(self):
+        # F = w^20, w = p1 + i p2: every full step -w / 20 lowers |F|, so
+        # the search neither stalls nor converges within 4 ulp; the pair
+        # there is within 1e-13 of coinciding, which certifies it
+        fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag(
+            [0.0, complex(p1, p2) ** 10]))
+        _, _, _, it, stalled = sweep._newton_on_sq_gap(fam, (0.6, 0.8))
+        assert (it, stalled) == (60, False)
+        loc = sweep.locate_ep(fam, (0.6, 0.8))
+        assert loc.iterations == 60 and loc.backward_error <= 1e-13
+
+    def test_failing_stack_names_its_first_failing_point(self):
+        # the family is not finite past p1 = 0.1: the seed passes, and of
+        # the Jacobian's stacked points p + (h, 0) fails first
+        def fn(p1, p2):
+            d = np.inf if p1 > 0.1 else -p1
+            return linalg.ComplexMatrix._make((np.array(
+                [[p1, p2], [p2, d]], complex), linalg.GENERAL))
+
+        with pytest.raises(NoConvergence, match="eigensolver failed at ") \
+                as info:
+            sweep.locate_ep(sweep.PlaneFamily(fn=fn), (0.1, 0.2))
+        assert info.value.point == (0.1 + 1e-7, 0.2)
 
     def test_non_finite_eigenvalues_end_in_no_convergence(self):
         # finite entries whose largest eigenvalue overflows to inf
@@ -751,10 +821,11 @@ def tracked_in_chunks(family, ts, per_chunk):
 
 class Shuffled:
     """A family whose pairs come in a drawn column order per matrix, as
-    another eigensolver might return them."""
+    another eigensolver might return them; its matrices are the family's."""
 
     def __init__(self, family, seed):
         self.family, self.rng = family, np.random.default_rng(seed)
+        self.stack = family.stack
 
     def pairs(self, ts):
         peaks, w, vr = self.family.pairs(ts)
@@ -1093,6 +1164,16 @@ class TestStepOnlyWhereNeeded:
                                           0.5, 1.5, 2001))
         assert len(res.rows) == 2001
         assert [(f.t, depth) for f, depth in calls] == [(1.0, 0), (ts[1001], 0)]
+
+    def test_clean_sweep_is_one_eigensolve(self, monkeypatch):
+        # the first frame is row 0 of the one 2001-row chunk, not a solve
+        # of its own
+        stacks, eig2 = [], linalg.eig2_stack
+        monkeypatch.setattr(linalg, "eig2_stack",
+                            lambda a: stacks.append(len(a)) or eig2(a))
+        sweep.sweep(sweep.SweepSpec(canonical_model(), "omega_im", 0.5, 1.5,
+                                    2001))
+        assert stacks == [2001]
 
     def test_near_crossing_steps_only_where_unclean(self, monkeypatch):
         fam, ts = near_crossing(), np.linspace(-1.0, 1.0, 6)
