@@ -16,8 +16,6 @@ from . import opensys, scattering, sweep, twolevel
 from .errors import ModelFileError, NhspecError, SelfConsistencyFailure
 
 MODEL_VERSION = "1"
-KINDS = ("two_level", "pt_two_level", "avoided_crossing", "open_system",
-         "toy_trapping", "smatrix")
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +157,9 @@ def _linspace_block(rec, where):
 
 
 # ---------------------------------------------------------------------------
-# deterministic emission
+# deterministic encoders: each returns the text of one artifact
 
-def write_csv(path, header, columns):
+def csv_text(header, columns):
     """CSV of one 1-D array per column: bools as 1/0, integers by str, floats
     by repr (bit-exact round trip); columns of unequal length raise."""
     cells = [map(str, col.astype(int).tolist()) if col.dtype.kind in "biu"
@@ -169,7 +167,7 @@ def write_csv(path, header, columns):
              for col in map(np.asarray, columns)]
     lines = [",".join(header)]
     lines += [",".join(row) for row in zip(*cells, strict=True)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _plain(obj):
@@ -183,22 +181,14 @@ def _plain(obj):
                     "is not JSON serializable")
 
 
-def _dumps(path, obj, indent=None):
-    # NaN and inf have no JSON spelling; emitting one is a numerical failure
-    try:
-        return json.dumps(obj, sort_keys=True, indent=indent,
-                          allow_nan=False, default=_plain)
-    except ValueError as exc:
-        raise NhspecError(f"non-finite value for {path}: {exc}") from exc
+def json_text(obj, indent=2):
+    # NaN and inf have no JSON spelling: a ValueError, which _write reports
+    return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False,
+                      default=_plain) + "\n"
 
 
-def write_json(path, obj):
-    Path(path).write_text(_dumps(path, obj, 2) + "\n", encoding="utf-8")
-
-
-def write_jsonl(path, records):
-    text = "".join(_dumps(path, r) + "\n" for r in records)
-    Path(path).write_text(text, encoding="utf-8")
+def jsonl_text(records):
+    return "".join(json_text(r, None) for r in records)
 
 
 # minimal deterministic SVG: two stacked panels of polylines
@@ -226,23 +216,20 @@ def _panel(x, ys, y_off, label):
     return parts
 
 
-def write_trajectory_svg(path, params, values):
+def trajectory_svg(params, values):
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
             f'height="{2 * _SVG_H}">']
     body += _panel(params, values.real.T, 0, "Re z")
     body += _panel(params, values.imag.T, _SVG_H, "Im z")
     body.append("</svg>")
-    Path(path).write_text("\n".join(body) + "\n")
+    return "\n".join(body) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps the model file to {file name: (encoder, *data)}
 
 def _model_for_sweep(doc):
-    kind = doc["kind"]
-    if kind not in _SWEEP_MODELS:
-        _fail(f"model kind {kind!r} has no sweep interpretation")
-    cls, parse = _SWEEP_MODELS[kind]
+    cls, parse = _SWEEP_MODELS[doc["kind"]]
     p = doc["parameters"]
     return cls(**{name: parse(_require(p, name, "parameters"), name)
                   for name in cls._fields})
@@ -260,7 +247,7 @@ def _long_form(x, values, *tables):
             values.imag.ravel(), *(a.ravel() for a in tables)]
 
 
-def cmd_sweep(doc, out, emit):
+def cmd_sweep(doc):
     model = _model_for_sweep(doc)
     block = _require(doc, "sweep", "model file")
     spec = sweep.SweepSpec(
@@ -270,21 +257,16 @@ def cmd_sweep(doc, out, emit):
         stop=_as_float(_require(block, "stop", "sweep block"), "stop"),
         steps=_as_int(_require(block, "steps", "sweep block"), "steps"))
     res = sweep.sweep(spec)
-    if "csv" in emit:
-        write_csv(out / "sweep.csv", "param k re_z im_z A r gap".split(),
-                  _long_form(res.params, res.values, res.norms_A,
-                             res.rigidity_r,
-                             np.repeat(res.min_gap, res.values.shape[1])))
-    if "json" in emit:
-        write_jsonl(out / "events.jsonl",
-                    [{"kind": e.kind, "param": e.param,
-                      "indices": list(e.indices)} for e in res.events])
-    if "svg" in emit:
-        write_trajectory_svg(out / "trajectories.svg", res.params, res.values)
-    return 0
+    return {
+        "sweep.csv": (
+            csv_text, "param k re_z im_z A r gap".split(),
+            _long_form(res.params, res.values, res.norms_A, res.rigidity_r,
+                       np.repeat(res.min_gap, res.values.shape[1]))),
+        "events.jsonl": (jsonl_text, [e._asdict() for e in res.events]),
+        "trajectories.svg": (trajectory_svg, res.params, res.values)}
 
 
-def cmd_locate(doc, out, emit):
+def cmd_locate(doc):
     model = _model_for_sweep(doc)
     block = _require(doc, "locate", "model file")
     p1 = _require(block, "p1", "locate block")
@@ -293,15 +275,13 @@ def cmd_locate(doc, out, emit):
     if len(seed) != 2:
         _fail("field 'seed' must be a [p1, p2] pair")
     loc = sweep.locate_ep(model, tuple(seed.tolist()), p1=p1, p2=p2)
-    if "json" in emit:
-        write_json(out / "ep.json", {
-            "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
-            "residual": loc.gap, "backward_error": loc.backward_error,
-            "step": loc.step, "iterations": loc.iterations})
-    return 0
+    return {"ep.json": (json_text, {
+        "p1": loc.p1, "p2": loc.p2, "z0": complex(loc.z0),
+        "residual": loc.gap, "backward_error": loc.backward_error,
+        "step": loc.step, "iterations": loc.iterations})}
 
 
-def cmd_encircle(doc, out, emit):
+def cmd_encircle(doc):
     model = _model_for_sweep(doc)
     block = _require(doc, "encircle", "model file")
     spec = sweep.EncircleSpec(
@@ -313,26 +293,22 @@ def cmd_encircle(doc, out, emit):
                                 "steps_per_cycle"),
         cycles=_as_int(block.get("cycles", 4), "cycles"))
     rep = sweep.encircle(spec, model)
-    if "json" in emit:
-        write_json(out / "cycles.json", {
+    header = ["theta"] + [f"{part}_z{k}" for k in range(rep.values.shape[1])
+                          for part in ("re", "im")]
+    return {
+        "cycles.json": (json_text, {
             "encloses_ep": rep.encloses_ep,
             "eigenvalue_period": rep.eigenvalue_period,
             "eigenvector_period": rep.eigenvector_period,
             "cycles": [{"permutation": list(c.permutation),
                         "phases": [complex(p) for p in c.phases]}
-                       for c in rep.cycles]})
-    if "csv" in emit:
-        header = ["theta"] + [f"{part}_z{k}" for k in range(rep.values.shape[1])
-                              for part in ("re", "im")]
+                       for c in rep.cycles]}),
         # a complex row viewed as floats is re_z0, im_z0, re_z1, ...
-        write_csv(out / "contour.csv", header,
-                  [rep.theta, *rep.values.view(float).T])
-    return 0
+        "contour.csv": (csv_text, header,
+                        [rep.theta, *rep.values.view(float).T])}
 
 
-def cmd_trap(doc, out, emit):
-    if doc["kind"] != "toy_trapping":
-        _fail("trap requires a toy_trapping model")
+def cmd_trap(doc):
     p = doc["parameters"]
     h0 = _as_array(_require(p, "h0", "parameters"), "h0", 1, 2)
     v = _as_array(_require(p, "v", "parameters"), "v", 1, 2)
@@ -340,22 +316,18 @@ def cmd_trap(doc, out, emit):
                              "alphas block")
     fraction = _as_float(p.get("trapped_fraction", 0.1), "trapped_fraction")
     rep = opensys.toy_trapping(h0, v, alphas, trapped_fraction=fraction)
-    if "csv" in emit:
-        own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
-        write_csv(out / "trapping.csv",
-                  "alpha k re_z im_z gamma trapped_flag".split(),
-                  _long_form(rep.alphas, rep.values, rep.widths,
-                             rep.widths < fraction * own_max))
-    if "json" in emit:
-        write_json(out / "summary.json", {
+    own_max = np.maximum(rep.widths.max(axis=0), 1e-300)
+    return {
+        "trapping.csv": (
+            csv_text, "alpha k re_z im_z gamma trapped_flag".split(),
+            _long_form(rep.alphas, rep.values, rep.widths,
+                       rep.widths < fraction * own_max)),
+        "summary.json": (json_text, {
             "alpha_cr": rep.alpha_cr, "slope": rep.slope,
-            "fit_residual": rep.fit_residual, "n_trapped": rep.n_trapped})
-    return 0
+            "fit_residual": rep.fit_residual, "n_trapped": rep.n_trapped})}
 
 
-def cmd_scatter(doc, out, emit):
-    if doc["kind"] != "smatrix":
-        _fail("scatter requires an smatrix model")
+def cmd_scatter(doc):
     p = doc["parameters"]
     grid = _linspace_block(_require(doc, "grid", "model file"), "grid block")
     channel = _as_int(p.get("channel", 0), "channel")
@@ -370,13 +342,12 @@ def cmd_scatter(doc, out, emit):
         model = _build_smatrix(p, grid)
         rep = scattering.lineshape(model, grid, channel=channel)
         bics = scattering.detect_bic(model, channel=channel)
-    if "csv" in emit:
-        write_csv(out / "smatrix.csv",
-                  "energy channel re_s im_s sigma phase".split(),
-                  [rep.grid, np.full(len(rep.grid), channel),
-                   rep.s_values.real, rep.s_values.imag, rep.sigma, rep.phase])
-    if "json" in emit:
-        write_json(out / "features.json", {
+    return {
+        "smatrix.csv": (
+            csv_text, "energy channel re_s im_s sigma phase".split(),
+            [rep.grid, np.full(len(rep.grid), channel), rep.s_values.real,
+             rep.s_values.imag, rep.sigma, rep.phase]),
+        "features.json": (json_text, {
             "total_phase_change": rep.total_phase_change,
             "sigma_at_center": rep.sigma_at_center,
             "halfmax_span": rep.halfmax_span,
@@ -384,35 +355,39 @@ def cmd_scatter(doc, out, emit):
             "minima": rep.minima, "maxima": rep.maxima,
             "bic": [{"index": b.index, "energy": b.energy,
                      "phase_jump": b.phase_jump,
-                     "peak_resolved": b.peak_resolved} for b in bics]})
-    return 0
+                     "peak_resolved": b.peak_resolved} for b in bics]})}
 
 
-def cmd_heff(doc, out, emit):
-    if doc["kind"] != "open_system":
-        _fail("heff requires an open_system model")
+def cmd_heff(doc):
     model = _build_open_system(doc["parameters"])
     states = opensys.solve_resonances(model)
     z, width, energy, converged, iterations, residual = _columns(
         states, "z", "width", "energy", "converged", "iterations", "residual")
-    if "csv" in emit:
-        write_csv(out / "resonances.csv", "index re_z im_z width energy "
-                  "converged iterations residual".split(),
-                  [np.arange(len(states)), z.real, z.imag, width, energy,
-                   converged, iterations, residual])
+    artifacts = {"resonances.csv": (
+        csv_text, "index re_z im_z width energy converged iterations "
+        "residual".split(), [np.arange(len(states)), z.real, z.imag, width,
+                             energy, converged, iterations, residual])}
     if failed := np.flatnonzero(~converged).tolist():  # name the threshold
         h = model.grid[1] - model.grid[0]   # whose clamp edge holds a state
         at = [f"root at threshold {t!r}" + ("" if ks == failed else f" for {ks}")
               for t in model.window
               if (ks := [k for k in failed if abs(energy[k] - t) < h])]
         raise SelfConsistencyFailure(f"states {failed} did not converge"
-                                     + (": " + "; ".join(at) if at else ""))
-    return 0
+                                     + (": " + "; ".join(at) if at else ""),
+                                     artifacts=artifacts)
+    return artifacts
 
 
-COMMANDS = {"sweep": cmd_sweep, "locate": cmd_locate,
-            "encircle": cmd_encircle, "trap": cmd_trap,
-            "scatter": cmd_scatter, "heff": cmd_heff}
+# each command and the model kinds it reads
+COMMANDS = {"sweep": (cmd_sweep, _SWEEP_MODELS),
+            "locate": (cmd_locate, _SWEEP_MODELS),
+            "encircle": (cmd_encircle, _SWEEP_MODELS),
+            "trap": (cmd_trap, ("toy_trapping",)),
+            "scatter": (cmd_scatter, ("smatrix",)),
+            "heff": (cmd_heff, ("open_system",))}
+KINDS = {kind for _, kinds in COMMANDS.values() for kind in kinds}
+# the --emit format of each artifact, by file suffix
+FORMATS = {".csv": "csv", ".json": "json", ".jsonl": "json", ".svg": "svg"}
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +407,38 @@ def build_parser():
     return parser
 
 
+def _write(out, artifacts, emit):
+    """Encode each artifact in a format of emit, then write them all."""
+    texts = {}
+    try:
+        for name, (encode, *data) in artifacts.items():
+            if FORMATS[Path(name).suffix] in emit:
+                texts[name] = encode(*data)
+    except ValueError as exc:       # NaN or inf in a JSON artifact
+        raise NhspecError(f"non-finite value for {out / name}: {exc}") from exc
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     emit = tuple(s for s in args.emit.split(",") if s)
-    if not set(emit) <= {"csv", "json", "svg"}:
+    if not set(emit) <= set(FORMATS.values()):
         print("nhspec: unknown emit format in " + args.emit, file=sys.stderr)
         return 2
+    command, kinds = COMMANDS[args.command]
     try:
         doc = load_model_file(args.model)
+        if (kind := doc["kind"]) not in kinds:
+            _fail(f"model kind {kind!r} has no {args.command} interpretation")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](doc, out, emit)
+        try:
+            _write(out, command(doc), emit)
+        except SelfConsistencyFailure as exc:   # heff's table, marked
+            _write(out, exc.artifacts, emit)
+            raise
+        return 0
     except (ModelFileError, ValueError, TypeError, KeyError, OSError,
             MemoryError) as exc:        # MemoryError: a grid too long to hold
         print(f"nhspec: input error: {exc}", file=sys.stderr)

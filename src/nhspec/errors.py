@@ -57,7 +57,12 @@ class ETooCloseToThreshold(NhspecError):
 
 
 class SelfConsistencyFailure(NhspecError):
-    """Per-state fixed-point iteration on the resonance energy failed."""
+    """Per-state fixed-point iteration on the resonance energy failed;
+    artifacts holds heff's table, which the CLI writes before reporting."""
+
+    def __init__(self, message, artifacts=None):
+        super().__init__(message)
+        self.artifacts = artifacts or {}
 
 
 class PoleOnRealAxis(NhspecError):

@@ -469,7 +469,8 @@ class EpLocation(NamedTuple):
     coincides.  step estimates the error in (p1, p2): the last Newton
     correction when it fell below 4 ulp, else the last step taken (for
     the two-level coupling plane, the move to the closed-form locus);
-    iterations counts Newton steps.
+    iterations counts Newton steps.  At the cap, iterations == 60, step
+    is only the last step taken and bounds nothing.
     """
 
     p1: float
@@ -516,8 +517,9 @@ def locate_ep(family, seed, p1=None, p2=None):
     Newton point is the final step.  The search succeeds when the
     backward error at the returned point is at most EP_BACKWARD_TOL, a
     bound on distance to a coalescence relative to the matrix scale, not
-    on the eigenvalue gap; otherwise it raises SaddleRejected where Newton
-    stalled with the backward error far above it, and NoConvergence else.
+    on the eigenvalue gap; otherwise it raises SaddleRejected where the
+    line search stalled with the backward error far above it, and else
+    NoConvergence naming the backward error or Newton's breakdown.
     """
     model = None
     if not isinstance(family, PlaneFamily):
@@ -526,7 +528,7 @@ def locate_ep(family, seed, p1=None, p2=None):
         model, (a, (b1, b2), hint) = family, _affine(family, (p1, p2))
         family = PlaneFamily(fn=lambda x1, x2: linalg.ComplexMatrix._make((
             a + x1 * b1 + x2 * b2, hint)))
-    p, (gap, _, z0), step, iterations, stalled = _newton_on_sq_gap(
+    p, (gap, _, z0), step, iterations, stall = _newton_on_sq_gap(
         family, seed)
     exact = _closed_form_polish(model, (p1, p2), p)
     if exact is not None:
@@ -536,13 +538,15 @@ def locate_ep(family, seed, p1=None, p2=None):
         _set_path(_set_path(model, p1, p[0]), p2, p[1])
     eta = linalg.coalescence_error(family(p[0], p[1]).entries)
     if not eta <= EP_BACKWARD_TOL:
-        if stalled and eta > 1e4 * EP_BACKWARD_TOL:
+        if stall == "local minimum" and eta > 1e4 * EP_BACKWARD_TOL:
             raise SaddleRejected(
                 f"local minimum with gap {gap:.3e} above tolerance",
                 point=tuple(p), residual=gap)
-        raise NoConvergence(f"backward error {eta:.3e} (gap {gap:.3e}) above "
-                            f"tolerance {EP_BACKWARD_TOL:.3e}",
-                            point=tuple(p), residual=gap)
+        raise NoConvergence(
+            f"backward error {eta:.3e} (gap {gap:.3e}) above tolerance "
+            f"{EP_BACKWARD_TOL:.3e}" if stall in (None, "local minimum")
+            else f"{stall} at {tuple(p.tolist())} with gap {gap:.3e}",
+            point=tuple(p), residual=gap)
     return EpLocation(p1=float(p[0]), p2=float(p[1]), z0=complex(z0),
                       gap=gap, backward_error=eta, step=step,
                       iterations=iterations)
@@ -580,9 +584,9 @@ def _newton_on_sq_gap(family, p):
     the search has converged once a full step is within 4 ulp of p; where
     full steps halve, as at the double root of a crossing, the doubled
     step is tried first.  Returns the point, its _pair_state, the step
-    estimate of EpLocation, the iteration count and whether Newton
-    stalled: a singular Jacobian, a non-finite step, or a line search
-    that found no lower |F|.
+    estimate of EpLocation, the iteration count and why Newton stalled:
+    None, "singular Jacobian", "non-finite Newton step", or "local
+    minimum" where the line search found no lower |F|.
     """
     p = np.asarray(p, dtype=float)
     (state,), step, last = _pair_state(family, [p]), 0.0, np.inf
@@ -600,13 +604,13 @@ def _newton_on_sq_gap(family, p):
             else:
                 s = np.linalg.solve(jac, [-f.real, -f.imag])
         except np.linalg.LinAlgError:
-            return p, state, step, it, True
+            return p, state, step, it, "singular Jacobian"
         with np.errstate(over="ignore"):    # an overflowing step: not finite
             full = float(np.hypot(*s))
         if not np.isfinite(full):
-            return p, state, step, it, True
+            return p, state, step, it, "non-finite Newton step"
         if full <= ulps:
-            return p, state, full, it, False
+            return p, state, full, it, None
         t, last = 2.0 if 0.4 <= full / last <= 0.6 else 1.0, full
         while True:
             (trial,) = _pair_state(family, [p + t * s])
@@ -614,9 +618,9 @@ def _newton_on_sq_gap(family, p):
                 break
             t *= 0.5
             if t < 2.0 ** -30 or t * full <= ulps:
-                return p, state, step, it, True
+                return p, state, step, it, "local minimum"
         p, state, step = p + t * s, trial, t * full
-    return p, state, step, it, False
+    return p, state, step, it, None
 
 
 # ---------------------------------------------------------------------------

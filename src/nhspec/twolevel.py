@@ -274,16 +274,10 @@ def delta_diagnostic(m, a):
     b_ij are the c-products of the coupled eigenvectors with the
     uncoupled basis (identity columns for the diagonal reference), so
     b_ij is simply the j-th component of the c-normalized i-th vector.
-    At a coalescence the entries diverge; they are capped and flagged.
+    At a coalescence they diverge, up to 1/sqrt(DEFECT_TOL), and are flagged.
     """
     sys = linalg.c_normalize(linalg.eig(m.model_at(a).matrix()))
-    flagged = bool(sys.ep_flag.any())
-    b = sys.right_vectors.T.copy()     # b[i, j] = component j of state i
-    big = np.abs(b) > linalg.B_CAP
-    if big.any():
-        b[big] = linalg.B_CAP * b[big] / np.abs(b[big])
-        flagged = True
+    b = sys.right_vectors.T            # b[i, j] = component j of state i
     b = b[:, linalg._assign(np.abs(b))]
-    diag = np.abs(b[0, 0]) ** 2
-    off = np.abs(b[0, 1]) ** 2
-    return DeltaReport(delta=float(diag - off), b=b, flagged=flagged)
+    delta = float(np.abs(b[0, 0]) ** 2 - np.abs(b[0, 1]) ** 2)
+    return DeltaReport(delta=delta, b=b, flagged=bool(sys.ep_flag.any()))

@@ -231,6 +231,29 @@ class TestScatterCommand:
             f"nhspec: input error: channel {channel} is not in 0..0\n"
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_failing_artifact_writes_none(self, tmp_path, monkeypatch,
+                                          capsys):
+        # every artifact is encoded before any is written: a NaN in
+        # features.json leaves no smatrix.csv behind
+        lineshape = scattering.lineshape
+        monkeypatch.setattr(scattering, "lineshape", lambda *a, **k: lineshape(
+            *a, **k)._replace(sigma_at_center=float("nan")))
+        assert run("scatter", "--model", str(DATA / "bic_pair.json"),
+                   "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite value for" in err \
+            and "features.json" in err
+        assert not list(tmp_path.glob("*"))
+
+    def test_json_alone_never_encodes_the_table(self, tmp_path, monkeypatch):
+        # the CSV's float repr is nearly all of scatter's time
+        calls = []
+        monkeypatch.setattr(cli, "csv_text", lambda *a: calls.append(a))
+        assert run("scatter", "--model", str(DATA / "double_pole.json"),
+                   "--out", str(tmp_path), "--emit", "json") == 0
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["features.json"]
+
 
 class TestHeffCommand:
     def test_resonances(self, tmp_path):
@@ -395,8 +418,24 @@ class TestExitCodes:
         model.write_text(json.dumps(doc))
         assert run(command, "--model", str(model),
                    "--out", str(tmp_path / "out")) == 2
-        assert "'open_system' has no sweep interpretation" \
+        assert f"'open_system' has no {command} interpretation" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,model,kind", [
+        ("sweep", "trapping_chain.json", "toy_trapping"),
+        ("locate", "bic_pair.json", "smatrix"),
+        ("encircle", "open_system.json", "open_system"),
+        ("trap", "double_pole.json", "smatrix"),
+        ("scatter", "open_system.json", "open_system"),
+        ("heff", "avoided_iv.json", "avoided_crossing")])
+    def test_kind_a_command_does_not_read(self, tmp_path, capsys, command,
+                                          model, kind):
+        assert run(command, "--model", str(DATA / model),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (f"nhspec: input error: model kind "
+                                           f"{kind!r} has no {command} "
+                                           "interpretation\n")
+        assert not list((tmp_path / "out").glob("*"))
 
     # sweep's 2x2 frames take no LAPACK call; heff's H_eff stack and
     # locate's backward error (linalg.coalescence_error) do
@@ -976,12 +1015,11 @@ def test_every_command_honours_emit(tmp_path, command, model, emit, written):
 # JSON summary written next to it
 
 class TestCsvColumns:
-    def test_cells_by_dtype(self, tmp_path):
+    def test_cells_by_dtype(self):
         floats = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1e300])
         k = np.arange(len(floats))
-        cli.write_csv(tmp_path / "t.csv", ["flag", "k", "x"],
-                      [k % 2 == 0, k - 3, floats])
-        lines = (tmp_path / "t.csv").read_text().splitlines()
+        lines = cli.csv_text(["flag", "k", "x"],
+                             [k % 2 == 0, k - 3, floats]).splitlines()
         assert lines[0] == "flag,k,x"
         cells = [line.split(",") for line in lines[1:]]
         assert [c[0] for c in cells] == ["1", "0", "1", "0", "1", "0", "1"]
@@ -989,11 +1027,9 @@ class TestCsvColumns:
         assert [c[2] for c in cells] == [repr(x) for x in floats.tolist()] \
             == ["-0.0", "inf", "-inf", "nan", "5e-324", "0.1", "1e+300"]
 
-    def test_unequal_columns_raise(self, tmp_path):
+    def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
-            cli.write_csv(tmp_path / "t.csv", ["a", "b"],
-                          [np.zeros(3), np.zeros(2)])
-        assert not (tmp_path / "t.csv").exists()
+            cli.csv_text(["a", "b"], [np.zeros(3), np.zeros(2)])
 
     def test_columns_are_the_per_row_tables(self, tmp_path):
         # the tables the CLI once built row by row, from the library

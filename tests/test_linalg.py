@@ -435,6 +435,24 @@ class TestCNormalize:
         u = sys.right_vectors
         assert np.abs(np.einsum("ik,ik->k", u, u) - 1.0).max() <= 1e-12
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           log_c=st.lists(st.floats(-16.0, 0.0), min_size=1, max_size=4))
+    @example(seed=0, n=2, log_c=[-12.0])
+    def test_entries_stay_below_the_inverse_root_of_defect_tol(self, seed, n,
+                                                               log_c):
+        # a column x + i y sqrt(1 - c) with x, y orthonormal has c-norm
+        # about c: near 1e-12 the scale 1/sqrt(c) is largest, and below it
+        # the column is flagged and left at unit norm.  No entry exceeds
+        # 1/sqrt(DEFECT_TOL) = 1e6 (to rounding), far below B_CAP
+        rng = np.random.default_rng(seed)
+        cols = []
+        for c in 10.0 ** np.array(log_c):
+            x, y = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+            cols.append(x + 1j * y * np.sqrt(1.0 - c))
+        u, norms = linalg.c_columns(np.array(cols).T)
+        bound = (1.0 + 8 * np.finfo(float).eps) / np.sqrt(linalg.DEFECT_TOL)
+        assert np.abs(u).max() <= bound < linalg.B_CAP
+
     def test_hermitian_limit(self):
         sys = c_normalized(np.array([[1.0, 0.3], [0.3, -1.0]]))
         assert np.allclose(sys.norms_A, 1.0, atol=1e-12)

@@ -394,14 +394,18 @@ class TestLocateEp:
             sweep.locate_ep(fam, (0.1, 0.2))
 
     def test_singular_jacobian_stalls(self):
-        # F does not move: the Jacobian is zero and Newton stalls at once
+        # F does not move: the Jacobian is zero and Newton stalls at once,
+        # a failure that names its cause rather than a local minimum
         fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag([1.0, -1.0]))
-        p, state, step, it, stalled = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
+        p, state, step, it, stall = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
         assert p.tolist() == [0.1, 0.2] and state[0] == 2.0
-        assert (step, it, stalled) == (0.0, 1, True)
-        with pytest.raises(SaddleRejected) as info:
+        assert (step, it, stall) == (0.0, 1, "singular Jacobian")
+        with pytest.raises(NoConvergence) as info:
             sweep.locate_ep(fam, (0.1, 0.2))
-        assert info.value.residual == 2.0
+        assert type(info.value) is NoConvergence
+        assert str(info.value) == \
+            "singular Jacobian at (0.1, 0.2) with gap 2.000e+00"
+        assert (info.value.point, info.value.residual) == ((0.1, 0.2), 2.0)
 
     def test_overflowing_step_stalls_without_warning(self):
         # F = 1e-10 (p1 + i p2): the Newton step is -p, whose length
@@ -410,10 +414,15 @@ class TestLocateEp:
         seed = (1.5e308, 1.5e308)
         fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag(
             [0.0, np.sqrt(1e-10 * complex(p1, p2))]))
-        p, _, step, it, stalled = sweep._newton_on_sq_gap(fam, seed)
-        assert tuple(p) == seed and (step, it, stalled) == (0.0, 1, True)
-        with pytest.raises(SaddleRejected):
+        p, _, step, it, stall = sweep._newton_on_sq_gap(fam, seed)
+        assert tuple(p) == seed
+        assert (step, it, stall) == (0.0, 1, "non-finite Newton step")
+        with pytest.raises(NoConvergence) as info:
             sweep.locate_ep(fam, seed)
+        assert type(info.value) is NoConvergence
+        assert str(info.value) == ("non-finite Newton step at "
+                                   "(1.5e+308, 1.5e+308) with gap 1.456e+149")
+        assert info.value.point == seed
 
     def test_line_search_stall_near_a_coalescence_is_no_convergence(self):
         # test_normal_near_crossing_is_not_certified with the gap at 2e-8:
@@ -423,8 +432,9 @@ class TestLocateEp:
         rot = np.array([[c, -s], [s, c]])
         fam = sweep.PlaneFamily(fn=lambda p1, p2: rot @ np.diag(
             [0.5, 0.5 + 2e-8 + p1 ** 2 + 1j * p2 ** 2]) @ rot.T)
-        _, state, _, it, stalled = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
-        assert stalled and it < 60 and 2e-8 <= state[0] <= 2.2e-8
+        _, state, _, it, stall = sweep._newton_on_sq_gap(fam, (0.1, 0.2))
+        assert stall == "local minimum" and it < 60
+        assert 2e-8 <= state[0] <= 2.2e-8
         with pytest.raises(NoConvergence, match="above tolerance") as info:
             sweep.locate_ep(fam, (0.1, 0.2))
         assert 2e-8 <= info.value.residual <= 2.2e-8
@@ -435,10 +445,12 @@ class TestLocateEp:
         # there is within 1e-13 of coinciding, which certifies it
         fam = sweep.PlaneFamily(fn=lambda p1, p2: np.diag(
             [0.0, complex(p1, p2) ** 10]))
-        _, _, _, it, stalled = sweep._newton_on_sq_gap(fam, (0.6, 0.8))
-        assert (it, stalled) == (60, False)
+        _, _, _, it, stall = sweep._newton_on_sq_gap(fam, (0.6, 0.8))
+        assert (it, stall) == (60, None)
         loc = sweep.locate_ep(fam, (0.6, 0.8))
         assert loc.iterations == 60 and loc.backward_error <= 1e-13
+        # each step takes w to 19 w / 20: the last bounds nothing
+        assert loc.step < abs(complex(loc.p1, loc.p2)) / 18
 
     def test_failing_stack_names_its_first_failing_point(self):
         # the family is not finite past p1 = 0.1: the seed passes, and of
