@@ -26,6 +26,7 @@ DEFAULT_GAP_TOL = 1e-8
 # the bound on the backward error of a coalescing pair: of locate_ep at its
 # returned point, and of a sweep row for an ep_candidate
 EP_BACKWARD_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +84,12 @@ class _Pencil(MatrixFamily):
 
 
 class _SecularPencil(_Pencil):
-    """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)).  For K = 1,
-    n <= 75 (zhseqr's unblocked path, same eigenvalue bits with no vectors)
-    LAPACK gives eigenvalues alone, each vector x = Q (D - z)^-1 W for
-    H0 = Q D Q^T, W = Q^T V (Sokolov-Zelevinsky); chunks eigvals refuses or
-    with x not finite (z on a level of D) or |(H - z) x| > 1e-8 max|H| |x|
-    take eig_stack's."""
+    """t -> H0 - i t V V^T (H0 real symmetric, V real (n, K)).  For K = 1 a
+    chunk's eigenvalues are _aberth's roots of the secular equation in
+    H0 = Q D Q^T, W = Q^T V (Sokolov-Zelevinsky), each vector x = Q (D - z)^-1
+    W; the chunk takes eig_stack's pairs where eigvals fails, a root is not
+    finite, a row misses the trace by 4 n eps sum |z| (one root twice) or
+    |(H - z) x| > 1e-8 max|H| |x| (x not finite: z on a level of D)."""
 
     def __init__(self, h0, v):
         with np.errstate(all="ignore"):     # the eigensolver refuses inf, nan
@@ -97,26 +98,55 @@ class _SecularPencil(_Pencil):
         self.w = self.q.T @ v
 
     def pairs(self, ts):
-        if self.w.shape[1] > 1 or len(self.w) > 75:
+        if self.w.shape[1] > 1:
             return super().pairs(ts)
         mats, _ = self.stack(ts)
-        peaks = np.abs(mats).max(axis=(1, 2))
-        try:
-            z = np.linalg.eigvals(mats)
-        except np.linalg.LinAlgError:   # for eig_stack to retry or report
+        peaks, w = np.abs(mats).max(axis=(1, 2)), self.w[:, 0]
+        try:    # for eig_stack to retry, or to report a non-finite H
+            z0 = np.linalg.eigvals(mats[0])
+        except np.linalg.LinAlgError:
             return super().pairs(ts)
         del mats
-        w = self.w[:, 0]
+        z = _aberth(self.d, w * w, ts, z0)
         with np.errstate(all="ignore"):      # non-finite chunks fall back
+            miss = np.abs(z.sum(-1) - self.d.sum() + 1j * ts * (w * w).sum()
+                          ) / np.abs(z).sum(-1)     # NaN where z is not finite
             y = w / (self.d - z[..., None])  # row j: (D - z_j)^-1 W
             norm = np.sqrt((y.real ** 2 + y.imag ** 2).sum(-1))
             y /= norm[..., None]
             # (H - z) x = W (1 / norm - i t W^T x) in the D basis
-            r = np.abs(1 / norm - 1j * np.asarray(ts)[:, None] * (y @ w))
-        if not (r * np.linalg.norm(w) <= 1e-8 * peaks[:, None]).all():
+            r = np.abs(1 / norm - 1j * ts[:, None] * (y @ w))
+        if not (np.isfinite(peaks).all() and (miss <= 4 * len(w) * _EPS).all()
+                and (r * np.linalg.norm(w) <= 1e-8 * peaks[:, None]).all()):
             del y
             return super().pairs(ts)
         return peaks.tolist(), z, (y @ self.q.T).swapaxes(1, 2)
+
+
+def _aberth(d, w2, ts, z0):
+    """Rows of roots of g = 1 + i t sum w2 / (z - d) over ts, from z0 at ts[0]
+    along dz/dt = S1 / (t S2), S_m = sum w2 / (z - d)^m (where finite: not at
+    t = 0), by Aberth-Ehrlich on p = prod (z - d) g; a row stops once each
+    step is at most 4 eps of its largest |z|, else is NaN after 40 sweeps."""
+    with np.errstate(all="ignore"):     # a non-finite row fails the caller
+        dz = ((r := 1 / (z0[:, None] - d)) @ w2) / (ts[0] * (r * r @ w2))
+        z = z0 + (ts[:, None] - ts[0]) * np.where(np.isfinite(dz), dz, 0)
+        rows, buf = np.arange(len(ts)), np.empty((len(ts), *r.shape), complex)
+        for _ in range(40):     # buf: the one chunk-sized temporary
+            zr, tr, r = z[rows], ts[rows, None], buf[:len(rows)]
+            np.reciprocal(np.subtract(zr[..., None], d, out=r), out=r)
+            g, sd = 1 + 1j * tr * (r @ w2), r.sum(-1)
+            r *= r  # p / p' = g / (g' + g sum 1 / (z - d)): 0 where g is
+            newton = g / (g * sd - 1j * tr * (r @ w2))
+            np.subtract(zr[..., None], zr[:, None], out=r)
+            r.reshape(len(rows), -1)[:, ::len(d) + 1] = np.inf  # z_j - z_j
+            step = newton / (1 - newton * np.reciprocal(r, out=r).sum(-1))
+            z[rows] = zr - step
+            if not len(rows := rows[~(np.abs(step) <= 4 * _EPS * np.abs(
+                    zr).max(-1, keepdims=True)).all(-1)]):    # all converged
+                break
+    z[rows] = np.nan
+    return z
 
 
 _COMPLEX_FIELDS = {"omega", "eps1", "eps2"}

@@ -1363,3 +1363,14 @@ print("mpmath" in sys.modules)
         "discrete_avoided", "free_crossing", "avoided_crossing",
         "exceptional_point")]
     assert out[-2] == "False"
+
+
+def test_fresh_cli_import_loads_no_scipy():
+    # the import alone, in a new interpreter with nothing imported first
+    script = ("import sys, nhspec.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -1226,16 +1227,103 @@ class TestLabelsPastTheEp:
 
 
 # ---------------------------------------------------------------------------
-# the trapping pencil: eigenvalues alone from LAPACK, vectors in closed form
+# the trapping pencil: eigenvalues as roots of the secular equation, vectors
+# in closed form
+
+def plain_trapping(h0, v, alphas):
+    """toy_trapping's report with every eigenpair from LAPACK."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep._SecularPencil, "pairs", sweep._Pencil.pairs)
+        return opensys.toy_trapping(h0, v, alphas)
+
 
 def plain_trapping_values(h0, v, alphas):
-    """toy_trapping's values through the plain pencil and LAPACK vectors."""
-    v = v.reshape(len(h0), -1)
-    # -i (V V^T), as _SecularPencil forms it: (-i V) V^T is a complex
-    # product that for K > 1 can round differently
-    family = sweep._Pencil(h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC)
-    return np.array([f.values for f in tracked(family, alphas)
-                     if f.on_grid])
+    return plain_trapping(h0, v, alphas).values
+
+
+def agrees_with_lapack(got, h0, v, alphas):
+    """Column by column within 16 n eps of the row's largest |entry| of
+    LAPACK's values, with the same discrete results.  LAPACK's own error on
+    the 1200-step perfbench chain reaches 4.2 n eps of that peak (against
+    mpmath at 40 digits) and the secular roots stay within twice it, so
+    the two differ by at most 3 x 4.2, rounded up to 16."""
+    want, v = plain_trapping(h0, v, alphas), v.reshape(len(h0), -1)
+    peaks = np.abs(h0 - 1j * alphas[:, None, None] * (v @ v.T)).max(
+        axis=(1, 2))
+    bound = 16 * len(h0) * np.finfo(float).eps * peaks[:, None]
+    assert (np.abs(got.values - want.values) <= bound).all()
+    assert (got.n_trapped, got.alpha_cr) == (want.n_trapped, want.alpha_cr)
+    assert np.array_equal(got.trapped_flags, want.trapped_flags)
+    return want
+
+
+def exact_roots(h0, v, alpha, starts):
+    """The eigenvalues of h0 - i alpha v v^T at 40 digits, each by the secant
+    method from one of starts on prod (z - d) + i alpha sum_k w_k^2
+    prod_{j != k} (z - d_j), for h0 = Q D Q^T (from mpmath unless h0 is
+    diagonal) and w = Q^T v: no division, so a root on a level is found."""
+    with mpmath.workdps(40):
+        d, w = np.diag(h0).tolist(), v.tolist()
+        if np.count_nonzero(h0 - np.diag(d)):
+            e, q = mpmath.eigsy(mpmath.matrix(h0.tolist()))
+            qtv = q.T * mpmath.matrix(w)
+            d, w = [e[k] for k in range(len(d))], [qtv[k] for k in range(len(d))]
+        d = [mpmath.mpf(x) for x in d]
+        w2, alpha = [mpmath.mpf(x) ** 2 for x in w], mpmath.mpf(alpha)
+
+        def p(z):
+            head, tail = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for x, y in zip(d, d[::-1]):
+                head.append(head[-1] * (z - x))
+                tail.append(tail[-1] * (z - y))
+            return head[-1] + 1j * alpha * mpmath.fsum(
+                c * head[k] * tail[len(d) - 1 - k] for k, c in enumerate(w2))
+
+        roots = []
+        for z in starts:
+            z0, z1 = mpmath.mpc(complex(z)), mpmath.mpc(complex(z)) + (
+                1 + abs(z)) * 2.0 ** -40
+            f0, f1 = p(z0), p(z1)
+            for _ in range(60):
+                if f1 == f0 or abs(z1 - z0) <= 1e-34 * (1 + abs(z1)):
+                    break
+                z0, z1, f0 = z1, z1 - f1 * (z1 - z0) / (f1 - f0), f1
+                f1 = p(z1)
+            roots.append(z1)
+        return roots
+
+
+def assert_as_accurate_as_lapack(h0, v, alphas, got, want, rows):
+    """On the given rows no eigenvalue is worse than both twice LAPACK's
+    error and a floor, against the exact roots nearest to LAPACK's values.
+    The floor is 1 ulp of the row's largest |entry| (the bound of the 2 x 2
+    closed form) or the solver's last step, 4 eps times the row's largest
+    |z|, whichever is larger: an eigenvalue here can be n times that entry,
+    and the 1 ulp floor fails on 1 of 10080 eigenvalues of the perfbench
+    chain (seeds 0-9, every 25th row; 1.2 ulp of |z| where LAPACK's error
+    is 0.2).  The secular equation is exact only for Q (D - i t W W^T) Q^T
+    with eigh's Q, D and W = Q^T V as rounded, which differs from H(t) by
+    dH (zero for a diagonal h0, where Q is a signed permutation): each
+    eigenvalue may move by |dH|_F times its conditioning |x|^2 / |x^T x|
+    more."""
+    fam = sweep._SecularPencil(h0, v.reshape(-1, 1))
+    q, d = fam.q.astype(np.longdouble), fam.d.astype(np.longdouble)
+    qw, vl = q @ fam.w.astype(np.longdouble), v.astype(np.longdouble)
+    dh0 = float(np.linalg.norm((q * d) @ q.T - h0))
+    dvv = float(np.linalg.norm(np.outer(qw, qw) - np.outer(vl, vl)))
+    for k in rows:
+        h = h0 - 1j * alphas[k] * np.outer(v, v)
+        exact = exact_roots(h0, v, alphas[k], want.values[k])
+        errors = [np.array([float(min(abs(mpmath.mpc(complex(z)) - e)
+                                      for e in exact)) for z in values])
+                  for values in (got.values[k], want.values[k])]
+        z, x = np.linalg.eig(h)
+        x = x[:, [np.abs(z - y).argmin() for y in got.values[k]]]
+        cond = (np.abs(x) ** 2).sum(0) / np.abs((x * x).sum(0))
+        floor = max(np.spacing(np.abs(h).max()),
+                    4 * np.finfo(float).eps * np.abs(got.values[k]).max())
+        assert (errors[0] <= np.maximum(2 * errors[1], floor)
+                + cond * (dh0 + alphas[k] * dvv)).all(), (k, errors)
 
 
 def chain_with_collisions(seed):
@@ -1277,21 +1365,56 @@ def trapping_cases(draw):
     return h0, v, alphas, per_chunk
 
 
+@st.composite
+def secular_cases(draw):
+    """K = 1 models whose chunks take the secular roots: h0 diagonal or
+    dense, every level coupled and none repeated, grids on (0, 5] (a chunk
+    holding alpha = 0 takes LAPACK's pairs: there x = Q (D - z)^-1 W is not
+    finite), and chunks of 3 or 8 frames or the whole grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 12))
+    h0 = np.diag(rng.uniform(-3.0, 3.0, n))
+    if draw(st.booleans()):
+        h0 = h0 + 0.5 * (lambda c: c + c.T)(rng.standard_normal((n, n)))
+    v = rng.uniform(0.2, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    alphas = np.linspace(draw(st.floats(0.01, 1.0)), draw(st.floats(1.5, 5.0)),
+                         draw(st.integers(3, 40)))
+    return h0, v, alphas, draw(st.sampled_from([None, 3, 8]))
+
+
 class TestSecularPencil:
     @settings(max_examples=60)
     @given(trapping_cases())
-    def test_values_bit_for_bit(self, case):
+    def test_values_agree_with_lapack(self, case):
+        # K > 1 takes LAPACK's eigenpairs: the same bits
         h0, v, alphas, per_chunk = case
         budget = sweep._STACK_BYTES
         try:
             if per_chunk:
                 sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
-            got = opensys.toy_trapping(h0, v, alphas).values
+            got = opensys.toy_trapping(h0, v, alphas)
         finally:
             sweep._STACK_BYTES = budget
-        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+        want = agrees_with_lapack(got, h0, v, alphas)
+        if v.ndim > 1 and v.shape[1] > 1:
+            assert same_bits(got.values, want.values)
 
-    def test_colliding_chain_bit_for_bit(self, monkeypatch):
+    @settings(max_examples=25)
+    @given(secular_cases())
+    def test_as_accurate_as_lapack(self, case):
+        h0, v, alphas, per_chunk = case
+        budget = sweep._STACK_BYTES
+        try:
+            if per_chunk:
+                sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
+            got = opensys.toy_trapping(h0, v, alphas)
+        finally:
+            sweep._STACK_BYTES = budget
+        want = plain_trapping(h0, v, alphas)
+        assert_as_accurate_as_lapack(h0, v.ravel(), alphas, got, want,
+                                     np.linspace(0, len(alphas) - 1, 5, dtype=int))
+
+    def test_colliding_chain_agrees_with_lapack(self, monkeypatch):
         h0, v, alphas = chain_with_collisions(0)
         collided = []
         step = sweep._step
@@ -1301,9 +1424,42 @@ class TestSecularPencil:
             return step(family, f0, f1, depth)
 
         monkeypatch.setattr(sweep, "_step", spy)
-        got = opensys.toy_trapping(h0, v, alphas).values
+        got = opensys.toy_trapping(h0, v, alphas)
         assert any(collided)
+        want = agrees_with_lapack(got, h0, v, alphas)
+        assert_as_accurate_as_lapack(h0, v, alphas, got, want,
+                                     range(0, len(alphas), 10))
+
+    def test_one_root_twice_takes_lapack(self, monkeypatch):
+        # the roots must sum to the trace: a chunk whose solver returns one
+        # root twice (and so misses another) takes LAPACK's eigenpairs
+        h0, v, alphas = chain_with_collisions(2)
+        aberth = sweep._aberth
+
+        def twice(*args):
+            z = aberth(*args)
+            z[:, 1] = z[:, 0]
+            return z
+
+        monkeypatch.setattr(sweep, "_aberth", twice)
+        got = opensys.toy_trapping(h0, v, alphas).values
         assert same_bits(got, plain_trapping_values(h0, v, alphas))
+
+    def test_one_small_eigensolve_per_chunk(self, monkeypatch):
+        # a clean grid: the first matrix of each chunk, without vectors, and
+        # no chunk taking LAPACK's pairs
+        calls = []
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append("eig") or eig(a))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or eigvals(a))
+        rng = np.random.default_rng(7)
+        h0 = np.diag(np.arange(-10.0, 11.0) + rng.uniform(-0.1, 0.1, 21))
+        alphas = np.linspace(0.01, 5.0, 1200)
+        opensys.toy_trapping(h0, rng.uniform(0.8, 1.2, 21), alphas)
+        size = sweep._STACK_BYTES // (5 * h0.size * 16)
+        assert calls == [(21, 21)] * -(-len(alphas) // size)
 
     def test_no_eigendecomposition_with_vectors(self, monkeypatch):
         # a clean grid takes no LAPACK vectors, for its first frame neither
@@ -1315,21 +1471,24 @@ class TestSecularPencil:
         opensys.toy_trapping(h0, v, np.linspace(0.01, 5.0, 300))
         assert calls == []
 
-    @pytest.mark.parametrize("n, closed_form", [(75, True), (80, False)])
-    def test_blocked_lapack_sizes_take_lapack_vectors(self, monkeypatch, n,
-                                                      closed_form):
-        # above n = 75 zhseqr's blocked QR gives other eigenvalue bits when
-        # it is not asked for vectors, so those sizes keep LAPACK's vectors
+    @pytest.mark.parametrize("n", [80, 120])
+    def test_large_levels_take_the_secular_roots(self, monkeypatch, n):
+        # past n = 75 too: polished roots do not depend on the bits of
+        # zhseqr's blocked path
         calls = []
-        eigvals = np.linalg.eigvals
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(a.shape) or eig(a))
         monkeypatch.setattr(np.linalg, "eigvals",
-                            lambda a: calls.append(len(a)) or eigvals(a))
+                            lambda a: calls.append(a.shape) or eigvals(a))
         rng = np.random.default_rng(n)
         h0 = np.diag(np.arange(n) - n / 2 + rng.uniform(-0.1, 0.1, n))
         v, alphas = rng.uniform(0.8, 1.2, n), np.linspace(0.01, 5.0, 30)
-        got = opensys.toy_trapping(h0, v, alphas).values
-        assert bool(calls) == closed_form
-        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+        got = opensys.toy_trapping(h0, v, alphas)
+        assert calls and set(calls) == {(n, n)}
+        monkeypatch.undo()
+        want = agrees_with_lapack(got, h0, v, alphas)
+        assert_as_accurate_as_lapack(h0, v, alphas, got, want, [29])
 
     def test_decoupled_level_takes_lapack_vectors(self, monkeypatch):
         calls = []
