@@ -1230,15 +1230,25 @@ class TestLabelsPastTheEp:
 # the trapping pencil: eigenvalues as roots of the secular equation, vectors
 # in closed form
 
-def plain_trapping(h0, v, alphas):
-    """toy_trapping's report with every eigenpair from LAPACK."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep._SecularPencil, "pairs", sweep._Pencil.pairs)
+def trapping_in_chunks(h0, v, alphas, per_chunk):
+    """toy_trapping with chunks of per_chunk frames (None: the default)."""
+    budget = sweep._STACK_BYTES
+    try:
+        if per_chunk:
+            sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
         return opensys.toy_trapping(h0, v, alphas)
+    finally:
+        sweep._STACK_BYTES = budget
 
 
-def plain_trapping_values(h0, v, alphas):
-    return plain_trapping(h0, v, alphas).values
+def plain_trapping(h0, v, alphas):
+    """toy_trapping's report through the plain pencil and LAPACK's pairs."""
+    # -i (V V^T), as _SecularPencil forms it: (-i V) V^T is a complex
+    # product that for K > 1 can round differently
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_SecularPencil", lambda h0, v: sweep._Pencil(
+            h0, -1j * (v @ v.T), linalg.COMPLEX_SYMMETRIC))
+        return opensys.toy_trapping(h0, v, alphas)
 
 
 def agrees_with_lapack(got, h0, v, alphas):
@@ -1267,7 +1277,7 @@ def exact_roots(h0, v, alpha, starts):
         if np.count_nonzero(h0 - np.diag(d)):
             e, q = mpmath.eigsy(mpmath.matrix(h0.tolist()))
             qtv = q.T * mpmath.matrix(w)
-            d, w = [e[k] for k in range(len(d))], [qtv[k] for k in range(len(d))]
+            d, w = zip(*((e[k], qtv[k]) for k in range(len(d))))
         d = [mpmath.mpf(x) for x in d]
         w2, alpha = [mpmath.mpf(x) ** 2 for x in w], mpmath.mpf(alpha)
 
@@ -1388,13 +1398,7 @@ class TestSecularPencil:
     def test_values_agree_with_lapack(self, case):
         # K > 1 takes LAPACK's eigenpairs: the same bits
         h0, v, alphas, per_chunk = case
-        budget = sweep._STACK_BYTES
-        try:
-            if per_chunk:
-                sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
-            got = opensys.toy_trapping(h0, v, alphas)
-        finally:
-            sweep._STACK_BYTES = budget
+        got = trapping_in_chunks(h0, v, alphas, per_chunk)
         want = agrees_with_lapack(got, h0, v, alphas)
         if v.ndim > 1 and v.shape[1] > 1:
             assert same_bits(got.values, want.values)
@@ -1403,16 +1407,10 @@ class TestSecularPencil:
     @given(secular_cases())
     def test_as_accurate_as_lapack(self, case):
         h0, v, alphas, per_chunk = case
-        budget = sweep._STACK_BYTES
-        try:
-            if per_chunk:
-                sweep._STACK_BYTES = per_chunk * 5 * h0.size * 16
-            got = opensys.toy_trapping(h0, v, alphas)
-        finally:
-            sweep._STACK_BYTES = budget
-        want = plain_trapping(h0, v, alphas)
-        assert_as_accurate_as_lapack(h0, v.ravel(), alphas, got, want,
-                                     np.linspace(0, len(alphas) - 1, 5, dtype=int))
+        got = trapping_in_chunks(h0, v, alphas, per_chunk)
+        rows = np.linspace(0, len(alphas) - 1, 5, dtype=int)
+        assert_as_accurate_as_lapack(h0, v, alphas, got,
+                                     plain_trapping(h0, v, alphas), rows)
 
     def test_colliding_chain_agrees_with_lapack(self, monkeypatch):
         h0, v, alphas = chain_with_collisions(0)
@@ -1443,7 +1441,7 @@ class TestSecularPencil:
 
         monkeypatch.setattr(sweep, "_aberth", twice)
         got = opensys.toy_trapping(h0, v, alphas).values
-        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+        assert same_bits(got, plain_trapping(h0, v, alphas).values)
 
     def test_one_small_eigensolve_per_chunk(self, monkeypatch):
         # a clean grid: the first matrix of each chunk, without vectors, and
@@ -1478,7 +1476,7 @@ class TestSecularPencil:
         calls = []
         eig, eigvals = np.linalg.eig, np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eig",
-                            lambda a: calls.append(a.shape) or eig(a))
+                            lambda a: calls.append("eig") or eig(a))
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: calls.append(a.shape) or eigvals(a))
         rng = np.random.default_rng(n)
@@ -1499,7 +1497,7 @@ class TestSecularPencil:
         v[4] = 0.0
         got = opensys.toy_trapping(h0, v, alphas).values
         assert sum(calls) == len(alphas)
-        assert same_bits(got, plain_trapping_values(h0, v, alphas))
+        assert same_bits(got, plain_trapping(h0, v, alphas).values)
 
     @pytest.mark.parametrize("channels", [1, 4])
     def test_chunk_peak_within_budget(self, monkeypatch, channels):
@@ -1519,7 +1517,7 @@ class TestSecularPencil:
 
     def test_eigenvalue_failure_retried_with_vectors(self, monkeypatch):
         h0, v, alphas = chain_with_collisions(1)
-        want = plain_trapping_values(h0, v, alphas)
+        want = plain_trapping(h0, v, alphas).values
 
         def no_convergence(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
