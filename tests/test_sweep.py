@@ -1253,10 +1253,11 @@ def plain_trapping(h0, v, alphas):
 
 def agrees_with_lapack(got, h0, v, alphas):
     """Column by column within 16 n eps of the row's largest |entry| of
-    LAPACK's values, with the same discrete results.  LAPACK's own error on
-    the 1200-step perfbench chain reaches 4.2 n eps of that peak (against
-    mpmath at 40 digits) and the secular roots stay within twice it, so
-    the two differ by at most 3 x 4.2, rounded up to 16."""
+    LAPACK's values, with the same discrete results.  LAPACK's own error
+    on the 1200-step perfbench chain (sweep_small seeds 0-9, every 25th
+    row, against mpmath at 40 digits) reaches 3.7 n eps of that peak, and
+    the secular roots may be twice as far off, so the two may differ by
+    3 x 3.7, rounded up to 16."""
     want, v = plain_trapping(h0, v, alphas), v.reshape(len(h0), -1)
     peaks = np.abs(h0 - 1j * alphas[:, None, None] * (v @ v.T)).max(
         axis=(1, 2))
